@@ -9,9 +9,9 @@ simulation studies.
 
 from .butter import butterworth_s_poles, causal_z_poles, full_z_poles
 from .design import (DesignSpec, ConstraintSystem, FilterbankDesign,
-                     alpha_table, assemble_system, basis_derivative_column,
-                     dc_targets, design_filterbank, gram_matrix,
-                     noncausal_design, optimal_group_delay,
+                     NumericalError, alpha_table, assemble_system,
+                     basis_derivative_column, dc_targets, design_filterbank,
+                     gram_matrix, noncausal_design, optimal_group_delay,
                      solve_coefficients, transfer_coefficients,
                      white_noise_gain, wng_polynomial)
 from .realize import (FilterState, StateSpaceRealization, initialize_state,
@@ -34,7 +34,7 @@ __version__ = "1.0.0"
 __all__ = [
     "DesignSpec", "ConstraintSystem", "FilterbankDesign", "FilterState",
     "StateSpaceRealization", "OrbitError", "DiscreteProcess", "InputSpec",
-    "ProcessParams", "RocCurve", "Track2D",
+    "ProcessParams", "RocCurve", "Track2D", "NumericalError",
     "butterworth_s_poles", "causal_z_poles", "full_z_poles",
     "alpha_table", "assemble_system", "basis_derivative_column",
     "dc_targets", "design_filterbank", "gram_matrix", "noncausal_design",

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .design import (DesignSpec, FilterbankDesign, basis_derivative_column,
-                     dc_targets)
+                     constraint_blocks, dc_targets)
 
 #: Step for finite-difference verification of derivative constraints.
 FD_STEP = 1e-3
@@ -134,18 +134,12 @@ def verify_constraints(spec: DesignSpec,
     (orders 1..3 only).  Both are compared to the constraint targets.
     """
     report: List[ConstraintCheck] = []
-    if spec.k_w_nb > 0:
-        blocks = [(0.0, spec.k_w_dc), (-spec.omega_nb, spec.k_w_nb),
-                  (spec.omega_nb, spec.k_w_nb), (np.pi, spec.k_w_pi)]
-    else:
-        blocks = [(0.0, spec.k_w_dc), (np.pi, spec.k_w_pi)]
+    blocks = constraint_blocks(spec)
     for kt in range(spec.k_t):
         q_kt = design.q if design.q_per_output is None \
             else design.q_per_output[kt]
         targets_dc = dc_targets(q_kt, design.t_s, spec.k_w_dc, kt)
         for w_d, count in blocks:
-            if count == 0:
-                continue
             analytic = _bank_derivative(design, w_d, kt, count + 3)
             for kw in range(count):
                 target = targets_dc[kw] if w_d == 0.0 else 0.0 + 0.0j

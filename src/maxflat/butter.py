@@ -8,10 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Multiplier applied to the requested cut-off frequency (kept configurable,
-#: defaulting to no adjustment).
-DEFAULT_BANDWIDTH_FACTOR = 1.0
-
 
 def butterworth_s_poles(K: int, omega_c: float) -> np.ndarray:
     """The 2K roots of 1 + (-s^2/omega_c^2)^K = 0, sorted by angle.
@@ -33,27 +29,23 @@ def butterworth_s_poles(K: int, omega_c: float) -> np.ndarray:
     return roots[np.argsort(np.angle(roots))]
 
 
-def _checked(K: int, omega_c: float, t_s: float, bandwidth_factor: float) -> float:
+def _check_nyquist(omega_c: float, t_s: float) -> None:
     if t_s <= 0:
         raise ValueError("T_s must be positive")
-    w = omega_c * bandwidth_factor
-    if w * t_s >= np.pi:
+    if omega_c * t_s >= np.pi:
         raise ValueError("bandwidth exceeds Nyquist: omega_c * T_s must be < pi")
-    return w
 
 
-def causal_z_poles(K: int, omega_c: float, t_s: float,
-                   bandwidth_factor: float = DEFAULT_BANDWIDTH_FACTOR) -> np.ndarray:
+def causal_z_poles(K: int, omega_c: float, t_s: float) -> np.ndarray:
     """z-plane poles exp(T_s * s_k) for the K left-half-plane s-poles."""
-    w = _checked(K, omega_c, t_s, bandwidth_factor)
-    s = butterworth_s_poles(K, w)
+    _check_nyquist(omega_c, t_s)
+    s = butterworth_s_poles(K, omega_c)
     lhp = s[s.real < 0]
     return np.exp(t_s * lhp)
 
 
-def full_z_poles(K: int, omega_c: float, t_s: float,
-                 bandwidth_factor: float = DEFAULT_BANDWIDTH_FACTOR) -> np.ndarray:
+def full_z_poles(K: int, omega_c: float, t_s: float) -> np.ndarray:
     """z-plane poles exp(T_s * s_k) over all 2K s-poles (K inside, K outside)."""
-    w = _checked(K, omega_c, t_s, bandwidth_factor)
-    s = butterworth_s_poles(K, w)
+    _check_nyquist(omega_c, t_s)
+    s = butterworth_s_poles(K, omega_c)
     return np.exp(t_s * s)

@@ -23,7 +23,6 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .butter import causal_z_poles, full_z_poles
-from .poly import poly_from_roots
 
 #: Tolerance on imaginary residue when coercing analytically-real
 #: quantities (filter coefficients, WNG entries, polynomial roots) to real.
@@ -41,6 +40,10 @@ OPTIMAL = "optimal"
 
 class IllConditionedSystem(UserWarning):
     """Constraint matrix condition estimate exceeds COND_WARN."""
+
+
+class NumericalError(ValueError):
+    """A singular or degenerate system: the spec is valid, the numerics fail."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,9 @@ class FilterbankDesign:
     c is the K x K_t coefficient matrix (column k_t drives derivative order
     k_t).  a is the shared monic denominator (length K+1); b[k_t] is the
     matching numerator (length K+1, last entry zero for causal banks).
-    sigma is the real white-noise cross-gain matrix.
+    sigma is the real white-noise cross-gain matrix.  condition is the
+    condition estimate of the solved constraint system (None for a design
+    read back from JSON).
     """
 
     poles: np.ndarray
@@ -131,6 +136,7 @@ class FilterbankDesign:
     b: Tuple[np.ndarray, ...]
     t_s: float
     q_per_output: Optional[Tuple[float, ...]] = None
+    condition: Optional[float] = None
 
     @property
     def order(self) -> int:
@@ -173,8 +179,8 @@ def basis_derivative_column(p: complex, omega_d: float, K: int,
     """
     z = np.exp(1j * omega_d)
     if abs(z - p) < 1e-12:
-        raise ValueError("singular basis evaluation: pole on the unit circle "
-                         "at a constraint frequency")
+        raise NumericalError("singular basis evaluation: pole on the unit "
+                             "circle at a constraint frequency")
     if alp is None:
         alp = alpha_table(K)
     psi = z / (z - p)
@@ -212,27 +218,35 @@ def _target_matrix(spec: DesignSpec, q: float,
     return D
 
 
+def constraint_blocks(spec: DesignSpec) -> Tuple[Tuple[float, int], ...]:
+    """The (omega, count) row blocks of the constraint system.
+
+    Ordered dc, -omega_nb, +omega_nb, pi; blocks with no constraints are
+    left out.
+    """
+    blocks = [(0.0, spec.k_w_dc)]
+    if spec.k_w_nb > 0:
+        w_nb = spec.omega_nb
+        if w_nb <= 0.0 or abs(w_nb - np.pi) < 1e-12:
+            raise NumericalError("degenerate narrowband frequency: use the dc "
+                                 "or pi constraint blocks instead")
+        blocks += [(-w_nb, spec.k_w_nb), (w_nb, spec.k_w_nb)]
+    blocks.append((np.pi, spec.k_w_pi))
+    return tuple((w, n) for (w, n) in blocks if n > 0)
+
+
 def assemble_system(spec: DesignSpec, poles: np.ndarray,
                     q: Optional[float] = None) -> ConstraintSystem:
     """Build the square constraint system Psi C = D.
 
-    Row blocks are ordered dc, -omega_nb, +omega_nb, pi.  When q is omitted,
-    a numeric spec.group_delay is used (0 for the "optimal" sentinel, since
-    Psi does not depend on q and D is rebuilt after the delay search).
+    Row blocks follow constraint_blocks.  When q is omitted, a numeric
+    spec.group_delay is used (0 for the "optimal" sentinel, since Psi does
+    not depend on q and D is rebuilt after the delay search).
     """
     K = spec.total_constraints
     if len(poles) != K:
         raise ValueError("pole count must equal the constraint count K")
-    if spec.k_w_nb > 0:
-        w_nb = spec.omega_nb
-        if w_nb <= 0.0 or abs(w_nb - np.pi) < 1e-12:
-            raise ValueError("degenerate narrowband frequency: use the dc or "
-                             "pi constraint blocks instead")
-        blocks = [(0.0, spec.k_w_dc), (-w_nb, spec.k_w_nb),
-                  (w_nb, spec.k_w_nb), (np.pi, spec.k_w_pi)]
-    else:
-        blocks = [(0.0, spec.k_w_dc), (np.pi, spec.k_w_pi)]
-    blocks = [(w, n) for (w, n) in blocks if n > 0]
+    blocks = constraint_blocks(spec)
 
     alp = alpha_table(K)
     psi = np.empty((K, K), dtype=complex)
@@ -249,7 +263,7 @@ def assemble_system(spec: DesignSpec, poles: np.ndarray,
     if q is None:
         q = spec.group_delay if not isinstance(spec.group_delay, str) else 0.0
     d = _target_matrix(spec, float(q))
-    return ConstraintSystem(psi=psi, d=d, constraint_freqs=tuple(blocks),
+    return ConstraintSystem(psi=psi, d=d, constraint_freqs=blocks,
                             condition=cond)
 
 
@@ -271,8 +285,8 @@ def _solve(psi: np.ndarray, d: np.ndarray) -> np.ndarray:
         # when Psi is badly conditioned (it is Vandermonde-like in K).
         c = c + np.linalg.solve(psi, d - psi @ c)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate constraint set: constraint matrix is "
-                         "singular") from exc
+        raise NumericalError("degenerate constraint set: constraint matrix "
+                             "is singular") from exc
     return c
 
 
@@ -287,8 +301,8 @@ def _check_residual(psi: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
     res = np.max(np.abs(psi @ c - d))
     bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(d)))
     if res > bound:
-        raise ValueError("degenerate constraint set: solve residual "
-                         f"{res:.3e} exceeds {bound:.3e}")
+        raise NumericalError("degenerate constraint set: solve residual "
+                             f"{res:.3e} exceeds {bound:.3e}")
 
 
 def white_noise_gain(c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -302,13 +316,14 @@ def white_noise_gain(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return sigma.real
 
 
-def wng_polynomial(spec: DesignSpec, poles: np.ndarray, s: np.ndarray,
+def wng_polynomial(spec: DesignSpec, system: ConstraintSystem, s: np.ndarray,
                    k_t: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """WNG of output k_t as a polynomial in the group delay q.
 
     Returns (sigma_poly, p_poly) as ascending-power real coefficient arrays:
     Sigma(q) and its formal derivative P(q).  Only the dc targets depend on
-    q, so with Phi = the dc columns of Psi^{-1} and J = Phi^H S Phi,
+    q, so with Phi = the dc columns of Psi^{-1} (Psi from the spec's
+    assembled system, at any q) and J = Phi^H S Phi,
 
         Sigma(q) = sum_{a,b >= k_t} conj(g_a) g_b J[a,b] q^{a+b-2 k_t},
 
@@ -317,7 +332,6 @@ def wng_polynomial(spec: DesignSpec, poles: np.ndarray, s: np.ndarray,
     """
     if not 0 <= k_t < spec.k_w_dc:
         raise ValueError("require 0 <= k_t < K_w_dc")
-    system = assemble_system(spec, poles, q=0.0)
     phi = _solve(system.psi, np.eye(spec.total_constraints,
                                     dtype=complex))[:, :spec.k_w_dc]
     j = phi.conj().T @ s @ phi
@@ -344,15 +358,15 @@ def wng_polynomial(spec: DesignSpec, poles: np.ndarray, s: np.ndarray,
     return sigma_poly, np.atleast_1d(p_poly)
 
 
-def optimal_group_delay(spec: DesignSpec, poles: np.ndarray, s: np.ndarray,
-                        k_t: int = 0) -> float:
+def optimal_group_delay(spec: DesignSpec, system: ConstraintSystem,
+                        s: np.ndarray, k_t: int = 0) -> float:
     """Delay minimizing the WNG polynomial of output k_t.
 
     Among real roots of P(q) = dSigma/dq (imaginary part below TOL_CPX),
     picks the one with the lowest Sigma; ties within TOL_WNG go to the
     smallest delay.  A delay-independent WNG yields q = 0.
     """
-    sigma_poly, p_poly = wng_polynomial(spec, poles, s, k_t)
+    sigma_poly, p_poly = wng_polynomial(spec, system, s, k_t)
     if np.all(np.abs(p_poly) < 1e-14):
         warnings.warn("delay-independent WNG — any q admissible; returning 0",
                       UserWarning)
@@ -370,24 +384,31 @@ def transfer_coefficients(c: np.ndarray,
                           poles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Expand sum_k c_k z / (z - p_k) into numerator/denominator polynomials.
 
-    Returns (b, a), both real of length K+1 in descending powers of z,
-    with a monic (a[0] = 1) and b[K] = 0.
+    c is a length-K vector, or a K x K_t matrix with one column per output.
+    Returns (b, a) in descending powers of z: a is real, monic and of length
+    K+1; b is real with last entry 0, of length K+1 for a vector c and
+    K_t x (K+1) (one row per output) for a matrix.
     """
     # Expand in extended precision: the product accumulation is the
     # accuracy bottleneck for clustered pole sets.
     poles_hp = np.asarray(poles, dtype=np.clongdouble)
     K = len(poles_hp)
+    cols = np.asarray(c, dtype=np.clongdouble).reshape(K, -1).T
     a = np.ones(1, dtype=np.clongdouble)
     for p in poles_hp:
         a = np.convolve(a, np.array([1.0, -p], dtype=np.clongdouble))
-    b = np.zeros(K + 1, dtype=np.clongdouble)
+    b = np.zeros((len(cols), K + 1), dtype=np.clongdouble)
     for k in range(K):
-        term = np.array([c[k], 0.0], dtype=np.clongdouble)
+        # Multiply [c_k, 0] by each (z - p_j), j != k, in turn, for all
+        # outputs at once.  Expanding the cofactor first and scaling it by
+        # c_k would round differently.
+        term = np.zeros_like(b)
+        term[:, 0] = cols[:, k]
+        deg = 1
         for j in range(K):
             if j != k:
-                term = np.convolve(term,
-                                   np.array([1.0, -poles_hp[j]],
-                                            dtype=np.clongdouble))
+                term[:, 1:deg + 1] -= poles_hp[j] * term[:, :deg]
+                deg += 1
         b += term
     resid = max(float(np.max(np.abs(a.imag))), float(np.max(np.abs(b.imag))))
     if resid > TOL_CPX:
@@ -396,8 +417,8 @@ def transfer_coefficients(c: np.ndarray,
     a = np.asarray(a.real, dtype=float)
     b = np.asarray(b.real, dtype=float)
     a[0] = 1.0
-    b[K] = 0.0
-    return b, a
+    b[:, K] = 0.0
+    return (b[0] if np.ndim(c) == 1 else b), a
 
 
 def design_filterbank(spec: DesignSpec,
@@ -418,11 +439,11 @@ def design_filterbank(spec: DesignSpec,
     q_per_output: Optional[Tuple[float, ...]] = None
     if isinstance(spec.group_delay, str):  # the "optimal" sentinel
         if per_output_delay:
-            q_per_output = tuple(optimal_group_delay(spec, poles, s, kt)
+            q_per_output = tuple(optimal_group_delay(spec, system, s, kt)
                                  for kt in range(spec.k_t))
             q = q_per_output[0]
         else:
-            q = optimal_group_delay(spec, poles, s, 0)
+            q = optimal_group_delay(spec, system, s, 0)
     else:
         q = float(spec.group_delay)
 
@@ -430,14 +451,11 @@ def design_filterbank(spec: DesignSpec,
     c = _solve(system.psi, d)
     _check_residual(system.psi, c, d)
     sigma = white_noise_gain(c, s)
-    a = None
-    bs = []
-    for kt in range(spec.k_t):
-        b_kt, a = transfer_coefficients(c[:, kt], poles)
-        bs.append(b_kt)
+    b, a = transfer_coefficients(c, poles)
     return FilterbankDesign(poles=poles, c=c, q=q, sigma=sigma, a=a,
-                            b=tuple(bs), t_s=spec.t_s,
-                            q_per_output=q_per_output)
+                            b=tuple(b), t_s=spec.t_s,
+                            q_per_output=q_per_output,
+                            condition=system.condition)
 
 
 def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
@@ -468,7 +486,7 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
     q = float(spec.group_delay)
     poles = full_z_poles(K // 2, spec.omega_wb * spec.f_s, spec.t_s)
     if np.any(np.abs(np.abs(poles) - 1.0) < 1e-9):
-        raise ValueError("marginal pole — cannot split")
+        raise NumericalError("marginal pole — cannot split")
 
     system = assemble_system(spec, poles, q=q)
     c = solve_coefficients(system)
@@ -486,38 +504,21 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
     sigma_fwd = white_noise_gain(c_in, s_fwd)
     sigma_bwd = white_noise_gain(c_out, s_bwd)
 
-    a_f = None
-    bs_f = []
-    for kt in range(spec.k_t):
-        b_kt, a_f = transfer_coefficients(c_in[:, kt], p_in)
-        bs_f.append(b_kt)
+    b_f, a_f = transfer_coefficients(c_in, p_in)
     forward = FilterbankDesign(poles=p_in, c=c_in, q=q,
                                sigma=sigma_fwd + sigma_bwd, a=a_f,
-                               b=tuple(bs_f), t_s=spec.t_s)
+                               b=tuple(b_f), t_s=spec.t_s,
+                               condition=system.condition)
 
-    # Backward part: sum_k (-c_k r_k) / (z - r_k) over the reversed axis.
-    Kb = len(r)
-    a_b = poly_from_roots(r)
-    bs_b = []
-    for kt in range(spec.k_t):
-        b_kt = np.zeros(Kb + 1, dtype=complex)
-        for k in range(Kb):
-            term = np.array([-c_out[k, kt] * r[k]], dtype=complex)
-            for j in range(Kb):
-                if j != k:
-                    term = np.convolve(term, [1.0, -r[j]])
-            b_kt[1:] += term
-        resid = float(np.max(np.abs(b_kt.imag)))
-        if resid > TOL_CPX:
-            raise ValueError("transfer coefficients have imaginary residue "
-                             f"{resid:.3e} — design inconsistency")
-        bs_b.append(b_kt.real.copy())
-    resid = float(np.max(np.abs(a_b.imag)))
-    if resid > TOL_CPX:
-        raise ValueError("transfer coefficients have imaginary residue "
-                         f"{resid:.3e} — design inconsistency")
-    a_b = a_b.real.copy()
-    a_b[0] = 1.0
+    # Backward part: sum_k (-c_k r_k) / (z - r_k) over the reversed axis is
+    # z^-1 times the expansion of sum_k (-c_k r_k) z / (z - r_k), whose last
+    # entry is an exact 0, so the shift is a roll.  The products c_k r_k
+    # are formed in extended precision as well, because the expansion sums
+    # them with cancellation.
+    b_z, a_b = transfer_coefficients(
+        -c_out.astype(np.clongdouble) * r[:, None], r)
     backward = FilterbankDesign(poles=r, c=c_out, q=q, sigma=sigma_bwd,
-                                a=a_b, b=tuple(bs_b), t_s=spec.t_s)
+                                a=a_b, b=tuple(np.roll(b_z, 1, axis=1)),
+                                t_s=spec.t_s,
+                                condition=system.condition)
     return forward, backward

@@ -21,6 +21,8 @@ from typing import Literal, Optional
 import numpy as np
 from scipy.signal import lfilter
 
+from .design import NumericalError
+
 
 @dataclass(frozen=True)
 class ProcessParams:
@@ -93,7 +95,7 @@ def discretize_process(params: ProcessParams, t_s: float) -> DiscreteProcess:
         raise ValueError("T_s must be positive")
     s, w = params.sigma_c, params.omega_c
     if w == 0:
-        raise ValueError("degenerate oscillator: Omega_c = 0")
+        raise NumericalError("degenerate oscillator: Omega_c = 0")
     e = np.exp(s * t_s)
     cw, sw = np.cos(w * t_s), np.sin(w * t_s)
     r2 = s * s + w * w

@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 from scipy.signal import lfilter
 
-from .design import TOL_CPX, FilterbankDesign
+from .design import TOL_CPX, FilterbankDesign, NumericalError
 
 DCF = "DCF"
 CCF = "CCF"
@@ -142,7 +142,8 @@ def initialize_state(realization: StateSpaceRealization,
         return FilterState(w=w, n=0)
     eigs = np.linalg.eigvals(realization.g)
     if np.any(np.abs(eigs - 1.0) < 1e-12):
-        raise ValueError("no steady state: realization has a pole at z = 1")
+        raise NumericalError("no steady state: realization has a pole at "
+                             "z = 1")
     dtype = complex if realization.complex_arithmetic else float
     w = np.linalg.solve(np.eye(K, dtype=dtype) - realization.g,
                         realization.h * x0)

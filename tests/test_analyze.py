@@ -8,7 +8,8 @@ from maxflat.analyze import (NULL_RADIUS_TOL, complex_error, design_response,
                              frequency_response, ideal_response,
                              measured_group_delay, noncausal_response,
                              orbit_steady_state, verify_constraints)
-from maxflat.design import DesignSpec, design_filterbank, noncausal_design
+from maxflat.design import (DesignSpec, assemble_system, design_filterbank,
+                            noncausal_design)
 from maxflat.realize import run_filter
 
 
@@ -47,13 +48,25 @@ def test_bw1_constraints_verified(bw1_spec, bw1_design):
 
 
 def test_constraints_verified_away_from_optimum(bw1_spec, bw1_design):
-    """Interpolation must hold at any delay, not just the optimal one."""
-    spec = DesignSpec(f_s=bw1_spec.f_s, f_wb=bw1_spec.f_wb,
-                      f_nb=bw1_spec.f_nb, k_w_dc=bw1_spec.k_w_dc,
-                      k_w_nb=bw1_spec.k_w_nb, k_t=bw1_spec.k_t,
-                      group_delay=bw1_design.q + 5.0)
-    d = design_filterbank(spec)
-    assert all(c.analytic_ok and c.fd_ok for c in verify_constraints(spec, d))
+    """Interpolation must hold at any delay, not just the optimal one, with
+    one check per row of the constraint system (here also a spec with all
+    four blocks: dc, -omega_nb, +omega_nb and pi)."""
+    specs = [
+        DesignSpec(f_s=bw1_spec.f_s, f_wb=bw1_spec.f_wb,
+                   f_nb=bw1_spec.f_nb, k_w_dc=bw1_spec.k_w_dc,
+                   k_w_nb=bw1_spec.k_w_nb, k_t=bw1_spec.k_t,
+                   group_delay=bw1_design.q + 5.0),
+        DesignSpec(f_s=500.0, f_wb=0.04, f_nb=0.1, k_w_dc=4, k_w_nb=1,
+                   k_w_pi=2, k_t=2, group_delay=6.5),
+    ]
+    for spec in specs:
+        d = design_filterbank(spec)
+        report = verify_constraints(spec, d)
+        assert all(c.analytic_ok and c.fd_ok for c in report)
+        rows = [(w, k) for w, n in assemble_system(spec, d.poles)
+                .constraint_freqs for k in range(n)]
+        assert [(c.omega_d, c.k_omega, c.k_t) for c in report] == \
+            [(w, k, kt) for kt in range(spec.k_t) for w, k in rows]
 
 
 def test_response_conjugate_symmetry(bw1_design):

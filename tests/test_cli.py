@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maxflat import cli
-from maxflat.design import DesignSpec
+from maxflat.design import DesignSpec, NumericalError
 
 
 def _read(path):
@@ -118,8 +118,7 @@ def test_detect_sim_command_deterministic(tmp_path):
     out1 = [str(tmp_path / "roc1.csv"), str(tmp_path / "s1.json")]
     out2 = [str(tmp_path / "roc2.csv"), str(tmp_path / "s2.json")]
     assert cli.main(args + ["--roc", out1[0], "--summary", out1[1]]) == 0
-    assert cli.main(args + ["--roc", out2[0], "--summary", out2[1],
-                            "--threads", "4"]) == 0
+    assert cli.main(args + ["--roc", out2[0], "--summary", out2[1]]) == 0
     assert _read(out1[0]) == _read(out2[0])
     assert json.loads(_read(out1[1]))["auc"] == \
         json.loads(_read(out2[1]))["auc"]
@@ -159,12 +158,22 @@ def test_missing_config_file_exit_code(tmp_path):
 
 def test_numerical_error_exit_code(tmp_path, monkeypatch, capsys):
     def boom(spec):
-        raise ValueError("degenerate constraint set: solve residual "
-                         "1.0e+00 exceeds 1.0e-08")
+        raise NumericalError("degenerate constraint set: solve residual "
+                             "1.0e+00 exceeds 1.0e-08")
     monkeypatch.setattr(cli, "design_to_payload", boom)
     rc = cli.main(["design", "-o", str(tmp_path / "d.json")])
     assert rc == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_degenerate_narrowband_frequency_exit_code(tmp_path, capsys):
+    """f_nb one ulp below Nyquist puts the narrowband block at pi."""
+    rc = cli.main(["design", "--fs", "1", "--fwb", "0.3",
+                   "--fnb", "0.49999999999999994", "--kdc", "2", "--knb",
+                   "1", "--kt", "1", "--q", "0",
+                   "-o", str(tmp_path / "d.json")])
+    assert rc == 3
+    assert "degenerate narrowband frequency" in capsys.readouterr().err
 
 
 def test_linalg_error_exit_code(tmp_path, monkeypatch):

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from maxflat import cli
+from maxflat import design as design_module
 from maxflat.butter import causal_z_poles, full_z_poles
 from maxflat.design import (DesignSpec, alpha_table, assemble_system,
                             basis_derivative_column, dc_targets,
@@ -175,7 +177,8 @@ def test_wng_polynomial_consistent_with_direct_solves(bw1_spec):
     poles = causal_z_poles(spec.total_constraints, spec.omega_wb * spec.f_s,
                            spec.t_s)
     s = gram_matrix(poles)
-    sigma_poly, _ = wng_polynomial(spec, poles, s, k_t=0)
+    sigma_poly, _ = wng_polynomial(spec, assemble_system(spec, poles), s,
+                                   k_t=0)
     for q in (0.0, 5.0, 12.0, 20.0):
         fixed = DesignSpec(f_s=spec.f_s, f_wb=spec.f_wb, f_nb=spec.f_nb,
                            k_w_dc=spec.k_w_dc, k_w_nb=spec.k_w_nb,
@@ -191,7 +194,8 @@ def test_wng_polynomial_degree():
                       k_t=1)
     poles = causal_z_poles(spec.total_constraints, spec.omega_wb * spec.f_s,
                            spec.t_s)
-    sigma_poly, _ = wng_polynomial(spec, poles, gram_matrix(poles), k_t=0)
+    sigma_poly, _ = wng_polynomial(spec, assemble_system(spec, poles),
+                                   gram_matrix(poles), k_t=0)
     assert len(sigma_poly) - 1 == 2 * (spec.k_w_dc - 1)
 
 
@@ -200,9 +204,10 @@ def test_optimal_delay_beats_dense_grid(bw1_spec):
     spec = bw1_spec
     poles = causal_z_poles(spec.total_constraints, spec.omega_wb * spec.f_s,
                            spec.t_s)
+    system = assemble_system(spec, poles)
     s = gram_matrix(poles)
-    sigma_poly, _ = wng_polynomial(spec, poles, s, k_t=0)
-    q_opt = optimal_group_delay(spec, poles, s, k_t=0)
+    sigma_poly, _ = wng_polynomial(spec, system, s, k_t=0)
+    q_opt = optimal_group_delay(spec, system, s, k_t=0)
     sig = np.polynomial.polynomial.polyval
     grid = np.arange(-5.0, 40.0, 0.01)
     assert float(sig(q_opt, sigma_poly)) <= np.min(sig(grid, sigma_poly)) \
@@ -215,7 +220,8 @@ def test_fully_interpolating_design_has_flat_wng():
     spec = DesignSpec(f_s=1.0, f_wb=0.05, k_w_dc=1, k_t=1)
     poles = causal_z_poles(1, spec.omega_wb * spec.f_s, spec.t_s)
     with pytest.warns(UserWarning, match="delay-independent"):
-        q = optimal_group_delay(spec, poles, gram_matrix(poles), k_t=0)
+        q = optimal_group_delay(spec, assemble_system(spec, poles),
+                                gram_matrix(poles), k_t=0)
     assert q == 0.0
 
 
@@ -244,6 +250,17 @@ def test_transfer_coefficients_first_order():
                                  np.array([0.5 + 0j]))
     assert np.allclose(a, [1.0, -0.5])
     assert np.allclose(b, [0.25, 0.0])
+
+
+def test_transfer_coefficients_matrix_equals_per_column(bw1_design):
+    """A K x K_t coefficient matrix expands exactly as one call per column."""
+    d = bw1_design
+    b, a = transfer_coefficients(d.c, d.poles)
+    assert b.shape == (d.n_outputs, d.order + 1)
+    for kt in range(d.n_outputs):
+        b_kt, a_kt = transfer_coefficients(d.c[:, kt], d.poles)
+        assert np.array_equal(b[kt], b_kt)
+        assert np.array_equal(a, a_kt)
 
 
 def test_transfer_representations_agree_on_grid(bw1_design):
@@ -341,3 +358,33 @@ def test_noncausal_wng_split_sums_to_total():
     anticausal contribution stored on the backward design."""
     fwd, bwd = noncausal_design(_nc_spec())
     assert fwd.sigma[0, 0] > bwd.sigma[0, 0] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# One constraint assembly per design
+
+
+@pytest.mark.parametrize("solve, spec", [
+    (design_filterbank, DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07,
+                                   k_w_dc=3, k_w_nb=3, k_t=3)),
+    (design_filterbank, DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07,
+                                   k_w_dc=3, k_w_nb=3, k_t=3,
+                                   group_delay=12.0)),
+    (noncausal_design, _nc_spec()),
+    (cli.design_to_payload, DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07,
+                                       k_w_dc=3, k_w_nb=3, k_t=3)),
+    (cli.design_to_payload, _nc_spec()),
+])
+def test_one_assembly_per_design(monkeypatch, solve, spec):
+    """The delay search and the CLI's condition report reuse the system the
+    design solves."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return assemble_system(*args, **kwargs)
+    monkeypatch.setattr(design_module, "assemble_system", spy)
+    # Also counts a call the CLI would make through its own import.
+    monkeypatch.setattr(cli, "assemble_system", spy, raising=False)
+    solve(spec)
+    assert len(calls) == 1
