@@ -16,6 +16,7 @@ delay q; its minimizer gives the optimal delay for a given pole set.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
@@ -65,6 +66,20 @@ class DesignSpec:
     causal: bool = True
 
     def __post_init__(self) -> None:
+        counts = [("K_w_dc", self.k_w_dc), ("K_w_nb", self.k_w_nb),
+                  ("K_w_pi", self.k_w_pi), ("K_t", self.k_t)]
+        for label, value in counts:
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
+        reals = [("F_s", self.f_s), ("f_wb", self.f_wb)]
+        if self.f_nb is not None:
+            reals.append(("f_nb", self.f_nb))
+        if not isinstance(self.group_delay, str):
+            reals.append(("group_delay", self.group_delay))
+        for label, value in reals:
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{label} must be a finite number, "
+                                 f"got {value!r}")
         if self.f_s <= 0:
             raise ValueError("F_s must be positive")
         if not 0 < self.f_wb < 0.5:

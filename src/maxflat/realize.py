@@ -153,7 +153,10 @@ def initialize_state(realization: StateSpaceRealization,
 def run_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Direct-form difference equation with zero history before n = 0:
 
-        y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k].
+        y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k],
+
+    along the last axis of x, so each row of a 2-D input is filtered on
+    its own, exactly as a 1-D call on that row.
     """
     a = np.asarray(a, dtype=float)
     if abs(a[0] - 1.0) > 1e-12:
@@ -164,8 +167,9 @@ def run_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def run_noncausal(forward: FilterbankDesign, backward: FilterbankDesign,
                   x: np.ndarray, k_t: int = 0) -> np.ndarray:
     """Apply a split non-causal design: forward pass plus a time-reversed
-    backward pass (filter the reversed input, reverse the result)."""
+    backward pass (filter the reversed input, reverse the result), along
+    the last axis of x."""
     x = np.asarray(x, dtype=float)
     y_f = run_filter(forward.b[k_t], forward.a, x)
-    y_b = run_filter(backward.b[k_t], backward.a, x[::-1])[::-1]
+    y_b = run_filter(backward.b[k_t], backward.a, x[..., ::-1])[..., ::-1]
     return y_f + y_b

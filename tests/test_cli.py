@@ -150,6 +150,40 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "K_w_dc >= K_t violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "nan"], "group_delay must be a finite number"),
+    (["--fs", "nan"], "F_s must be a finite number"),
+])
+def test_non_finite_flag_exit_code(tmp_path, capsys, flags, message):
+    """`--q nan` used to exit 0 with NaN coefficients, `--fs nan` exit 3
+    with a LinAlgError."""
+    out = tmp_path / "d.json"
+    rc = cli.main(["design", *flags, "-o", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("group_delay_smp", float("inf"), "group_delay must be a finite number"),
+    ("k_t", 2.5, "K_t must be an integer"),
+])
+def test_invalid_config_value_exit_code(tmp_path, capsys, key, value,
+                                        message):
+    """An infinite delay used to exit 0 with NaN coefficients, a
+    non-integral K_t to end in a TypeError traceback."""
+    cfg = cli.spec_to_config(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07,
+                                        k_w_dc=3, k_w_nb=1, k_t=2))
+    cfg[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "d.json"
+    rc = cli.main(["design", "--config", str(path), "-o", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code(tmp_path):
     rc = cli.main(["design", "--config", str(tmp_path / "absent.json"),
                    "-o", str(tmp_path / "d.json")])

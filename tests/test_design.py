@@ -38,6 +38,28 @@ def test_spec_validation_messages():
     assert spec.omega_wb == pytest.approx(2 * np.pi * 0.05)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("group_delay", float("nan"), "group_delay must be a finite number"),
+    ("group_delay", float("inf"), "group_delay must be a finite number"),
+    ("f_s", float("nan"), "F_s must be a finite number"),
+    ("f_s", float("inf"), "F_s must be a finite number"),
+    ("f_s", "1000", "F_s must be a finite number"),
+    ("f_nb", float("nan"), "f_nb must be a finite number"),
+    ("k_t", 2.5, "K_t must be an integer"),
+    ("k_w_dc", 3.0, "K_w_dc must be an integer"),
+    ("k_w_nb", None, "K_w_nb must be an integer"),
+])
+def test_spec_rejects_non_finite_and_non_integral_values(field, value,
+                                                         message):
+    """Such specs used to give NaN coefficients, a LinAlgError or a
+    TypeError instead of a validation error."""
+    kwargs = dict(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=3, k_w_nb=1,
+                  k_t=2, group_delay=5.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=message):
+        DesignSpec(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Derivative-expansion table and basis columns
 

@@ -6,8 +6,9 @@ from scipy.linalg import expm
 
 from maxflat.procsim import (DiscreteProcess, InputSpec, ProcessParams,
                              discretize_process, generate_waveform,
-                             impulse_energy_closed_form, run_process_lss,
-                             scenario_params, verify_normalization)
+                             impulse_energy_closed_form, oscillator_response,
+                             run_process_lss, scenario_params,
+                             verify_normalization)
 
 
 def _continuous_matrices(params):
@@ -99,6 +100,28 @@ def test_transfer_matches_state_space(rng):
         0.0, np.sqrt(0.1 / proc.t_s), 500)
     y_ref = run_process_lss(proc, x)
     assert np.max(np.abs(y - y_ref)) < 1e-9 * max(1.0, np.max(np.abs(y_ref)))
+
+
+@pytest.mark.parametrize("n_in", [1, 51])
+def test_oscillator_response_matches_state_recursion(n_in):
+    """The closed form agrees with the state recursion, row by row, to
+    rounding level of each row's peak; one row has a signal frequency of
+    1e-6 cycles/sample, where the two poles nearly coincide."""
+    t_s, n = 0.001, 600
+    params = PARAM_SETS + [ProcessParams(tau_c=0.08, lambda_c=1e3)]
+    u = np.random.default_rng(5).normal(0.0, 30.0, (len(params), n_in))
+    y = oscillator_response(params, t_s, u, n)
+    assert y.shape == (len(params), n)
+    for p, row, u_row in zip(params, y, u):
+        x = np.zeros(n)
+        x[:n_in] = u_row
+        ref = run_process_lss(discretize_process(p, t_s), x)
+        assert np.max(np.abs(row - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_oscillator_response_input_longer_than_output_rejected():
+    with pytest.raises(ValueError, match="n_samples"):
+        oscillator_response(PARAM_SETS[:1], 0.001, np.ones((1, 5)), 4)
 
 
 def test_generation_is_bitwise_deterministic():

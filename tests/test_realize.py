@@ -136,3 +136,13 @@ def test_run_noncausal_matches_two_sided_convolution():
     y_ref = np.convolve(np.r_[np.zeros(L), x], h, mode="full")[2 * L:2 * L
                                                                + len(x)]
     assert np.max(np.abs(y - y_ref)) < 1e-10 * max(1.0, np.max(np.abs(y)))
+
+
+def test_run_filter_rows_equal_one_dimensional_calls(bw1_design, rng):
+    """A 2-D input is filtered along its last axis, row by row."""
+    x = rng.normal(size=(3, 1000))
+    y = run_filter(bw1_design.b[2], bw1_design.a, x)
+    assert y.shape == x.shape
+    for row, x_row in zip(y, x):
+        assert np.array_equal(row,
+                              run_filter(bw1_design.b[2], bw1_design.a, x_row))
