@@ -14,9 +14,8 @@ from .design import (DesignSpec, ConstraintSystem, FilterbankDesign,
                      gram_matrix, noncausal_design, optimal_group_delay,
                      solve_coefficients, transfer_coefficients,
                      white_noise_gain, wng_polynomial)
-from .realize import (FilterState, StateSpaceRealization, initialize_state,
-                      lss_step, run_filter, run_lss, run_noncausal, to_ccf,
-                      to_dcf, to_dsf, zero_state)
+from .realize import (StateSpaceRealization, run_filter, run_lss,
+                      run_noncausal, to_ccf, to_dcf, to_dsf)
 from .analyze import (OrbitError, complex_error, frequency_response,
                       ideal_response, measured_group_delay,
                       orbit_steady_state, verify_constraints)
@@ -24,7 +23,6 @@ from .procsim import (DiscreteProcess, InputSpec, ProcessParams,
                       discretize_process, generate_waveform,
                       scenario_params, verify_normalization)
 from .detector import (RocCurve, build_detector, run_detection_mc,
-                       table_row, three_point_kernels,
                        tk_energy_derivatives, tk_energy_threepoint)
 from .tracker import (Track2D, orbit_check, orbit_simulation, run_track,
                       run_tracking_mc, tracker_design, tracker_spec)
@@ -32,7 +30,7 @@ from .tracker import (Track2D, orbit_check, orbit_simulation, run_track,
 __version__ = "1.0.0"
 
 __all__ = [
-    "DesignSpec", "ConstraintSystem", "FilterbankDesign", "FilterState",
+    "DesignSpec", "ConstraintSystem", "FilterbankDesign",
     "StateSpaceRealization", "OrbitError", "DiscreteProcess", "InputSpec",
     "ProcessParams", "RocCurve", "Track2D", "NumericalError",
     "butterworth_s_poles", "causal_z_poles", "full_z_poles",
@@ -40,14 +38,13 @@ __all__ = [
     "dc_targets", "design_filterbank", "gram_matrix", "noncausal_design",
     "optimal_group_delay", "solve_coefficients", "transfer_coefficients",
     "white_noise_gain", "wng_polynomial",
-    "initialize_state", "lss_step", "run_filter", "run_lss",
-    "run_noncausal", "to_ccf", "to_dcf", "to_dsf", "zero_state",
+    "run_filter", "run_lss", "run_noncausal", "to_ccf", "to_dcf", "to_dsf",
     "complex_error", "frequency_response", "ideal_response",
     "measured_group_delay", "orbit_steady_state", "verify_constraints",
     "discretize_process", "generate_waveform", "scenario_params",
     "verify_normalization",
-    "build_detector", "run_detection_mc", "table_row",
-    "three_point_kernels", "tk_energy_derivatives", "tk_energy_threepoint",
+    "build_detector", "run_detection_mc", "tk_energy_derivatives",
+    "tk_energy_threepoint",
     "orbit_check", "orbit_simulation", "run_track", "run_tracking_mc",
     "tracker_design", "tracker_spec",
 ]

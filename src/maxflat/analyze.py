@@ -30,8 +30,10 @@ COEFF_EPS = 1e-11
 #: collapsed to the centre (angular error undefined, reported as 0).
 NULL_RADIUS_TOL = 1e-9
 
-# Central finite-difference stencils for derivative orders 1..3.
+# Central finite-difference stencils for derivative orders 0..3; order 0
+# is the response itself.
 _FD_STENCILS = {
+    0: ([0], [1.0]),
     1: ([-1, 1], [-0.5, 0.5]),
     2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
     3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
@@ -131,7 +133,7 @@ def verify_constraints(spec: DesignSpec,
 
     The analytic path evaluates the basis-derivative expansion; the
     finite-difference path probes the realized transfer function directly
-    (orders 1..3 only).  Both are compared to the constraint targets.
+    (orders 0..3).  Both are compared to the constraint targets.
     """
     report: List[ConstraintCheck] = []
     blocks = constraint_blocks(spec)
@@ -147,25 +149,16 @@ def verify_constraints(spec: DesignSpec,
                 a_ok = abs(analytic[kw] - target) <= 1e-6 * scale
                 fd_val = None
                 fd_ok = True
-                if 1 <= kw <= FD_MAX_ORDER:
+                if kw <= FD_MAX_ORDER:
                     fd_val, fd_noise = _fd_derivative(design, w_d, kt, kw)
                     # A second-order-accurate stencil carries truncation
                     # error ~ h^2 |f^(k+2)| plus the rounding noise of the
                     # sampled responses; neither is resolvable, so both
-                    # enter the acceptance bound.
-                    trunc = FD_STEP ** 2 * abs(analytic[kw + 2])
+                    # enter the acceptance bound.  Order 0 samples the
+                    # response itself and has no truncation error.
+                    trunc = FD_STEP ** 2 * abs(analytic[kw + 2]) if kw else 0.0
                     fd_ok = abs(fd_val - target) \
                         <= FD_RTOL * scale + trunc + 10.0 * fd_noise
-                elif kw == 0:
-                    z0 = np.exp(1j * w_d)
-                    a_val = complex(np.polyval(design.a, z0))
-                    fd_val = complex(np.polyval(design.b[kt], z0)) / a_val
-                    noise = COEFF_EPS * (
-                        float(np.sum(np.abs(design.b[kt])))
-                        + abs(fd_val) * float(np.sum(np.abs(design.a)))
-                    ) / abs(a_val)
-                    fd_ok = abs(fd_val - target) \
-                        <= FD_RTOL * scale + 10.0 * noise
                 report.append(ConstraintCheck(w_d, kw, kt, target,
                                               analytic[kw], fd_val,
                                               a_ok, fd_ok))

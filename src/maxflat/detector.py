@@ -69,21 +69,6 @@ class RocCurve:
     auc: float
 
 
-def three_point_kernels(t_s: float) -> Tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """Centered three-point smoothing/derivative kernels.
-
-    h0 passes the (delayed) sample through, h1 is the central first
-    difference scaled by 1/T_s, h2 the second difference scaled by 1/T_s^2.
-    """
-    if t_s <= 0:
-        raise ValueError("T_s must be positive")
-    h0 = np.array([0.0, 1.0, 0.0])
-    h1 = np.array([0.5, 0.0, -0.5]) / t_s
-    h2 = np.array([1.0, -2.0, 1.0]) / t_s ** 2
-    return h0, h1, h2
-
-
 def tk_energy_threepoint(x: np.ndarray, causal: bool, t_s: float) -> np.ndarray:
     """Three-point Teager-Kaiser energy along the last axis.
 
@@ -128,61 +113,60 @@ def _bilinear_allpole(s_poles: np.ndarray, t_s: float) -> Tuple[np.ndarray,
     return b, a
 
 
-def bw0_reference(causal: bool, f_wb: float = 0.05,
-                  f_s: float = DETECT_FS) -> Tuple[np.ndarray, np.ndarray]:
-    """Butterworth reference smoother coefficients (bilinear method).
+def bw0_reference(causal: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Butterworth reference smoother coefficients (bilinear method), with
+    the cutoff at 0.05 cyc/smp of DETECT_FS.
 
     The causal reference is the stable half of a 2K = 12 zero-phase
     prototype (a 6th-order lowpass); the non-causal reference is the causal
     half of a 2K = 8 prototype (4th order), intended to be applied forward
     and backward so the net response is its squared magnitude.
     """
-    t_s = 1.0 / f_s
-    w_c = 2.0 * np.pi * f_wb * f_s
+    t_s = 1.0 / DETECT_FS
+    w_c = 2.0 * np.pi * 0.05 * DETECT_FS
     order = 6 if causal else 4
     s_poles = butterworth_s_poles(order, w_c)
     lhp = s_poles[s_poles.real < 0]
     return _bilinear_allpole(lhp, t_s)
 
 
-def bw1_filterbank(f_s: float = DETECT_FS) -> FilterbankDesign:
+def bw1_filterbank() -> FilterbankDesign:
     """The K = 9 causal filterbank of the detection study."""
     return design_filterbank(DesignSpec(
-        f_s=f_s, f_wb=0.05, f_nb=0.07, k_w_dc=3, k_w_nb=3, k_w_pi=0,
+        f_s=DETECT_FS, f_wb=0.05, f_nb=0.07, k_w_dc=3, k_w_nb=3, k_w_pi=0,
         k_t=3, group_delay="optimal"))
 
 
-def bw1_nc_smoother(f_s: float = DETECT_FS) -> Tuple[FilterbankDesign,
-                                                     FilterbankDesign]:
+def bw1_nc_smoother() -> Tuple[FilterbankDesign, FilterbankDesign]:
     """Zero-delay two-sided smoother: K_w_dc = 4, K_w_nb = 2, 2K = 8 poles."""
     return noncausal_design(DesignSpec(
-        f_s=f_s, f_wb=0.05, f_nb=0.07, k_w_dc=4, k_w_nb=2, k_w_pi=0,
+        f_s=DETECT_FS, f_wb=0.05, f_nb=0.07, k_w_dc=4, k_w_nb=2, k_w_pi=0,
         k_t=1, group_delay=0.0, causal=False))
 
 
-def build_detector(tag: str,
-                   f_s: float = DETECT_FS) -> Callable[[np.ndarray],
-                                                       np.ndarray]:
+def build_detector(tag: str) -> Callable[[np.ndarray], np.ndarray]:
     """Map a detector tag to a callable x -> TK energy sequence.
 
     The callable works along the last axis, so a (rows, N) array gives
-    the TK energy of each row, equal to one call per row."""
-    t_s = 1.0 / f_s
+    the TK energy of each row, equal to one call per row.  Every pipeline
+    is built at DETECT_FS, the rate of the scenario that
+    ``block_statistics`` simulates."""
+    t_s = 1.0 / DETECT_FS
     if tag == "FIR_NUL_NC":
         return lambda x: tk_energy_threepoint(x, causal=False, t_s=t_s)
     if tag == "IIR_BW0":
-        b, a = bw0_reference(causal=True, f_s=f_s)
+        b, a = bw0_reference(causal=True)
         return lambda x: tk_energy_threepoint(run_filter(b, a, x),
                                               causal=True, t_s=t_s)
     if tag == "IIR_BW1":
-        d = bw1_filterbank(f_s)
+        d = bw1_filterbank()
 
         def detect(x: np.ndarray) -> np.ndarray:
             y = [run_filter(d.b[kt], d.a, x) for kt in range(3)]
             return tk_energy_derivatives(*y)
         return detect
     if tag == "IIR_BW0_NC":
-        b, a = bw0_reference(causal=False, f_s=f_s)
+        b, a = bw0_reference(causal=False)
 
         def detect(x: np.ndarray) -> np.ndarray:
             y = run_filter(b, a, x)
@@ -190,7 +174,7 @@ def build_detector(tag: str,
             return tk_energy_threepoint(y, causal=False, t_s=t_s)
         return detect
     if tag == "IIR_BW1_NC":
-        fwd, bwd = bw1_nc_smoother(f_s)
+        fwd, bwd = bw1_nc_smoother()
 
         def detect(x: np.ndarray) -> np.ndarray:
             y = run_noncausal(fwd, bwd, x, k_t=0)
@@ -319,29 +303,28 @@ def run_detection_mc(detector: Callable[[np.ndarray], np.ndarray],
     return roc_from_statistics(stat_true, stat_false)
 
 
-def detector_metrics(tag: str, f_s: float = DETECT_FS) -> Dict[str, float]:
+def detector_metrics(tag: str) -> Dict[str, float]:
     """Static summary metrics for one detector's smoothing stage:
     group delay, white-noise gain, and response levels at the passband
     edge and the interference frequency."""
     from .analyze import frequency_response, measured_group_delay, \
         noncausal_response
 
-    t_s = 1.0 / f_s
     w_wb, w_nb = 2 * np.pi * 0.05, 2 * np.pi * 0.07
     if tag == "IIR_BW1":
-        d = bw1_filterbank(f_s)
+        d = bw1_filterbank()
         q = d.q
         sigma0 = float(d.sigma[0, 0])
         h_wb = frequency_response(d.b[0], d.a, np.array([w_wb]))[0]
         h_nb = frequency_response(d.b[0], d.a, np.array([w_nb]))[0]
     elif tag == "IIR_BW1_NC":
-        fwd, bwd = bw1_nc_smoother(f_s)
+        fwd, bwd = bw1_nc_smoother()
         q = 0.0
         sigma0 = float(fwd.sigma[0, 0])
         h_wb = noncausal_response(fwd, bwd, np.array([w_wb]))[0]
         h_nb = noncausal_response(fwd, bwd, np.array([w_nb]))[0]
     elif tag in ("IIR_BW0", "IIR_BW0_NC"):
-        b, a = bw0_reference(causal=(tag == "IIR_BW0"), f_s=f_s)
+        b, a = bw0_reference(causal=(tag == "IIR_BW0"))
         h = lambda w: frequency_response(b, a, np.array([w]))[0]
         if tag == "IIR_BW0":
             grid = np.linspace(1e-4, w_wb / 2, 64)
@@ -365,12 +348,3 @@ def detector_metrics(tag: str, f_s: float = DETECT_FS) -> Dict[str, float]:
                          + ", ".join(DETECTOR_TAGS))
     return {"tag": tag, "q": float(q), "sigma0": sigma0,
             "h_wb": float(abs(h_wb)), "h_nb": float(abs(h_nb))}
-
-
-def table_row(tag: str, trials: int = 2000, seed: int = 0,
-              f_s: float = DETECT_FS) -> Dict[str, float]:
-    """Summary metrics for one detector: delay, WNG, response levels, AUC."""
-    row = detector_metrics(tag, f_s)
-    roc = run_detection_mc(build_detector(tag, f_s), trials, seed)
-    row.update({"auc": roc.auc, "trials": trials, "seed": seed})
-    return row

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .design import NumericalError
+from .realize import run_filter
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ class InputSpec:
     n0: int
     n1: int
     power: float
-    seed: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("deterministic", "stochastic"):
@@ -178,7 +177,8 @@ def generate_waveform(process: DiscreteProcess, inp: InputSpec,
     """Drive the discrete process from rest with the specified input.
 
     Deterministic inputs hold A_c = sqrt(P_c / T_s) over [n0, n1];
-    stochastic inputs draw i.i.d. Normal(0, P_c / T_s) there.
+    stochastic inputs draw i.i.d. Normal(0, P_c / T_s) there from rng,
+    which they require.
     """
     if not 0 <= inp.n0 <= inp.n1 < n_samples:
         raise ValueError("require 0 <= n0 <= n1 < N")
@@ -187,11 +187,11 @@ def generate_waveform(process: DiscreteProcess, inp: InputSpec,
         x[inp.n0:inp.n1 + 1] = np.sqrt(inp.power / process.t_s)
     else:
         if rng is None:
-            rng = np.random.default_rng(inp.seed)
+            raise ValueError("stochastic inputs need an rng")
         x[inp.n0:inp.n1 + 1] = rng.normal(
             0.0, np.sqrt(inp.power / process.t_s), inp.n1 - inp.n0 + 1)
     b, a = process.transfer()
-    return lfilter(b, a, x)
+    return run_filter(b, a, x)
 
 
 def run_process_lss(process: DiscreteProcess, x: np.ndarray) -> np.ndarray:

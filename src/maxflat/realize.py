@@ -8,18 +8,18 @@ outputs themselves).  All obey the recursion
 
     w[n] = G w[n-1] + H x[n],      y[n] = C w[n],
 
-i.e. the output taps the state *after* the update.
+i.e. the output taps the state *after* the update.  ``run_lss`` runs a form
+from rest; ``run_filter`` is the package's one binding of SciPy's ``lfilter``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .design import TOL_CPX, FilterbankDesign, NumericalError
+from .design import TOL_CPX, FilterbankDesign
 
 DCF = "DCF"
 CCF = "CCF"
@@ -43,14 +43,6 @@ class StateSpaceRealization:
     @property
     def n_outputs(self) -> int:
         return self.c.shape[0]
-
-
-@dataclass
-class FilterState:
-    """Mutable per-stream state: the state vector and a sample counter."""
-
-    w: np.ndarray
-    n: int = 0
 
 
 def to_dcf(design: FilterbankDesign) -> StateSpaceRealization:
@@ -92,62 +84,24 @@ def to_dsf(design: FilterbankDesign) -> StateSpaceRealization:
     return StateSpaceRealization(DSF, g, h, c, complex_arithmetic=True)
 
 
-def lss_step(realization: StateSpaceRealization, state: FilterState,
-             x: float) -> Tuple[FilterState, np.ndarray]:
-    """Advance one sample: w' = G w + H x, y = C w'."""
-    w = realization.g @ state.w + realization.h * x
-    y = realization.c @ w
-    if realization.complex_arithmetic:
-        # DSF warm starts place a real vector in a complex coordinate frame,
-        # which makes the decaying transient genuinely complex; only the
-        # real part is meaningful there, so the residue check is skipped.
-        if realization.form != DSF:
-            resid = float(np.max(np.abs(y.imag))) if y.size else 0.0
-            if resid > TOL_CPX:
-                raise ValueError("complex realization produced non-real "
-                                 f"output (imaginary residue {resid:.3e})")
-        y = y.real
-    state.w = w
-    state.n += 1
-    return state, y
-
-
-def run_lss(realization: StateSpaceRealization, x: np.ndarray,
-            state: FilterState | None = None) -> np.ndarray:
-    """Stream a whole sequence; returns an (len(x), K_t) output array."""
-    if state is None:
-        state = zero_state(realization)
-    out = np.empty((len(x), realization.n_outputs))
+def run_lss(realization: StateSpaceRealization, x: np.ndarray) -> np.ndarray:
+    """Run a realization from rest, one sample at a time; returns an
+    (len(x), K_t) output array.  A complex form (DCF, DSF) must give real
+    output: an imaginary residue above TOL_CPX raises ValueError."""
+    g, h, c = realization.g, realization.h, realization.c
+    w = np.zeros(realization.order,
+                 dtype=complex if realization.complex_arithmetic else float)
+    y = np.empty((len(x), realization.n_outputs), dtype=w.dtype)
     for n, xn in enumerate(x):
-        state, out[n] = lss_step(realization, state, float(xn))
-    return out
-
-
-def zero_state(realization: StateSpaceRealization) -> FilterState:
-    dtype = complex if realization.complex_arithmetic else float
-    return FilterState(w=np.zeros(realization.order, dtype=dtype), n=0)
-
-
-def initialize_state(realization: StateSpaceRealization,
-                     x0: float) -> FilterState:
-    """Steady state of a held input x0: w = (I - G)^{-1} H x0.
-
-    The DSF instead starts from [x0, 0, ..., 0], which places the smoother
-    output at x0 and all derivative states at rest.
-    """
-    K = realization.order
-    if realization.form == DSF:
-        w = np.zeros(K, dtype=complex)
-        w[0] = x0
-        return FilterState(w=w, n=0)
-    eigs = np.linalg.eigvals(realization.g)
-    if np.any(np.abs(eigs - 1.0) < 1e-12):
-        raise NumericalError("no steady state: realization has a pole at "
-                             "z = 1")
-    dtype = complex if realization.complex_arithmetic else float
-    w = np.linalg.solve(np.eye(K, dtype=dtype) - realization.g,
-                        realization.h * x0)
-    return FilterState(w=w, n=0)
+        w = g @ w + h * float(xn)
+        y[n] = c @ w
+    if realization.complex_arithmetic:
+        resid = float(np.max(np.abs(y.imag))) if y.size else 0.0
+        if resid > TOL_CPX:
+            raise ValueError("complex realization produced non-real "
+                             f"output (imaginary residue {resid:.3e})")
+        y = y.real
+    return y
 
 
 def run_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:

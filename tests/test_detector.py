@@ -9,31 +9,13 @@ from maxflat.detector import (BLOCK, DETECT_FS, DETECT_N, DETECTOR_TAGS,
                               FALSE_WINDOW, P_INT, P_SIG, PULSE_SAMPLE,
                               TRUE_WINDOW, build_detector, bw0_reference,
                               detector_metrics, roc_from_statistics,
-                              run_detection_mc, three_point_kernels,
-                              tk_energy_derivatives, tk_energy_threepoint,
-                              trial_statistics)
+                              run_detection_mc, tk_energy_derivatives,
+                              tk_energy_threepoint, trial_statistics)
 from maxflat.procsim import (InputSpec, discretize_process,
                              generate_waveform, scenario_params)
 
 # ---------------------------------------------------------------------------
-# Three-point kernels and TK energy
-
-
-def test_kernels_on_polynomial_inputs():
-    t_s = 0.5
-    h0, h1, h2 = three_point_kernels(t_s)
-    n = np.arange(20, dtype=float)
-    t = n * t_s
-    ramp = 3.0 * t
-    quad = t ** 2
-    # "same"-mode interior samples: smoothing passes through, the first
-    # difference recovers the slope, the second difference the curvature.
-    y0 = np.convolve(ramp, h0, mode="same")
-    y1 = np.convolve(ramp, h1, mode="same")
-    y2 = np.convolve(quad, h2, mode="same")
-    assert np.allclose(y0[1:-1], ramp[1:-1])
-    assert np.allclose(y1[1:-1], 3.0)
-    assert np.allclose(y2[1:-1], 2.0)
+# Three-point TK energy
 
 
 def test_tk_energy_of_constant_is_zero():
@@ -82,8 +64,6 @@ def test_tk_energy_from_derivative_outputs():
 def test_tk_energy_input_validation():
     with pytest.raises(ValueError, match="3 samples"):
         tk_energy_threepoint(np.zeros(2), causal=True, t_s=1.0)
-    with pytest.raises(ValueError, match="positive"):
-        three_point_kernels(0.0)
 
 
 # ---------------------------------------------------------------------------

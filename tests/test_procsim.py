@@ -132,6 +132,13 @@ def test_generation_is_bitwise_deterministic():
     assert np.array_equal(y1, y2)
 
 
+def test_stochastic_input_requires_rng():
+    """A stochastic input draws only from the generator it is given."""
+    proc = discretize_process(PARAM_SETS[0], 0.001)
+    with pytest.raises(ValueError, match="rng"):
+        generate_waveform(proc, InputSpec("stochastic", 10, 400, 1.0), 500)
+
+
 def test_input_validation():
     with pytest.raises(ValueError, match="n0 <= n1"):
         InputSpec("deterministic", 5, 3, 1.0)

@@ -1,12 +1,18 @@
-"""State-space realizations: canonical forms, streaming, warm starts."""
+"""Realizations: canonical state-space forms run from rest, direct-form
+and two-sided filtering."""
+
+import importlib
+import pkgutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from maxflat.design import DesignSpec, FilterbankDesign, design_filterbank
-from maxflat.realize import (FilterState, initialize_state, lss_step,
-                             run_filter, run_lss, run_noncausal, to_ccf,
-                             to_dcf, to_dsf, zero_state)
+import maxflat
+from maxflat.design import DesignSpec, FilterbankDesign
+from maxflat.realize import (run_filter, run_lss, run_noncausal, to_ccf,
+                             to_dcf, to_dsf)
 
 
 def _first_order_design(p=0.5, c=0.5):
@@ -55,51 +61,20 @@ def test_forms_agree_on_noise(bw1_design, rng):
         assert np.max(np.abs(y - y_ref) / scale) < 1e-6, make.__name__
 
 
-def test_initialize_state_first_order():
-    """p = 0.5, c = 0.5, held input 2: w = (1 - 0.5)^{-1} * 1 * 2 = 4 and the
-    output stays at c * w = 2 (unit dc gain)."""
-    d = _first_order_design()
-    dcf = to_dcf(d)
-    st = initialize_state(dcf, 2.0)
-    assert st.w[0] == pytest.approx(4.0)
-    st2, y = lss_step(dcf, st, 2.0)
-    assert y[0] == pytest.approx(2.0)
+def test_run_lss_rejects_non_real_dsf_output():
+    """Every complex form, DSF included, must give real output from rest;
+    a C whose imaginary part is not conjugate-symmetric does not."""
+    dsf = to_dsf(_first_order_design())
+    with pytest.raises(ValueError, match="non-real output"):
+        run_lss(replace(dsf, c=dsf.c + 1j), np.r_[1.0, np.zeros(9)])
 
 
-def test_initialize_state_matches_long_run(bw1_design):
-    """The warm start must equal the state reached by streaming a long
-    constant input from rest."""
-    dcf = to_dcf(bw1_design)
-    st_warm = initialize_state(dcf, 3.0)
-    st = zero_state(dcf)
-    for _ in range(3000):
-        st, _y = lss_step(dcf, st, 3.0)
-    assert np.allclose(st.w, st_warm.w, atol=1e-9)
-
-
-def test_warm_start_holds_constant_output(bw1_design):
-    dcf = to_dcf(bw1_design)
-    st = initialize_state(dcf, 3.0)
-    y = run_lss(dcf, np.full(50, 3.0), state=st)
-    # Smoother output pinned at the input level; derivative outputs at 0.
-    assert np.allclose(y[:, 0], 3.0, atol=1e-9)
-    assert np.allclose(y[:, 1:], 0.0, atol=1e-7)
-
-
-def test_dsf_warm_start_settles_to_input_level(bw1_design):
-    """The DSF warm start seeds only the smoother state, so the output may
-    move transiently but must settle back to the held level."""
-    dsf = to_dsf(bw1_design)
-    st = initialize_state(dsf, 5.0)
-    y = run_lss(dsf, np.full(2000, 5.0), state=st)
-    assert y[0, 0] == pytest.approx(5.0, rel=0.2)
-    assert y[-1, 0] == pytest.approx(5.0, abs=1e-8)
-
-
-def test_initialize_state_rejects_pole_at_one():
-    d = _first_order_design(p=1.0, c=1.0)
-    with pytest.raises(ValueError, match="no steady state"):
-        initialize_state(to_dcf(d), 1.0)
+def test_lfilter_is_bound_only_in_realize():
+    """realize.run_filter is the one direct-form filtering engine."""
+    binders = [info.name for info in pkgutil.iter_modules(maxflat.__path__)
+               if any(v is lfilter for v in vars(importlib.import_module(
+                   f"maxflat.{info.name}")).values())]
+    assert binders == ["realize"]
 
 
 def test_bibo_stability_tail(bw1_design):
