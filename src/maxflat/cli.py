@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import analyze, detector, tracker
+from . import analyze
 from .design import (DesignSpec, FilterbankDesign, NumericalError,
                      design_filterbank, noncausal_design)
 
@@ -199,6 +199,7 @@ def cmd_response(args: argparse.Namespace) -> int:
 def cmd_detect_sim(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
+    from . import detector  # loads scipy.signal; only this command needs it
     pipeline = detector.build_detector(args.detector)
     roc = detector.run_detection_mc(
         pipeline, args.trials, args.seed,
@@ -214,6 +215,7 @@ def cmd_detect_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_track_sim(args: argparse.Namespace) -> int:
+    from . import tracker  # loads scipy.signal; only this command needs it
     design = tracker.tracker_design(args.tracker)
     run = tracker.run_tracking_mc(args.scenario, design, args.seed,
                                   n_samples=args.samples)
@@ -234,11 +236,22 @@ def cmd_track_sim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Rows formatted per '%' call: enough that the per-call overhead vanishes,
+#: few enough that a chunk's floats and text (about 0.5 MB for seven
+#: columns) do not raise the peak memory of a large write, as formatting the
+#: whole file at once would.
+CSV_CHUNK_ROWS = 1024
+
+
 def _write_csv(path: str, header: Sequence[str], data: np.ndarray) -> None:
+    data = np.atleast_2d(data)
+    # '%.17g' % x is format(x, '.17g'), so each chunk is one '%' call.
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(data):
-            fh.write(",".join(_format_float(v) for v in row) + "\n")
+        for start in range(0, data.shape[0], CSV_CHUNK_ROWS):
+            chunk = data[start:start + CSV_CHUNK_ROWS]
+            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-sim", help="Monte-Carlo detection study")
     p.add_argument("--detector", required=True,
-                   help="one of " + ", ".join(detector.DETECTOR_TAGS))
+                   help="detector tag, e.g. IIR_BW1 (an unknown tag "
+                        "lists them all)")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stochastic-signal", action="store_true",
@@ -291,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track-sim", help="tracking scenario")
     p.add_argument("--tracker", required=True,
-                   help="one of " + ", ".join(tracker.TRACKER_CONFIGS))
+                   help="tracker tag, e.g. B (an unknown tag lists them "
+                        "all)")
     p.add_argument("--scenario", default="LoG", choices=["LoG", "HiG"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10000)

@@ -167,22 +167,21 @@ def alpha_table(K: int) -> np.ndarray:
 
     Built by the product-rule recursion
     alpha_{k,l} = l*alpha_{k-1,l-1} + (l+1)*alpha_{k-1,l}, with
-    alpha_{k,0} = 1, alpha_{k,k} = k!, alpha_{k,l} = 0 for l > k.
+    alpha_{k,0} = 1, alpha_{k,k} = k!, alpha_{k,l} = 0 for l > k; in closed
+    form alpha_{k,l} = l! S(k+1, l+1), S the Stirling numbers of the second
+    kind.  The recursion runs on Python integers, which do not overflow
+    (entries of row k = 19 already pass the int64 range), and each entry is
+    then rounded once to float64.
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
-    alp = np.zeros((K, K), dtype=np.int64)
+    alp = [[0] * K for _ in range(K)]
     for kw in range(K):
-        for lw in range(K):
-            if lw > kw:
-                continue
-            if lw == 0:
-                alp[kw, lw] = 1
-            elif lw == kw:
-                alp[kw, lw] = math.factorial(lw)
-            else:
-                alp[kw, lw] = lw * alp[kw - 1, lw - 1] + (lw + 1) * alp[kw - 1, lw]
-    return alp
+        alp[kw][0] = 1
+        for lw in range(1, kw):
+            alp[kw][lw] = lw * alp[kw - 1][lw - 1] + (lw + 1) * alp[kw - 1][lw]
+        alp[kw][kw] = math.factorial(kw)
+    return np.array([[float(v) for v in row] for row in alp])
 
 
 def basis_derivative_column(p: complex, omega_d: float, K: int,

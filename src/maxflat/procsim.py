@@ -125,7 +125,8 @@ def oscillator_response(params: Sequence[ProcessParams], t_s: float,
     and H the exact ZOH input vector of ``discretize_process``.  Summing
     over the input, y[k] = Re(e^{mu k} P_min(k, L-1)) with
     P_j = b0 beta sum_{m <= j} u[m] e^{-mu m}.  It agrees with the state
-    recursion of ``run_process_lss`` to about 1e-14 of each row's peak.
+    recursion w[n] = G w[n-1] + H u[n], y[n] = C w[n] to about 1e-14 of
+    each row's peak.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     n_in = u.shape[-1]
@@ -192,16 +193,6 @@ def generate_waveform(process: DiscreteProcess, inp: InputSpec,
             0.0, np.sqrt(inp.power / process.t_s), inp.n1 - inp.n0 + 1)
     b, a = process.transfer()
     return run_filter(b, a, x)
-
-
-def run_process_lss(process: DiscreteProcess, x: np.ndarray) -> np.ndarray:
-    """Reference state-space recursion (the transfer() fast path must agree)."""
-    w = np.zeros(2)
-    y = np.empty(len(x))
-    for n, xn in enumerate(x):
-        w = process.g @ w + process.h * xn
-        y[n] = process.c @ w
-    return y
 
 
 def scenario_params(section: Literal["detect", "track"],

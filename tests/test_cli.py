@@ -1,11 +1,16 @@
-"""Command-line interface: exit codes, serialization round trips, outputs."""
+"""Command-line interface: exit codes, serialization round trips, outputs,
+and which subcommands load SciPy."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from maxflat import cli
+import maxflat
+from maxflat import cli, detector, tracker
 from maxflat.design import DesignSpec, NumericalError
 
 
@@ -23,6 +28,48 @@ def test_float_serialization_round_trips_exactly():
     s = cli.dumps_json({"v": values})
     back = json.loads(s)["v"]
     assert back == values  # bit-exact through 17 significant digits
+
+
+def _write_csv_per_value(path, header, data):
+    """The CSV writer as it was before chunking: one format() per number."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in np.atleast_2d(data):
+            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+
+
+def _csv_matrices():
+    rng = np.random.default_rng(11)
+    n = cli.CSV_CHUNK_ROWS + 1  # crosses one chunk boundary
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, -1e16,
+               2.0 ** 53 + 2, 0.1, -2.5e-308, 1.7976931348623157e308]
+    bits = rng.integers(0, 2 ** 64, size=(n, 3), dtype=np.uint64)
+    mixed = bits.view(np.float64).copy()
+    mixed[:len(special), 0] = special
+    mixed[-len(special):, 2] = special
+    return {
+        "random bit patterns and specials": mixed,
+        "integer column": np.column_stack([np.arange(n), rng.normal(size=n)]),
+        "integer dtype": np.arange(3 * n, dtype=np.int64).reshape(n, 3) - n,
+        "one row": rng.normal(size=(1, 5)),
+        "one column": rng.normal(size=(n, 1)),
+        "one-dimensional": np.array(special),
+        "exact chunk": rng.normal(size=(cli.CSV_CHUNK_ROWS, 2)),
+        "no rows": np.empty((0, 4)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_csv_matrices()))
+def test_write_csv_matches_per_value_writer(tmp_path, case):
+    """Chunked '%' formatting writes the same bytes as format(v, '.17g')
+    per value, specials and integers included."""
+    data = _csv_matrices()[case]
+    header = [f"c{j}" for j in range(np.atleast_2d(data).shape[1])]
+    cli._write_csv(str(tmp_path / "new.csv"), header, data)
+    _write_csv_per_value(str(tmp_path / "ref.csv"), header, data)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\n") == 1 + np.atleast_2d(data).shape[0]
 
 
 def test_spec_config_round_trip():
@@ -140,7 +187,112 @@ def test_track_sim_command(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Cold start: which subcommands import scipy.signal
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(maxflat.__file__)))
+
+#: Runs cli.main on each argument list in a fresh interpreter; prints, as
+#: JSON, each run's exit code and whether scipy.signal was loaded after it.
+_CLI_PROBE = """
+import json, sys
+from maxflat import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out.append([code, 'scipy.signal' in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def _fresh_python(code, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_design_response_and_help_never_load_scipy(tmp_path):
+    runs = [["design", "--fs", "1000", "--fwb", "0.05", "--fnb", "0.07",
+             "--kdc", "3", "--knb", "3", "--kt", "3", "-o", "d.json"],
+            ["response", "--design", "d.json", "--grid", "64",
+             "-o", "r.csv"],
+            ["--help"]]
+    runs += [[sub, "--help"]
+             for sub in ("design", "response", "detect-sim", "track-sim")]
+    got = _fresh_python(_CLI_PROBE, json.dumps(runs), cwd=tmp_path)
+    assert got == [[0, False]] * len(runs)
+
+
+def test_detect_sim_loads_scipy(tmp_path):
+    runs = [["detect-sim", "--detector", "IIR_BW1", "--trials", "2"]]
+    assert _fresh_python(_CLI_PROBE, json.dumps(runs), cwd=tmp_path) \
+        == [[0, True]]
+
+
+def test_package_names_resolve_lazily(tmp_path):
+    """import maxflat leaves scipy.signal unloaded; every name of __all__
+    and every submodule still resolves, to the object its module defines,
+    and so does *."""
+    code = """
+import json, sys
+import maxflat
+cold = 'scipy.signal' in sys.modules
+homes = {}
+for name in maxflat.__all__:
+    value = getattr(maxflat, name)
+    homes[name] = getattr(sys.modules[value.__module__], name) is value
+ns = {}
+exec('from maxflat import *', ns)
+modules = [getattr(maxflat, m).__name__
+           for m in ("realize", "procsim", "detector", "tracker")]
+print(json.dumps([cold, homes, sorted(set(maxflat.__all__) - set(ns)),
+                  sorted(set(maxflat.__all__) - set(dir(maxflat))),
+                  modules, maxflat.__version__]))
+"""
+    cold, homes, missing_star, missing_dir, modules, version = _fresh_python(
+        code, cwd=tmp_path)
+    assert cold is False
+    assert homes == dict.fromkeys(maxflat.__all__, True)
+    assert missing_star == [] and missing_dir == []
+    assert modules == ["maxflat.realize", "maxflat.procsim",
+                       "maxflat.detector", "maxflat.tracker"]
+    assert version == "1.0.0"
+
+
+# ---------------------------------------------------------------------------
 # Exit codes
+
+
+@pytest.mark.parametrize("argv, tags", [
+    (["detect-sim", "--detector", "NOPE", "--trials", "1",
+      "--roc", "r.csv", "--summary", "s.json"], detector.DETECTOR_TAGS),
+    (["track-sim", "--tracker", "NOPE", "--track-csv", "t.csv",
+      "--orbit-csv", "o.csv"], tuple(tracker.TRACKER_CONFIGS)),
+])
+def test_unknown_tag_exit_code_lists_tags(tmp_path, monkeypatch, capsys,
+                                          argv, tags):
+    """The error lists every supported tag, since --help does not."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "NOPE" in err
+    assert all(tag in err for tag in tags)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
+def test_design_order_past_int64_alpha_exit_code(tmp_path, capsys):
+    """K = 22 used to end in an OverflowError traceback from the int64
+    derivative table; it now reaches the solver, which rejects it."""
+    rc = cli.main(["design", "--kdc", "22", "--kt", "1", "--q", "5",
+                   "-o", str(tmp_path / "d.json")])
+    assert rc == 3
+    assert "degenerate constraint set" in capsys.readouterr().err
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

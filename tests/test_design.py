@@ -1,6 +1,7 @@
 """Core design machinery: constraint assembly, delay optimization, transfer
 coefficients, and the non-causal split."""
 
+import math
 import warnings
 
 import numpy as np
@@ -75,6 +76,46 @@ def test_alpha_table_values():
     assert alp[3, 2] == 2 * alp[2, 1] + 3 * alp[2, 2]
     # Strictly lower-triangular beyond the diagonal.
     assert alp[0, 1] == 0 and alp[1, 2] == 0 and alp[2, 3] == 0
+
+
+def _alpha_table_int64(K):
+    """The table as it was built before: the recursion in int64, which
+    is exact up to K = 19 and wraps from K = 20 on."""
+    alp = np.zeros((K, K), dtype=np.int64)
+    for kw in range(K):
+        for lw in range(kw + 1):
+            if lw == 0:
+                alp[kw, lw] = 1
+            elif lw == kw:
+                alp[kw, lw] = math.factorial(lw)
+            else:
+                alp[kw, lw] = (lw * alp[kw - 1, lw - 1]
+                               + (lw + 1) * alp[kw - 1, lw])
+    return alp
+
+
+def _stirling2(n, k):
+    """Stirling number of the second kind, exact."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n
+               for j in range(k + 1)) // math.factorial(k)
+
+
+def test_alpha_table_exact_at_high_order():
+    """alpha_{k,l} = l! S(k+1, l+1), each entry correctly rounded to
+    float64, at K = 25, where int64 would have wrapped (K = 20, 21) or
+    raised OverflowError (K >= 22)."""
+    K = 25
+    exact = np.array([[float(math.factorial(lw) * _stirling2(kw + 1, lw + 1))
+                       for lw in range(K)] for kw in range(K)])
+    alp = alpha_table(K)
+    assert alp.dtype == np.float64
+    assert np.array_equal(alp, exact)
+
+
+def test_alpha_table_unchanged_where_int64_was_exact():
+    for K in range(1, 20):
+        assert np.array_equal(alpha_table(K),
+                              _alpha_table_int64(K).astype(float)), K
 
 
 @pytest.mark.parametrize("p", [0.3 + 0.0j, 0.6 + 0.5j, -0.2 + 0.8j])

@@ -7,8 +7,19 @@ from scipy.linalg import expm
 from maxflat.procsim import (DiscreteProcess, InputSpec, ProcessParams,
                              discretize_process, generate_waveform,
                              impulse_energy_closed_form, oscillator_response,
-                             run_process_lss, scenario_params,
-                             verify_normalization)
+                             scenario_params, verify_normalization)
+
+
+def run_process_lss(process, x):
+    """Reference state-space recursion w[n] = G w[n-1] + H x[n],
+    y[n] = C w[n], from rest: the oracle for the transfer-function and
+    closed-form paths."""
+    w = np.zeros(2)
+    y = np.empty(len(x))
+    for n, xn in enumerate(x):
+        w = process.g @ w + process.h * xn
+        y[n] = process.c @ w
+    return y
 
 
 def _continuous_matrices(params):
