@@ -13,8 +13,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .design import (DesignSpec, FilterbankDesign, basis_derivative_column,
-                     constraint_blocks, dc_targets)
+from .design import (DesignSpec, FilterbankDesign, NumericalError,
+                     alpha_table, constraint_blocks, dc_targets)
 
 #: Step for finite-difference verification of derivative constraints.
 FD_STEP = 1e-3
@@ -30,13 +30,16 @@ COEFF_EPS = 1e-11
 #: collapsed to the centre (angular error undefined, reported as 0).
 NULL_RADIUS_TOL = 1e-9
 
-# Central finite-difference stencils for derivative orders 0..3; order 0
+# The finite differences sample the response at omega_d + FD_STEP * offset
+# for these five offsets.  The central stencils of derivative orders 0..3
+# each take a subset of them: (indices into _FD_OFFSETS, weights).  Order 0
 # is the response itself.
+_FD_OFFSETS = np.arange(-2.0, 3.0)
 _FD_STENCILS = {
-    0: ([0], [1.0]),
-    1: ([-1, 1], [-0.5, 0.5]),
-    2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
-    3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
+    0: ([2], np.array([1.0])),
+    1: ([1, 3], np.array([-0.5, 0.5])),
+    2: ([1, 2, 3], np.array([1.0, -2.0, 1.0])),
+    3: ([0, 1, 3, 4], np.array([-0.5, 1.0, -1.0, 0.5])),
 }
 
 
@@ -93,38 +96,46 @@ def noncausal_response(forward: FilterbankDesign, backward: FilterbankDesign,
             + frequency_response(backward.b[k_t], backward.a, -w))
 
 
-def _bank_derivative(design: FilterbankDesign, omega_d: float, k_t: int,
-                     max_order: int) -> np.ndarray:
-    """Frequency derivatives 0..max_order-1 of output k_t at omega_d, from
-    the partial-fraction (basis) representation."""
-    cols = np.column_stack([
-        basis_derivative_column(p, omega_d, max_order)
-        for p in design.poles])
-    return cols @ design.c[:, k_t]
+def _bank_derivatives(design: FilterbankDesign, omega_d: float,
+                      n: int) -> np.ndarray:
+    """Frequency derivatives 0..n-1 (rows) of every output (columns) at
+    omega_d, from the partial-fraction (basis) representation.
 
-
-def _fd_derivative(design: FilterbankDesign, omega_d: float, k_t: int,
-                   order: int) -> Tuple[complex, float]:
-    """Central finite difference plus its rounding-noise scale.
-
-    Each response sample H = B(z)/A(z) carries relative rounding noise
-    amplified by the evaluation condition number of the two polynomials
-    (sum of absolute coefficients over the achieved value); the stencil
-    divides that noise by h^order. Below the returned scale the estimate
-    carries no information.
+    Row k is i^k sum_l alpha_{k,l} (-1)^l psi^{l+1} C, with psi the basis
+    functions z / (z - p) of all poles at z = e^{i omega_d}.
     """
-    offsets, weights = _FD_STENCILS[order]
-    w = omega_d + FD_STEP * np.asarray(offsets, dtype=float)
-    z = np.exp(1j * w)
-    b, a = design.b[k_t], design.a
-    a_val = np.polyval(a, z)
-    vals = np.polyval(b, z) / a_val
-    est = np.dot(weights, vals) / FD_STEP ** order
-    sum_b = float(np.sum(np.abs(b)))
-    sum_a = float(np.sum(np.abs(a)))
-    noise = COEFF_EPS * (sum_b + np.abs(vals) * sum_a) / np.abs(a_val)
-    scale = float(np.dot(np.abs(weights), noise)) / FD_STEP ** order
-    return complex(est), scale
+    z = np.exp(1j * omega_d)
+    if np.any(np.abs(z - design.poles) < 1e-12):
+        raise NumericalError("singular basis evaluation: pole on the unit "
+                             "circle at a constraint frequency")
+    psi = z / (z - design.poles)
+    orders = np.arange(n)
+    powers = psi ** (orders[:, None] + 1) * (-1.0) ** orders[:, None]
+    return (1j ** orders)[:, None] * (alpha_table(n) @ powers @ design.c)
+
+
+def _fd_samples(design: FilterbankDesign,
+                omega_d: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Responses H = B(z)/A(z) of every output (rows) at the stencil points
+    around omega_d (columns), and the rounding-noise scale of each.
+
+    Each response sample carries relative rounding noise amplified by the
+    evaluation condition number of the two polynomials (sum of absolute
+    coefficients over the achieved value).  A stencil divides that noise by
+    h^order; below the resulting scale an estimate carries no information.
+    """
+    z = np.exp(1j * (omega_d + FD_STEP * _FD_OFFSETS))
+    coeffs = np.vstack(design.b + (design.a,))
+    # One Horner pass evaluates every numerator and the denominator.
+    vals = np.zeros((len(coeffs), len(z)), dtype=complex)
+    for col in coeffs.T:
+        vals = vals * z + col[:, None]
+    a_val = vals[-1]
+    h = vals[:-1] / a_val
+    sums = np.sum(np.abs(coeffs), axis=1)
+    noise = COEFF_EPS * (sums[:-1, None] + np.abs(h) * sums[-1]) \
+        / np.abs(a_val)
+    return h, noise
 
 
 def verify_constraints(spec: DesignSpec,
@@ -133,34 +144,40 @@ def verify_constraints(spec: DesignSpec,
 
     The analytic path evaluates the basis-derivative expansion; the
     finite-difference path probes the realized transfer function directly
-    (orders 0..3).  Both are compared to the constraint targets.
+    (orders 0..3).  Both are compared to the constraint targets.  Each
+    constraint frequency is evaluated once for all outputs; the report
+    lists the checks by output, then block, then order.
     """
+    blocks = [(w_d, count, _bank_derivatives(design, w_d, count + 3),
+               _fd_samples(design, w_d))
+              for w_d, count in constraint_blocks(spec)]
     report: List[ConstraintCheck] = []
-    blocks = constraint_blocks(spec)
     for kt in range(spec.k_t):
-        q_kt = design.q if design.q_per_output is None \
-            else design.q_per_output[kt]
-        targets_dc = dc_targets(q_kt, design.t_s, spec.k_w_dc, kt)
-        for w_d, count in blocks:
-            analytic = _bank_derivative(design, w_d, kt, count + 3)
+        targets_dc = dc_targets(design.q, design.t_s, spec.k_w_dc, kt)
+        for w_d, count, analytic, (h, noise) in blocks:
             for kw in range(count):
                 target = targets_dc[kw] if w_d == 0.0 else 0.0 + 0.0j
                 scale = 1.0 + abs(target)
-                a_ok = abs(analytic[kw] - target) <= 1e-6 * scale
+                a_ok = abs(analytic[kw, kt] - target) <= 1e-6 * scale
                 fd_val = None
                 fd_ok = True
                 if kw <= FD_MAX_ORDER:
-                    fd_val, fd_noise = _fd_derivative(design, w_d, kt, kw)
+                    idx, weights = _FD_STENCILS[kw]
+                    fd_val = complex(np.dot(weights, h[kt, idx])
+                                     / FD_STEP ** kw)
+                    fd_noise = float(np.dot(np.abs(weights), noise[kt, idx])) \
+                        / FD_STEP ** kw
                     # A second-order-accurate stencil carries truncation
                     # error ~ h^2 |f^(k+2)| plus the rounding noise of the
                     # sampled responses; neither is resolvable, so both
                     # enter the acceptance bound.  Order 0 samples the
                     # response itself and has no truncation error.
-                    trunc = FD_STEP ** 2 * abs(analytic[kw + 2]) if kw else 0.0
+                    trunc = FD_STEP ** 2 * abs(analytic[kw + 2, kt]) \
+                        if kw else 0.0
                     fd_ok = abs(fd_val - target) \
                         <= FD_RTOL * scale + trunc + 10.0 * fd_noise
                 report.append(ConstraintCheck(w_d, kw, kt, target,
-                                              analytic[kw], fd_val,
+                                              analytic[kw, kt], fd_val,
                                               a_ok, fd_ok))
     return report
 

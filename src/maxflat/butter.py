@@ -9,6 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 
+class NumericalError(ValueError):
+    """A singular or degenerate system: the spec is valid, the numerics fail."""
+
+
 def butterworth_s_poles(K: int, omega_c: float) -> np.ndarray:
     """The 2K roots of 1 + (-s^2/omega_c^2)^K = 0, sorted by angle.
 
@@ -41,6 +45,12 @@ def causal_z_poles(K: int, omega_c: float, t_s: float) -> np.ndarray:
     _check_nyquist(omega_c, t_s)
     s = butterworth_s_poles(K, omega_c)
     lhp = s[s.real < 0]
+    if len(lhp) != K:
+        # np.roots misplaces the roots at high K until one crosses the
+        # imaginary axis.
+        raise NumericalError("pole count must equal the constraint count K: "
+                             f"{len(lhp)} of the {2 * K} Butterworth poles "
+                             "lie in the left half-plane")
     return np.exp(t_s * lhp)
 
 

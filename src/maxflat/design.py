@@ -19,11 +19,13 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .butter import causal_z_poles, full_z_poles
+# NumericalError is defined in butter, the lowest layer, which raises it
+# too; this module re-exports it.
+from .butter import NumericalError, causal_z_poles, full_z_poles
 
 #: Tolerance on imaginary residue when coercing analytically-real
 #: quantities (filter coefficients, WNG entries, polynomial roots) to real.
@@ -41,10 +43,6 @@ OPTIMAL = "optimal"
 
 class IllConditionedSystem(UserWarning):
     """Constraint matrix condition estimate exceeds COND_WARN."""
-
-
-class NumericalError(ValueError):
-    """A singular or degenerate system: the spec is valid, the numerics fail."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,6 @@ class FilterbankDesign:
     a: np.ndarray
     b: Tuple[np.ndarray, ...]
     t_s: float
-    q_per_output: Optional[Tuple[float, ...]] = None
     condition: Optional[float] = None
 
     @property
@@ -162,6 +159,10 @@ class FilterbankDesign:
         return self.c.shape[1]
 
 
+#: alpha_table's tables by K, each built once and stored read-only.
+_ALPHA_TABLES: Dict[int, np.ndarray] = {}
+
+
 def alpha_table(K: int) -> np.ndarray:
     """Coefficients alpha_{k,l} of the frequency-derivative expansion.
 
@@ -171,21 +172,27 @@ def alpha_table(K: int) -> np.ndarray:
     form alpha_{k,l} = l! S(k+1, l+1), S the Stirling numbers of the second
     kind.  The recursion runs on Python integers, which do not overflow
     (entries of row k = 19 already pass the int64 range), and each entry is
-    then rounded once to float64.
+    then rounded once to float64.  The table of each K is built once and
+    returned read-only on every later call.
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
-    alp = [[0] * K for _ in range(K)]
-    for kw in range(K):
-        alp[kw][0] = 1
-        for lw in range(1, kw):
-            alp[kw][lw] = lw * alp[kw - 1][lw - 1] + (lw + 1) * alp[kw - 1][lw]
-        alp[kw][kw] = math.factorial(kw)
-    return np.array([[float(v) for v in row] for row in alp])
+    table = _ALPHA_TABLES.get(K)
+    if table is None:
+        alp = [[0] * K for _ in range(K)]
+        for kw in range(K):
+            alp[kw][0] = 1
+            for lw in range(1, kw):
+                alp[kw][lw] = (lw * alp[kw - 1][lw - 1]
+                               + (lw + 1) * alp[kw - 1][lw])
+            alp[kw][kw] = math.factorial(kw)
+        table = np.array([[float(v) for v in row] for row in alp])
+        table.flags.writeable = False
+        _ALPHA_TABLES[K] = table
+    return table
 
 
-def basis_derivative_column(p: complex, omega_d: float, K: int,
-                            alp: Optional[np.ndarray] = None) -> np.ndarray:
+def basis_derivative_column(p: complex, omega_d: float, K: int) -> np.ndarray:
     """Frequency derivatives 0..K-1 of psi(w) = e^{iw}/(e^{iw}-p) at omega_d.
 
     Entry k equals (d/dw)^k psi(w) |_{w=omega_d}, computed as
@@ -195,8 +202,7 @@ def basis_derivative_column(p: complex, omega_d: float, K: int,
     if abs(z - p) < 1e-12:
         raise NumericalError("singular basis evaluation: pole on the unit "
                              "circle at a constraint frequency")
-    if alp is None:
-        alp = alpha_table(K)
+    alp = alpha_table(K)
     psi = z / (z - p)
     # psi_pows[l] = (-1)^l psi^{l+1}
     psi_pows = psi ** np.arange(1, K + 1) * (-1.0) ** np.arange(K)
@@ -221,14 +227,12 @@ def dc_targets(q: float, t_s: float, k_w_dc: int, k_t: int) -> np.ndarray:
     return d
 
 
-def _target_matrix(spec: DesignSpec, q: float,
-                   q_per_output: Optional[Sequence[float]] = None) -> np.ndarray:
+def _target_matrix(spec: DesignSpec, q: float) -> np.ndarray:
     """Stack the dc targets (one column per k_t) over zero nb/pi rows."""
     K = spec.total_constraints
     D = np.zeros((K, spec.k_t), dtype=complex)
     for kt in range(spec.k_t):
-        q_kt = q if q_per_output is None else q_per_output[kt]
-        D[:spec.k_w_dc, kt] = dc_targets(q_kt, spec.t_s, spec.k_w_dc, kt)
+        D[:spec.k_w_dc, kt] = dc_targets(q, spec.t_s, spec.k_w_dc, kt)
     return D
 
 
@@ -262,12 +266,14 @@ def assemble_system(spec: DesignSpec, poles: np.ndarray,
         raise ValueError("pole count must equal the constraint count K")
     blocks = constraint_blocks(spec)
 
-    alp = alpha_table(K)
+    # One basis_derivative_column call per pole and block, each entry its
+    # own dot product: a single alpha @ powers product would round Psi
+    # differently and move the optimal delay of the worst-conditioned specs.
     psi = np.empty((K, K), dtype=complex)
     row = 0
     for w_d, count in blocks:
         for k, p in enumerate(poles):
-            psi[row:row + count, k] = basis_derivative_column(p, w_d, K, alp)[:count]
+            psi[row:row + count, k] = basis_derivative_column(p, w_d, count)
         row += count
     cond = float(np.linalg.cond(psi))
     if cond > COND_WARN:
@@ -325,8 +331,8 @@ def white_noise_gain(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     resid = float(np.max(np.abs(sigma.imag)))
     resid /= max(1.0, float(np.max(np.abs(sigma))))
     if resid > TOL_CPX:
-        raise ValueError("non-real WNG — design inconsistency "
-                         f"(imaginary residue {resid:.3e})")
+        raise NumericalError("non-real WNG — design inconsistency "
+                             f"(imaginary residue {resid:.3e})")
     return sigma.real
 
 
@@ -364,8 +370,8 @@ def wng_polynomial(spec: DesignSpec, system: ConstraintSystem, s: np.ndarray,
     resid = float(np.max(np.abs(coeffs.imag))) if len(coeffs) else 0.0
     resid /= max(1.0, float(np.max(np.abs(coeffs))) if len(coeffs) else 1.0)
     if resid > TOL_CPX:
-        raise ValueError("non-real WNG — design inconsistency "
-                         f"(imaginary residue {resid:.3e})")
+        raise NumericalError("non-real WNG — design inconsistency "
+                             f"(imaginary residue {resid:.3e})")
     sigma_poly = coeffs.real
     p_poly = np.polynomial.polynomial.polyder(sigma_poly) if deg > 0 \
         else np.zeros(1)
@@ -388,7 +394,7 @@ def optimal_group_delay(spec: DesignSpec, system: ConstraintSystem,
     roots = np.polynomial.polynomial.polyroots(p_poly)
     real_roots = np.sort(roots[np.abs(roots.imag) < TOL_CPX].real)
     if len(real_roots) == 0:
-        raise ValueError("WNG derivative has no real roots")
+        raise NumericalError("WNG derivative has no real roots")
     w = np.polynomial.polynomial.polyval(real_roots, sigma_poly)
     tied = real_roots[w <= w.min() + TOL_WNG]
     return float(tied.min())
@@ -411,23 +417,24 @@ def transfer_coefficients(c: np.ndarray,
     a = np.ones(1, dtype=np.clongdouble)
     for p in poles_hp:
         a = np.convolve(a, np.array([1.0, -p], dtype=np.clongdouble))
+    # terms[k] is [c_k, 0] multiplied by each (z - p_j), j != k, in
+    # increasing j, for all outputs at once.  Expanding the cofactor first
+    # and scaling it by c_k would round differently.  Step s multiplies
+    # every term by its s-th factor: p_s for k > s, p_{s+1} for k <= s.
+    terms = np.zeros((K, len(cols), K + 1), dtype=np.clongdouble)
+    terms[:, :, 0] = cols.T
+    ks = np.arange(K)
+    for step in range(K - 1):
+        factor = np.where(ks > step, poles_hp[step], poles_hp[step + 1])
+        terms[:, :, 1:step + 2] -= factor[:, None, None] \
+            * terms[:, :, :step + 1]
     b = np.zeros((len(cols), K + 1), dtype=np.clongdouble)
-    for k in range(K):
-        # Multiply [c_k, 0] by each (z - p_j), j != k, in turn, for all
-        # outputs at once.  Expanding the cofactor first and scaling it by
-        # c_k would round differently.
-        term = np.zeros_like(b)
-        term[:, 0] = cols[:, k]
-        deg = 1
-        for j in range(K):
-            if j != k:
-                term[:, 1:deg + 1] -= poles_hp[j] * term[:, :deg]
-                deg += 1
+    for term in terms:  # summed in k order
         b += term
     resid = max(float(np.max(np.abs(a.imag))), float(np.max(np.abs(b.imag))))
     if resid > TOL_CPX:
-        raise ValueError("transfer coefficients have imaginary residue "
-                         f"{resid:.3e} — design inconsistency")
+        raise NumericalError("transfer coefficients have imaginary residue "
+                             f"{resid:.3e} — design inconsistency")
     a = np.asarray(a.real, dtype=float)
     b = np.asarray(b.real, dtype=float)
     a[0] = 1.0
@@ -435,13 +442,12 @@ def transfer_coefficients(c: np.ndarray,
     return (b[0] if np.ndim(c) == 1 else b), a
 
 
-def design_filterbank(spec: DesignSpec,
-                      per_output_delay: bool = False) -> FilterbankDesign:
+def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
     """Solve a causal filterbank design end to end.
 
     With group_delay = "optimal" the smoother-optimal delay (k_t = 0) is
-    applied to every output; per_output_delay = True instead optimizes each
-    derivative order separately.
+    applied to every output; optimal_group_delay(spec, system, s, k_t)
+    gives the delay that would be optimal for output k_t alone.
     """
     if not spec.causal:
         raise ValueError("use noncausal_design for causal=False specs")
@@ -450,25 +456,18 @@ def design_filterbank(spec: DesignSpec,
     system = assemble_system(spec, poles, q=0.0)
     s = gram_matrix(poles)
 
-    q_per_output: Optional[Tuple[float, ...]] = None
     if isinstance(spec.group_delay, str):  # the "optimal" sentinel
-        if per_output_delay:
-            q_per_output = tuple(optimal_group_delay(spec, system, s, kt)
-                                 for kt in range(spec.k_t))
-            q = q_per_output[0]
-        else:
-            q = optimal_group_delay(spec, system, s, 0)
+        q = optimal_group_delay(spec, system, s, 0)
     else:
         q = float(spec.group_delay)
 
-    d = _target_matrix(spec, q, q_per_output)
+    d = _target_matrix(spec, q)
     c = _solve(system.psi, d)
     _check_residual(system.psi, c, d)
     sigma = white_noise_gain(c, s)
     b, a = transfer_coefficients(c, poles)
     return FilterbankDesign(poles=poles, c=c, q=q, sigma=sigma, a=a,
                             b=tuple(b), t_s=spec.t_s,
-                            q_per_output=q_per_output,
                             condition=system.condition)
 
 

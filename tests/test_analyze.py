@@ -4,12 +4,14 @@ measurement, and steady-state orbit error."""
 import numpy as np
 import pytest
 
-from maxflat.analyze import (NULL_RADIUS_TOL, complex_error, design_response,
+from maxflat.analyze import (COEFF_EPS, FD_MAX_ORDER, FD_RTOL, FD_STEP,
+                             NULL_RADIUS_TOL, complex_error, design_response,
                              frequency_response, ideal_response,
                              measured_group_delay, noncausal_response,
                              orbit_steady_state, verify_constraints)
-from maxflat.design import (DesignSpec, assemble_system, design_filterbank,
-                            noncausal_design)
+from maxflat.design import (DesignSpec, alpha_table, assemble_system,
+                            basis_derivative_column, constraint_blocks,
+                            dc_targets, design_filterbank, noncausal_design)
 from maxflat.realize import run_filter
 
 
@@ -67,6 +69,112 @@ def test_constraints_verified_away_from_optimum(bw1_spec, bw1_design):
                 .constraint_freqs for k in range(n)]
         assert [(c.omega_d, c.k_omega, c.k_t) for c in report] == \
             [(w, k, kt) for kt in range(spec.k_t) for w, k in rows]
+
+
+# The constraint check as it was: one basis column per pole and two
+# polyval calls per order, output and frequency.  It is the oracle of
+# test_verify_constraints_matches_per_order_check.
+
+_STENCILS_BY_OFFSET = {
+    0: ([0], [1.0]),
+    1: ([-1, 1], [-0.5, 0.5]),
+    2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
+    3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
+}
+
+
+def _bank_derivative_per_pole(design, omega_d, k_t, n):
+    cols = np.column_stack([basis_derivative_column(p, omega_d, n)
+                            for p in design.poles])
+    return cols @ design.c[:, k_t]
+
+
+def _term_magnitude(design, omega_d, k_t, n):
+    """Sum of the absolute terms of each derivative 0..n-1: the scale of
+    its rounding error."""
+    z = np.exp(1j * omega_d)
+    psi = np.abs(z / (z - design.poles))
+    powers = psi ** (np.arange(n)[:, None] + 1)
+    return alpha_table(n) @ powers @ np.abs(design.c[:, k_t])
+
+
+def _fd_derivative_per_order(design, omega_d, k_t, order):
+    offsets, weights = _STENCILS_BY_OFFSET[order]
+    w = omega_d + FD_STEP * np.asarray(offsets, dtype=float)
+    z = np.exp(1j * w)
+    b, a = design.b[k_t], design.a
+    a_val = np.polyval(a, z)
+    vals = np.polyval(b, z) / a_val
+    est = np.dot(weights, vals) / FD_STEP ** order
+    sum_b = float(np.sum(np.abs(b)))
+    sum_a = float(np.sum(np.abs(a)))
+    noise = COEFF_EPS * (sum_b + np.abs(vals) * sum_a) / np.abs(a_val)
+    scale = float(np.dot(np.abs(weights), noise)) / FD_STEP ** order
+    # The weighted sum of |samples| is the scale of the estimate's own
+    # rounding error.
+    spread = float(np.dot(np.abs(weights), np.abs(vals))) / FD_STEP ** order
+    return complex(est), scale, spread
+
+
+def _verify_per_order(spec, design):
+    """(check, analytic scale, fd scale) per row, in report order."""
+    rows = []
+    for kt in range(spec.k_t):
+        targets_dc = dc_targets(design.q, design.t_s, spec.k_w_dc, kt)
+        for w_d, count in constraint_blocks(spec):
+            analytic = _bank_derivative_per_pole(design, w_d, kt, count + 3)
+            magnitude = _term_magnitude(design, w_d, kt, count + 3)
+            for kw in range(count):
+                target = targets_dc[kw] if w_d == 0.0 else 0.0 + 0.0j
+                scale = 1.0 + abs(target)
+                a_ok = abs(analytic[kw] - target) <= 1e-6 * scale
+                fd_val, fd_ok, spread = None, True, None
+                if kw <= FD_MAX_ORDER:
+                    fd_val, fd_noise, spread = _fd_derivative_per_order(
+                        design, w_d, kt, kw)
+                    trunc = FD_STEP ** 2 * abs(analytic[kw + 2]) if kw else 0.0
+                    fd_ok = abs(fd_val - target) \
+                        <= FD_RTOL * scale + trunc + 10.0 * fd_noise
+                rows.append(((w_d, kw, kt, target, analytic[kw], fd_val,
+                              a_ok, fd_ok), magnitude[kw], spread))
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
+@pytest.mark.parametrize("k_w_dc", range(2, 9))
+def test_verify_constraints_matches_per_order_check(k_w_dc):
+    """Checking each constraint frequency once for all outputs gives the
+    same flags in the same order as the per-order check, with every value
+    within 1e-12 of the scale of its own rounding error: the sum of the
+    absolute terms for the analytic derivative, of the absolute weighted
+    samples for the finite difference."""
+    checked = 0
+    for knb in range(4):
+        for kt in range(1, min(k_w_dc, 3) + 1):
+            for q in ("optimal", 5.0):
+                spec = DesignSpec(f_s=1000.0, f_wb=0.05,
+                                  f_nb=0.07 if knb else None,
+                                  k_w_dc=k_w_dc, k_w_nb=knb, k_t=kt,
+                                  group_delay=q)
+                try:
+                    d = design_filterbank(spec)
+                except ValueError:  # a grid spec the design rejects
+                    continue
+                report = verify_constraints(spec, d)
+                expected = _verify_per_order(spec, d)
+                assert len(report) == len(expected)
+                for chk, (ref, magnitude, spread) in zip(report, expected):
+                    got = (chk.omega_d, chk.k_omega, chk.k_t, chk.target,
+                           chk.analytic, chk.fd_estimate, chk.analytic_ok,
+                           chk.fd_ok)
+                    assert got[:4] == ref[:4] and got[6:] == ref[6:], spec
+                    assert abs(got[4] - ref[4]) <= 1e-12 * magnitude, spec
+                    if ref[5] is None:
+                        assert got[5] is None
+                    else:
+                        assert abs(got[5] - ref[5]) <= 1e-12 * spread, spec
+                checked += 1
+    assert checked
 
 
 def test_response_conjugate_symmetry(bw1_design):

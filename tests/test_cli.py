@@ -295,6 +295,25 @@ def test_design_order_past_int64_alpha_exit_code(tmp_path, capsys):
     assert "degenerate constraint set" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
+@pytest.mark.parametrize("kdc, message", [
+    (13, "pole count must equal the constraint count K"),
+    (14, "transfer coefficients have imaginary residue"),
+])
+def test_numerical_failure_of_valid_spec_exit_code(tmp_path, capsys, kdc,
+                                                   message):
+    """Valid specs whose numerics fail used to exit 2 like invalid ones:
+    at K = 19 np.roots puts a Butterworth pole across the imaginary axis,
+    and at K = 20 the expansion leaves an imaginary residue."""
+    out = tmp_path / "d.json"
+    rc = cli.main(["design", "--fs", "1000", "--fwb", "0.05", "--fnb",
+                   "0.07", "--knb", "3", "--kt", "3", "--kdc", str(kdc),
+                   "-o", str(out)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     rc = cli.main(["design", "--kdc", "1", "--kt", "3",
                    "-o", str(tmp_path / "d.json")])

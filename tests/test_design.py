@@ -118,6 +118,20 @@ def test_alpha_table_unchanged_where_int64_was_exact():
                               _alpha_table_int64(K).astype(float)), K
 
 
+def test_alpha_table_is_read_only_and_nested():
+    """Each table is built once and shared, so it must not be writable;
+    row k does not depend on K, so a smaller table is a corner of a
+    larger one."""
+    K = 12
+    alp = alpha_table(K)
+    assert not alp.flags.writeable
+    with pytest.raises(ValueError):
+        alp[0, 0] = 2.0
+    assert alpha_table(K) is alp
+    for n in range(1, K + 1):
+        assert np.array_equal(alp[:n, :n], alpha_table(n)), n
+
+
 @pytest.mark.parametrize("p", [0.3 + 0.0j, 0.6 + 0.5j, -0.2 + 0.8j])
 @pytest.mark.parametrize("omega", [0.0, 0.7, np.pi])
 def test_basis_derivatives_match_finite_differences(p, omega):
@@ -195,6 +209,46 @@ def test_degenerate_narrowband_frequency_rejected():
     poles = causal_z_poles(4, spec.omega_wb * spec.f_s, spec.t_s)
     with pytest.raises(ValueError, match="degenerate narrowband frequency"):
         assemble_system(spec, poles)
+
+
+def _basis_column_all_rows(p, omega_d, K):
+    """The basis column as assembly built it before: all K orders, from
+    the table of K, to be sliced to the block's count afterwards."""
+    z = np.exp(1j * omega_d)
+    alp = alpha_table(K)
+    psi = z / (z - p)
+    psi_pows = psi ** np.arange(1, K + 1) * (-1.0) ** np.arange(K)
+    out = np.empty(K, dtype=complex)
+    for kw in range(K):
+        out[kw] = (1j) ** kw * np.dot(alp[kw, :kw + 1], psi_pows[:kw + 1])
+    return out
+
+
+def _grid_specs(k_w_dc):
+    """The design-sweep grid at one K_w_dc: K_w_nb 0-3, K_t 1-3."""
+    return [DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07 if knb else None,
+                       k_w_dc=k_w_dc, k_w_nb=knb, k_t=kt, group_delay=5.0)
+            for knb in range(4) for kt in range(1, min(k_w_dc, 3) + 1)]
+
+
+@pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
+@pytest.mark.parametrize("k_w_dc", range(2, 9))
+def test_assembly_bit_identical_to_full_columns(k_w_dc):
+    """Assembling each block from count-row columns gives exactly the Psi
+    of K-row columns sliced to the count.  Psi is the input of every
+    design, and a differently rounded build (one alpha @ powers product)
+    moves the optimal delay of the worst-conditioned specs by more than
+    1e-6 relative."""
+    for spec in _grid_specs(k_w_dc):
+        K = spec.total_constraints
+        poles = causal_z_poles(K, spec.omega_wb * spec.f_s, spec.t_s)
+        blocks = design_module.constraint_blocks(spec)
+        expected = np.vstack([
+            np.column_stack([_basis_column_all_rows(p, w_d, K)[:count]
+                             for p in poles])
+            for w_d, count in blocks])
+        assert np.array_equal(assemble_system(spec, poles).psi, expected), \
+            spec
 
 
 def test_pole_count_mismatch_rejected():
@@ -326,6 +380,62 @@ def test_transfer_coefficients_matrix_equals_per_column(bw1_design):
         assert np.array_equal(a, a_kt)
 
 
+def _transfer_coefficients_per_term(c, poles):
+    """transfer_coefficients as it was: one cofactor expansion per k."""
+    poles_hp = np.asarray(poles, dtype=np.clongdouble)
+    K = len(poles_hp)
+    cols = np.asarray(c, dtype=np.clongdouble).reshape(K, -1).T
+    a = np.ones(1, dtype=np.clongdouble)
+    for p in poles_hp:
+        a = np.convolve(a, np.array([1.0, -p], dtype=np.clongdouble))
+    b = np.zeros((len(cols), K + 1), dtype=np.clongdouble)
+    for k in range(K):
+        term = np.zeros_like(b)
+        term[:, 0] = cols[:, k]
+        deg = 1
+        for j in range(K):
+            if j != k:
+                term[:, 1:deg + 1] -= poles_hp[j] * term[:, :deg]
+                deg += 1
+        b += term
+    a = np.asarray(a.real, dtype=float)
+    b = np.asarray(b.real, dtype=float)
+    a[0] = 1.0
+    b[:, K] = 0.0
+    return (b[0] if np.ndim(c) == 1 else b), a
+
+
+def _backward_half_input():
+    """The backward half of a two-sided design as noncausal_design expands
+    it: extended-precision products -c_k r_k over the reflected poles."""
+    spec = _nc_spec()
+    poles = full_z_poles(spec.total_constraints // 2,
+                         spec.omega_wb * spec.f_s, spec.t_s)
+    c = solve_coefficients(assemble_system(spec, poles))
+    outside = np.abs(poles) > 1.0
+    r = 1.0 / poles[outside]
+    return -c[outside, :].astype(np.clongdouble) * r[:, None], r
+
+
+@pytest.mark.parametrize("case", ["BW1", "tracker C", "backward half",
+                                  "one output"])
+def test_transfer_coefficients_bit_identical_to_per_term(case, bw1_design,
+                                                         tracker_designs):
+    """Expanding every cofactor at once multiplies and sums in the same
+    order as the expansion one term at a time."""
+    if case == "BW1":
+        c, poles = bw1_design.c, bw1_design.poles
+    elif case == "tracker C":
+        c, poles = tracker_designs["C"].c, tracker_designs["C"].poles
+    elif case == "backward half":
+        c, poles = _backward_half_input()
+    else:
+        c, poles = bw1_design.c[:, 1], bw1_design.poles
+    b, a = transfer_coefficients(c, poles)
+    b_ref, a_ref = _transfer_coefficients_per_term(c, poles)
+    assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
+
+
 def test_transfer_representations_agree_on_grid(bw1_design):
     """Partial-fraction and polynomial forms of every output must agree."""
     d = bw1_design
@@ -360,14 +470,26 @@ def test_bw1_design_residual_and_smoother_gain(bw1_spec, bw1_design):
     assert bw1_design.order == 9 and bw1_design.n_outputs == 3
 
 
-def test_per_output_delay_optimizes_each_row(bw1_spec):
+def test_per_output_delay_optimizes_each_row(bw1_spec, bw1_design):
+    """The delay optimal for each output alone comes from the design's own
+    system: the smoother's is the delay the design applies, and each
+    output's minimizes that output's WNG over a dense grid."""
+    poles = causal_z_poles(bw1_spec.total_constraints,
+                           bw1_spec.omega_wb * bw1_spec.f_s, bw1_spec.t_s)
+    system = assemble_system(bw1_spec, poles)
+    s = gram_matrix(poles)
     with warnings.catch_warnings():
         # The highest derivative row has a delay-independent WNG here.
         warnings.simplefilter("ignore", UserWarning)
-        d = design_filterbank(bw1_spec, per_output_delay=True)
-    assert d.q_per_output is not None and len(d.q_per_output) == 3
-    # The smoother row keeps the joint optimum.
-    assert d.q_per_output[0] == pytest.approx(d.q)
+        delays = [optimal_group_delay(bw1_spec, system, s, kt)
+                  for kt in range(bw1_spec.k_t)]
+    assert delays[0] == bw1_design.q
+    sig = np.polynomial.polynomial.polyval
+    grid = np.arange(-5.0, 40.0, 0.01)
+    for kt, q in enumerate(delays):
+        sigma_poly, _ = wng_polynomial(bw1_spec, system, s, kt)
+        best = float(np.min(sig(grid, sigma_poly)))
+        assert float(sig(q, sigma_poly)) <= best * (1.0 + 1e-12) + 1e-12
 
 
 # ---------------------------------------------------------------------------
