@@ -21,9 +21,9 @@ from .design import (DesignSpec, ConstraintSystem, FilterbankDesign,
                      gram_matrix, noncausal_design, optimal_group_delay,
                      solve_coefficients, transfer_coefficients,
                      white_noise_gain, wng_polynomial)
-from .analyze import (OrbitError, complex_error, frequency_response,
-                      ideal_response, measured_group_delay,
-                      orbit_steady_state, verify_constraints)
+from .analyze import (OrbitError, frequency_response, ideal_response,
+                      measured_group_delay, orbit_steady_state,
+                      verify_constraints)
 
 __version__ = "1.0.0"
 
@@ -67,8 +67,8 @@ __all__ = [
     "optimal_group_delay", "solve_coefficients", "transfer_coefficients",
     "white_noise_gain", "wng_polynomial",
     "run_filter", "run_lss", "run_noncausal", "to_ccf", "to_dcf", "to_dsf",
-    "complex_error", "frequency_response", "ideal_response",
-    "measured_group_delay", "orbit_steady_state", "verify_constraints",
+    "frequency_response", "ideal_response", "measured_group_delay",
+    "orbit_steady_state", "verify_constraints",
     "discretize_process", "generate_waveform", "scenario_params",
     "verify_normalization",
     "build_detector", "run_detection_mc", "tk_energy_derivatives",

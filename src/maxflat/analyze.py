@@ -77,11 +77,6 @@ def ideal_response(k_t: int, q: float, t_s: float,
     return np.exp(-1j * q * w) * (1j * w / t_s) ** k_t
 
 
-def complex_error(h: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    """Pointwise |H - D| against the ideal response on the same grid."""
-    return np.abs(np.asarray(h) - np.asarray(ideal))
-
-
 def design_response(design: FilterbankDesign, omegas: np.ndarray,
                     k_t: int = 0) -> np.ndarray:
     return frequency_response(design.b[k_t], design.a, omegas)
@@ -190,19 +185,17 @@ def measured_group_delay(b: np.ndarray, a: np.ndarray,
     return -np.gradient(phase, w)
 
 
-def orbit_steady_state(design: FilterbankDesign, f_orb: float, r_orb: float,
-                       q: Optional[float] = None) -> OrbitError:
+def orbit_steady_state(design: FilterbankDesign, f_orb: float,
+                       r_orb: float) -> OrbitError:
     """Steady-state error of the smoother tracking a circular orbit.
 
     A constant-rate orbit of radius r_orb at f_orb cycles/sample is a
     complex exponential, so the smoother output is H(w) times it with
-    w = 2 pi f_orb.  After removing the nominal delay q, the radial error
+    w = 2 pi f_orb.  After removing the design delay q, the radial error
     is (|H(w)| - 1) r_orb and the angular error is angle(H(w)) + q w.
     """
     if not 0 <= f_orb < 0.5:
         raise ValueError("f_orb must lie in [0, 0.5) cycles/sample")
-    if q is None:
-        q = design.q
     w = 2.0 * np.pi * f_orb
     h = complex(design_response(design, np.array([w]), 0)[0])
     eps_r = (abs(h) - 1.0) * r_orb
@@ -211,6 +204,6 @@ def orbit_steady_state(design: FilterbankDesign, f_orb: float, r_orb: float,
         # angular error is the angle of a zero-length vector; report 0.
         eps_theta = 0.0
     else:
-        eps_theta = float(np.angle(h)) + q * w
+        eps_theta = float(np.angle(h)) + design.q * w
         eps_theta = float((eps_theta + np.pi) % (2.0 * np.pi) - np.pi)
     return OrbitError(eps_r=eps_r, eps_theta=eps_theta)

@@ -11,9 +11,9 @@ Exit codes: 0 on success, 2 on validation errors (bad flags, bad config,
 violated design invariants), 3 on numerical failure (singular or
 degenerate systems).
 
-All numbers are serialized as decimal with 17 significant digits, which
-round-trips 64-bit floats exactly; CSV output uses '.' decimals, comma
-delimiters, and a single header row.
+JSON floats are written as Python's shortest repr that round-trips, CSV
+floats with '%.17g'; both read back to the same 64-bit float.  CSV output
+uses '.' decimals, comma delimiters, and a single header row.
 """
 
 from __future__ import annotations
@@ -35,36 +35,21 @@ EXIT_NUMERICAL = 3
 
 
 # --------------------------------------------------------------------------
-# 17-significant-digit JSON serialization
+# JSON serialization
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+def _numpy_to_python(obj: Any) -> Any:
+    """``json`` hook: NumPy arrays and scalars become Python values.
 
-
-def _to_jsonable(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return _FloatLiteral(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
-class _FloatLiteral(float):
-    """Float whose JSON rendering is pinned to 17 significant digits."""
-
-    def __repr__(self) -> str:  # json uses repr(float) for rendering
-        return _format_float(self)
+    ``np.float64`` subclasses ``float`` and never reaches the hook.
+    """
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_json(obj: Any) -> str:
-    return json.dumps(_to_jsonable(obj), indent=2) + "\n"
+    return json.dumps(obj, indent=2, default=_numpy_to_python) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -85,17 +70,7 @@ _SPEC_KEYS = {
 
 
 def spec_to_config(spec: DesignSpec) -> Dict[str, Any]:
-    return {
-        "fs_hz": spec.f_s,
-        "f_wb_cyc_per_smp": spec.f_wb,
-        "f_nb_cyc_per_smp": spec.f_nb,
-        "k_w_dc": spec.k_w_dc,
-        "k_w_nb": spec.k_w_nb,
-        "k_w_pi": spec.k_w_pi,
-        "k_t": spec.k_t,
-        "group_delay_smp": spec.group_delay,
-        "causal": spec.causal,
-    }
+    return {key: getattr(spec, field) for key, field in _SPEC_KEYS.items()}
 
 
 def spec_from_config(cfg: Dict[str, Any]) -> DesignSpec:
@@ -189,8 +164,7 @@ def cmd_response(args: argparse.Namespace) -> int:
         header += [f"re_{kt}", f"im_{kt}", f"magnitude_{kt}",
                    f"phase_unwrapped_{kt}",
                    f"complex_error_vs_ideal_{kt}", f"group_delay_{kt}"]
-        cols += [h.real, h.imag, np.abs(h), phase,
-                 analyze.complex_error(h, ideal), gd]
+        cols += [h.real, h.imag, np.abs(h), phase, np.abs(h - ideal), gd]
     _write_csv(args.output, header, np.column_stack(cols))
     print(f"wrote {args.output}")
     return EXIT_OK

@@ -139,6 +139,10 @@ class FilterbankDesign:
     sigma is the real white-noise cross-gain matrix.  condition is the
     condition estimate of the solved constraint system (None for a design
     read back from JSON).
+
+    In the backward half of a two-sided design, poles holds r = 1/p but c
+    the coefficients of the terms c z/(z - p), so (c, poles) does not
+    expand to its b/a; see noncausal_design.
     """
 
     poles: np.ndarray
@@ -481,11 +485,21 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
     each outside pole p to the stable pole r = 1/p and each term
     c z/(z - p) to -c r/(z - r) on the reversed axis.
 
-    Returns (forward, backward) FilterbankDesigns.  The forward design's
-    sigma holds the total (two-sided) white-noise gain; the backward
-    design's sigma holds only the anticausal contribution.  The backward
-    b/a run on time-reversed input (output reversed again afterwards);
-    its response on the original axis is B(e^{-iw})/A(e^{-iw}).
+    Returns (forward, backward) FilterbankDesigns.  The forward design is
+    an ordinary causal bank over the inside poles: poles, c, b and a
+    describe one another as in design_filterbank, and its sigma holds the
+    total (two-sided) white-noise gain.  The backward design holds:
+
+    - poles: the reflected poles r = 1/p of the outside poles p;
+    - c: the coefficients of the terms c z/(z - p) on the original axis,
+      so (c, poles) is not a partial fraction of its b/a;
+    - a: the monic polynomial with roots r;
+    - b: numerators of sum_k -c_k r_k / (z - r_k), first entry zero;
+    - sigma: only the anticausal contribution to the white-noise gain.
+
+    The backward b/a run on time-reversed input (output reversed again
+    afterwards); its response on the original axis is
+    B(e^{-iw})/A(e^{-iw}) = sum_k c_k z/(z - p_k) at z = e^{iw}.
     """
     if spec.causal:
         raise ValueError("noncausal_design requires a causal=False spec")

@@ -12,7 +12,7 @@ narrowband interference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class Track2D:
 
     est_x: np.ndarray
     est_y: np.ndarray
-    deriv_x: Optional[np.ndarray] = None
-    deriv_y: Optional[np.ndarray] = None
+    deriv_x: np.ndarray
+    deriv_y: np.ndarray
 
 
 def tracker_spec(tag: str) -> DesignSpec:
@@ -77,23 +77,20 @@ def run_track(design: FilterbankDesign, meas_x: np.ndarray,
 
 
 def orbit_simulation(design: FilterbankDesign, f_orb: float, r_orb: float,
-                     revolutions: int = 10,
                      center: Tuple[float, float] = (0.0, 0.0)) -> OrbitError:
-    """Measured steady-state orbit error after the given revolutions.
+    """Measured steady-state orbit error after 10 revolutions.
 
     The target moves on x = x0 + r cos(2 pi f_orb n), y = y0 + r sin(...).
     The error is read from the final sample against the lag-adjusted truth
     at n - q, expressed as a radial offset and an angular offset.
     """
-    if revolutions < 1:
-        raise ValueError("revolutions must be >= 1")
     if f_orb == 0.0:
         return OrbitError(eps_r=0.0, eps_theta=0.0)
     # Revolutions alone can be too short in samples at high turn rates;
     # add an explicit allowance for the slowest pole transient to decay so
     # the final sample is genuinely in steady state.
     decay = np.log(1e-14) / np.log(np.max(np.abs(design.poles)))
-    n_samples = int(np.ceil(revolutions / f_orb)) + int(np.ceil(decay))
+    n_samples = int(np.ceil(10 / f_orb)) + int(np.ceil(decay))
     n = np.arange(n_samples)
     phase = 2.0 * np.pi * f_orb * n
     x0, y0 = center
@@ -115,14 +112,13 @@ def orbit_simulation(design: FilterbankDesign, f_orb: float, r_orb: float,
     return OrbitError(eps_r=eps_r, eps_theta=eps_theta)
 
 
-def orbit_check(design: FilterbankDesign, r_orb: float = 1.0,
-                rates: Tuple[float, ...] = DEFAULT_ORBIT_RATES,
-                revolutions: int = 10):
-    """Measured vs predicted orbit errors over the default rate grid."""
+def orbit_check(design: FilterbankDesign,
+                rates: Tuple[float, ...] = DEFAULT_ORBIT_RATES):
+    """Measured vs predicted errors of a unit-radius orbit at each rate."""
     rows = []
     for f_orb in rates:
-        measured = orbit_simulation(design, f_orb, r_orb, revolutions)
-        predicted = orbit_steady_state(design, f_orb, r_orb)
+        measured = orbit_simulation(design, f_orb, 1.0)
+        predicted = orbit_steady_state(design, f_orb, 1.0)
         rows.append({"f_orb": f_orb,
                      "eps_r_predicted": predicted.eps_r,
                      "eps_r_measured": measured.eps_r,
@@ -144,16 +140,15 @@ class TrackingRun:
 
 
 def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
-                    n_samples: int = 10000,
-                    origin_box: float = 1000.0) -> TrackingRun:
+                    n_samples: int = 10000) -> TrackingRun:
     """One tracking scenario instance (scenario "LoG" or "HiG").
 
     Truth per axis is a coloured-noise waveform of power P_sig = 1e4
     (alpha_tau = 8, alpha_lambda = 8 for Lo-G or 2 for Hi-G) started from a
-    random origin; the measurement adds an independent interference
-    waveform of power P_int = 1e2 (alpha_lambda = 1).  The reported RMS
-    position error compares the estimates against the lag-q truth after a
-    settling window of 10 q samples.
+    random origin in [-1000, 1000]^2; the measurement adds an independent
+    interference waveform of power P_int = 1e2 (alpha_lambda = 1).  The
+    reported RMS position error compares the estimates against the lag-q
+    truth after a settling window of 10 q samples.
     """
     if scenario not in ("LoG", "HiG"):
         raise ValueError('scenario must be "LoG" or "HiG"')
@@ -167,7 +162,7 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
     ss = np.random.SeedSequence(entropy=seed)
     rng_sx, rng_sy, rng_ix, rng_iy, rng_origin = (
         np.random.default_rng(s) for s in ss.spawn(5))
-    x0, y0 = rng_origin.uniform(-origin_box, origin_box, size=2)
+    x0, y0 = rng_origin.uniform(-1000.0, 1000.0, size=2)
 
     drive = InputSpec("stochastic", 0, n_samples - 1, P_SIG_TRACK)
     noise = InputSpec("stochastic", 0, n_samples - 1, P_INT_TRACK)

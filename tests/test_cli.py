@@ -27,7 +27,31 @@ def test_float_serialization_round_trips_exactly():
     values = [0.1, 1.0 / 3.0, 12.389488083396317, -1e-300, 2.0 ** -52]
     s = cli.dumps_json({"v": values})
     back = json.loads(s)["v"]
-    assert back == values  # bit-exact through 17 significant digits
+    assert back == values  # bit-exact: repr(float) round-trips
+
+
+def test_dumps_json_numpy_values_keep_type_and_bits():
+    """NumPy arrays and scalars come back as the Python value of the same
+    kind, every float bit for bit."""
+    obj = {"array": np.array([[0.1, -0.0], [5e-324, 1.0 / 3.0]]),
+           "int": np.int64(-7), "bool": np.bool_(True),
+           "float": np.float64(0.1), "neg_zero": np.float64(-0.0),
+           "subnormal": np.float64(5e-324)}
+    back = json.loads(cli.dumps_json(obj))
+    assert back["array"] == [[0.1, -0.0], [5e-324, 1.0 / 3.0]]
+    assert np.array_equal(np.array(back["array"]).view(np.uint64),
+                          obj["array"].view(np.uint64))
+    assert type(back["int"]) is int and back["int"] == -7
+    assert back["bool"] is True
+    for key in ("float", "neg_zero", "subnormal"):
+        assert type(back[key]) is float
+        assert np.float64(back[key]).view(np.uint64) == \
+            obj[key].view(np.uint64)
+
+
+def test_dumps_json_rejects_other_objects():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli.dumps_json({"x": {1, 2}})
 
 
 def _write_csv_per_value(path, header, data):
@@ -78,6 +102,20 @@ def test_spec_config_round_trip():
     assert cli.spec_from_config(cli.spec_to_config(spec)) == spec
 
 
+@pytest.mark.parametrize("spec", [
+    DesignSpec(f_s=250.0, f_wb=0.04, f_nb=0.09, k_w_dc=4, k_w_nb=2,
+               k_w_pi=1, k_t=2, group_delay=3.5),
+    DesignSpec(f_s=1000.0, f_wb=0.05, k_w_dc=3, k_t=3),
+    DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=4, k_w_nb=2,
+               k_t=1, group_delay=0.0, causal=False),
+], ids=["causal-numeric-delay", "causal-optimal-no-fnb", "two-sided"])
+def test_spec_config_json_round_trip(spec):
+    text = cli.dumps_json(cli.spec_to_config(spec))
+    back = cli.spec_from_config(json.loads(text))
+    assert back == spec
+    assert type(back.causal) is bool
+
+
 def test_unknown_config_keys_rejected():
     cfg = cli.spec_to_config(DesignSpec(f_s=1.0, f_wb=0.05, k_w_dc=2, k_t=1))
     cfg["bandwidth_hz"] = 3.0
@@ -120,6 +158,28 @@ def test_design_command_from_config(tmp_path):
     rc = cli.main(["design", "--config", str(cfg), "-o", str(out)])
     assert rc == 0
     assert json.loads(_read(out))["spec"]["fs_hz"] == 10.0
+
+
+@pytest.mark.parametrize("flags, causal", [
+    (["--fs", "1000", "--fwb", "0.05", "--fnb", "0.07", "--kdc", "3",
+      "--knb", "3", "--kt", "3"], True),
+    (["--fwb", "0.05", "--fnb", "0.07", "--kdc", "4", "--knb", "2", "--kt",
+      "1", "--q", "0", "--noncausal"], False),
+])
+def test_design_json_causal_is_boolean(tmp_path, flags, causal):
+    """The spec's causal flag is written as a JSON boolean (it was once
+    written as 1 or 0), and designing from the written spec reproduces the
+    file byte for byte."""
+    out = tmp_path / "d.json"
+    assert cli.main(["design", *flags, "-o", str(out)]) == 0
+    text = _read(out)
+    spec = json.loads(text)["spec"]
+    assert spec["causal"] is causal
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps(spec))
+    again = tmp_path / "again.json"
+    assert cli.main(["design", "--config", str(cfg), "-o", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_noncausal_design_command(tmp_path):
