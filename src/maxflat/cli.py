@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import analyze
+from . import analyze, detector, tracker
 from .design import (DesignSpec, FilterbankDesign, NumericalError,
                      design_filterbank, noncausal_design)
 
@@ -173,7 +173,6 @@ def cmd_response(args: argparse.Namespace) -> int:
 def cmd_detect_sim(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    from . import detector  # loads scipy.signal; only this command needs it
     pipeline = detector.build_detector(args.detector)
     roc = detector.run_detection_mc(
         pipeline, args.trials, args.seed,
@@ -189,7 +188,6 @@ def cmd_detect_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_track_sim(args: argparse.Namespace) -> int:
-    from . import tracker  # loads scipy.signal; only this command needs it
     design = tracker.tracker_design(args.tracker)
     run = tracker.run_tracking_mc(args.scenario, design, args.seed,
                                   n_samples=args.samples)
@@ -267,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-sim", help="Monte-Carlo detection study")
     p.add_argument("--detector", required=True,
-                   help="detector tag, e.g. IIR_BW1 (an unknown tag "
-                        "lists them all)")
+                   help="one of " + ", ".join(detector.DETECTOR_TAGS))
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stochastic-signal", action="store_true",
@@ -279,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track-sim", help="tracking scenario")
     p.add_argument("--tracker", required=True,
-                   help="tracker tag, e.g. B (an unknown tag lists them "
-                        "all)")
+                   help="one of " + ", ".join(tracker.TRACKER_CONFIGS))
     p.add_argument("--scenario", default="LoG", choices=["LoG", "HiG"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10000)

@@ -67,7 +67,8 @@ class DesignSpec:
         counts = [("K_w_dc", self.k_w_dc), ("K_w_nb", self.k_w_nb),
                   ("K_w_pi", self.k_w_pi), ("K_t", self.k_t)]
         for label, value in counts:
-            if not isinstance(value, numbers.Integral):
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{label} must be an integer, got {value!r}")
         reals = [("F_s", self.f_s), ("f_wb", self.f_wb)]
         if self.f_nb is not None:
@@ -75,9 +76,12 @@ class DesignSpec:
         if not isinstance(self.group_delay, str):
             reals.append(("group_delay", self.group_delay))
         for label, value in reals:
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{label} must be a finite number, "
                                  f"got {value!r}")
+        if not isinstance(self.causal, bool):
+            raise ValueError(f"causal must be a bool, got {self.causal!r}")
         if self.f_s <= 0:
             raise ValueError("F_s must be positive")
         if not 0 < self.f_wb < 0.5:

@@ -9,17 +9,43 @@ outputs themselves).  All obey the recursion
     w[n] = G w[n-1] + H x[n],      y[n] = C w[n],
 
 i.e. the output taps the state *after* the update.  ``run_lss`` runs a form
-from rest; ``run_filter`` is the package's one binding of SciPy's ``lfilter``.
+from rest; ``run_filter``, the package's one direct-form filtering engine,
+calls the compiled kernel of SciPy's ``lfilter`` without ``scipy.signal``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .design import TOL_CPX, FilterbankDesign
+
+
+def _load_sigtools():
+    """``scipy.signal._sigtools``, loaded without ``scipy/signal/__init__``
+    under its own name, which ``import scipy.signal`` then reuses (SciPy
+    1.17.1 verified)."""
+    name = "scipy.signal._sigtools"
+    if name not in sys.modules:
+        scipy_init = importlib.util.find_spec("scipy").origin
+        path = os.path.join(os.path.dirname(scipy_init), "signal",
+                            "_sigtools" + EXTENSION_SUFFIXES[0])
+        if not os.path.isfile(path):
+            from importlib.metadata import version
+            raise ImportError(f"no filter kernel at {path} "
+                              f"(SciPy {version('scipy')})", name=name)
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_linear_filter = _load_sigtools()._linear_filter
 
 DCF = "DCF"
 CCF = "CCF"
@@ -110,12 +136,14 @@ def run_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k],
 
     along the last axis of x, so each row of a 2-D input is filtered on
-    its own, exactly as a 1-D call on that row.
+    its own, exactly as a 1-D call on that row.  For len(a) > 1 this is
+    the kernel call of ``scipy.signal.lfilter(b, a, x)``, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     if abs(a[0] - 1.0) > 1e-12:
         raise ValueError("denominator must be monic (a[0] = 1)")
-    return lfilter(np.asarray(b, dtype=float), a, np.asarray(x, dtype=float))
+    return _linear_filter(np.asarray(b, dtype=float), a,
+                          np.asarray(x, dtype=float), -1)
 
 
 def run_noncausal(forward: FilterbankDesign, backward: FilterbankDesign,

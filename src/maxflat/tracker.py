@@ -62,18 +62,16 @@ def tracker_design(tag: str) -> FilterbankDesign:
 
 def run_track(design: FilterbankDesign, meas_x: np.ndarray,
               meas_y: np.ndarray) -> Track2D:
-    """Filter both axes with the same bank; outputs are lag-q estimates."""
-    meas_x = np.asarray(meas_x, dtype=float)
-    meas_y = np.asarray(meas_y, dtype=float)
+    """Filter both axes, the rows of one (2, N) array, with the same bank;
+    out[k, axis] is output k of that axis, a lag-q estimate."""
     if len(meas_x) != len(meas_y):
         raise ValueError("axis measurement lengths differ")
-    kt = design.n_outputs
-    out_x = np.stack([run_filter(design.b[k], design.a, meas_x)
-                      for k in range(kt)], axis=1)
-    out_y = np.stack([run_filter(design.b[k], design.a, meas_y)
-                      for k in range(kt)], axis=1)
-    return Track2D(est_x=out_x[:, 0], est_y=out_y[:, 0],
-                   deriv_x=out_x[:, 1:], deriv_y=out_y[:, 1:])
+    meas = np.array([meas_x, meas_y], dtype=float)
+    out = np.empty((design.n_outputs,) + meas.shape)
+    for k, b in enumerate(design.b):
+        out[k] = run_filter(b, design.a, meas)
+    return Track2D(est_x=out[0, 0], est_y=out[0, 1],
+                   deriv_x=out[1:, 0].T, deriv_y=out[1:, 1].T)
 
 
 def orbit_simulation(design: FilterbankDesign, f_orb: float, r_orb: float,
@@ -176,9 +174,9 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
     track = run_track(design, meas_x, meas_y)
     q_int = int(round(design.q))
     settle = int(np.ceil(10.0 * design.q))
-    n = np.arange(settle, n_samples)
-    err2 = (track.est_x[n] - truth_x[n - q_int]) ** 2 \
-        + (track.est_y[n] - truth_y[n - q_int]) ** 2
+    lagged = slice(settle - q_int, n_samples - q_int)
+    err2 = (track.est_x[settle:] - truth_x[lagged]) ** 2 \
+        + (track.est_y[settle:] - truth_y[lagged]) ** 2
     return TrackingRun(truth_x=truth_x, truth_y=truth_y, meas_x=meas_x,
                        meas_y=meas_y, track=track,
                        rms_error=float(np.sqrt(np.mean(err2))))

@@ -288,16 +288,19 @@ def test_design_response_and_help_never_load_scipy(tmp_path):
     assert got == [[0, False]] * len(runs)
 
 
-def test_detect_sim_loads_scipy(tmp_path):
-    runs = [["detect-sim", "--detector", "IIR_BW1", "--trials", "2"]]
+def test_detect_and_track_sim_never_load_scipy(tmp_path):
+    """The filtering subcommands load only the compiled kernel of lfilter,
+    never the scipy.signal package around it."""
+    runs = [["detect-sim", "--detector", "IIR_BW1", "--trials", "2"],
+            ["track-sim", "--tracker", "B", "--samples", "200"]]
     assert _fresh_python(_CLI_PROBE, json.dumps(runs), cwd=tmp_path) \
-        == [[0, True]]
+        == [[0, False]] * len(runs)
 
 
-def test_package_names_resolve_lazily(tmp_path):
+def test_package_names_resolve_without_scipy(tmp_path):
     """import maxflat leaves scipy.signal unloaded; every name of __all__
-    and every submodule still resolves, to the object its module defines,
-    and so does *."""
+    and every submodule resolves, to the object its module defines, and
+    so does *."""
     code = """
 import json, sys
 import maxflat
@@ -336,13 +339,18 @@ print(json.dumps([cold, homes, sorted(set(maxflat.__all__) - set(ns)),
 ])
 def test_unknown_tag_exit_code_lists_tags(tmp_path, monkeypatch, capsys,
                                           argv, tags):
-    """The error lists every supported tag, since --help does not."""
+    """Both the error and the subcommand's --help list every supported
+    tag."""
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "NOPE" in err
     assert all(tag in err for tag in tags)
     assert not list(tmp_path.iterdir())
+    with pytest.raises(SystemExit):
+        cli.main([argv[0], "--help"])
+    out = capsys.readouterr().out
+    assert all(tag in out for tag in tags)
 
 
 @pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
@@ -398,11 +406,14 @@ def test_non_finite_flag_exit_code(tmp_path, capsys, flags, message):
 @pytest.mark.parametrize("key, value, message", [
     ("group_delay_smp", float("inf"), "group_delay must be a finite number"),
     ("k_t", 2.5, "K_t must be an integer"),
+    ("k_t", True, "K_t must be an integer, got True"),
+    ("causal", "no", "causal must be a bool, got 'no'"),
 ])
 def test_invalid_config_value_exit_code(tmp_path, capsys, key, value,
                                         message):
     """An infinite delay used to exit 0 with NaN coefficients, a
-    non-integral K_t to end in a TypeError traceback."""
+    non-integral K_t to end in a TypeError traceback; a boolean K_t and
+    a causal flag of "no" were taken as 1 and as a causal design."""
     cfg = cli.spec_to_config(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07,
                                         k_w_dc=3, k_w_nb=1, k_t=2))
     cfg[key] = value

@@ -49,11 +49,18 @@ def test_spec_validation_messages():
     ("k_t", 2.5, "K_t must be an integer"),
     ("k_w_dc", 3.0, "K_w_dc must be an integer"),
     ("k_w_nb", None, "K_w_nb must be an integer"),
+    ("k_w_dc", True, "K_w_dc must be an integer"),
+    ("f_s", True, "F_s must be a finite number"),
+    ("f_nb", False, "f_nb must be a finite number"),
+    ("group_delay", True, "group_delay must be a finite number"),
+    ("causal", "no", "causal must be a bool"),
+    ("causal", 0, "causal must be a bool"),
 ])
 def test_spec_rejects_non_finite_and_non_integral_values(field, value,
                                                          message):
     """Such specs used to give NaN coefficients, a LinAlgError or a
-    TypeError instead of a validation error."""
+    TypeError instead of a validation error; booleans were taken as 0 and
+    1, and any value as the causal flag."""
     kwargs = dict(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=3, k_w_nb=1,
                   k_t=2, group_delay=5.0)
     kwargs[field] = value

@@ -3,6 +3,7 @@ and two-sided filtering."""
 
 import importlib
 import pkgutil
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -70,11 +71,46 @@ def test_run_lss_rejects_non_real_dsf_output():
 
 
 def test_lfilter_is_bound_only_in_realize():
-    """realize.run_filter is the one direct-form filtering engine."""
-    binders = [info.name for info in pkgutil.iter_modules(maxflat.__path__)
-               if any(v is lfilter for v in vars(importlib.import_module(
-                   f"maxflat.{info.name}")).values())]
-    assert binders == ["realize"]
+    """realize.run_filter is the one direct-form filtering engine: only
+    realize binds the compiled kernel of lfilter, and no module binds
+    lfilter itself."""
+    kernel = sys.modules["scipy.signal._sigtools"]._linear_filter
+    binders = {}
+    for info in pkgutil.iter_modules(maxflat.__path__):
+        module = importlib.import_module(f"maxflat.{info.name}")
+        bound = [v for v in vars(module).values()
+                 if v is kernel or v is lfilter]
+        if bound:
+            binders[info.name] = bound
+    assert binders == {"realize": [kernel]}
+
+
+def test_kernel_module_is_the_one_scipy_signal_imports():
+    """The kernel is loaded under its own name, so scipy.signal, imported
+    after it, reuses the same module instead of loading a second copy."""
+    import scipy.signal._sigtools as sigtools
+    assert sys.modules["scipy.signal._sigtools"] is sigtools
+    assert maxflat.realize._linear_filter is sigtools._linear_filter
+
+
+_X = np.random.default_rng(3).normal(size=(3, 500))
+
+
+@pytest.mark.parametrize("x, a0", [
+    pytest.param(_X[0], 1.0, id="1-D"),
+    pytest.param(_X, 1.0, id="2-D rows"),
+    pytest.param(_X[..., ::-1], 1.0, id="reversed view"),
+    pytest.param(np.arange(-250, 250) % 7 - 3, 1.0, id="integer input"),
+    pytest.param(_X, 1.0 + 5e-13, id="a0 off 1 by 5e-13"),
+])
+def test_run_filter_equals_lfilter_bit_for_bit(bw1_design, x, a0):
+    """run_filter makes lfilter's own kernel call, so every output is
+    bit-identical, also for the reversed views the two-sided detectors
+    pass and for a denominator that is monic only to run_filter's 1e-12."""
+    b, a = bw1_design.b[2], np.r_[a0, bw1_design.a[1:]]
+    y = run_filter(b, a, x)
+    assert y.dtype == np.float64
+    assert np.array_equal(y, lfilter(b, a, x))
 
 
 def test_bibo_stability_tail(bw1_design):

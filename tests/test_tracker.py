@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maxflat.realize import run_filter
 from maxflat.tracker import (DEFAULT_ORBIT_RATES, TRACKER_CONFIGS,
                              orbit_check, orbit_simulation, run_track,
                              run_tracking_mc, tracker_design, tracker_spec)
@@ -112,6 +113,36 @@ def test_tracking_mc_deterministic_and_sane(tracker_designs):
     assert len(run1.truth_x) == 3000
     with pytest.raises(ValueError, match="scenario"):
         run_tracking_mc("MidG", tracker_designs["B"], seed=1)
+
+
+def _per_axis_track(design, meas_x, meas_y):
+    """Oracle: one run_filter call per axis and output, stacked into
+    (N, K_t) columns."""
+    out_x = np.stack([run_filter(b, design.a, meas_x) for b in design.b],
+                     axis=1)
+    out_y = np.stack([run_filter(b, design.a, meas_y) for b in design.b],
+                     axis=1)
+    return out_x[:, 0], out_y[:, 0], out_x[:, 1:], out_y[:, 1:]
+
+
+@pytest.mark.parametrize("tag", sorted(TRACKER_CONFIGS))
+def test_track_and_rms_error_equal_per_axis_formulation(tracker_designs,
+                                                        tag):
+    """Filtering the stacked axes, and the sliced error, change no bit of
+    the track or of the RMS error."""
+    d = tracker_designs[tag]
+    run = run_tracking_mc("HiG", d, seed=5, n_samples=3000)
+    est_x, est_y, deriv_x, deriv_y = _per_axis_track(d, run.meas_x,
+                                                     run.meas_y)
+    assert np.array_equal(run.track.est_x, est_x)
+    assert np.array_equal(run.track.est_y, est_y)
+    assert np.array_equal(run.track.deriv_x, deriv_x)
+    assert np.array_equal(run.track.deriv_y, deriv_y)
+    q_int = int(round(d.q))
+    n = np.arange(int(np.ceil(10.0 * d.q)), 3000)
+    err2 = (est_x[n] - run.truth_x[n - q_int]) ** 2 \
+        + (est_y[n] - run.truth_y[n - q_int]) ** 2
+    assert run.rms_error == float(np.sqrt(np.mean(err2)))
 
 
 def test_interference_null_improves_low_gain_tracking(tracker_designs):
