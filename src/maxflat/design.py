@@ -15,6 +15,7 @@ delay q; its minimizer gives the optimal delay for a given pole set.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -261,14 +262,9 @@ def constraint_blocks(spec: DesignSpec) -> Tuple[Tuple[float, int], ...]:
     return tuple((w, n) for (w, n) in blocks if n > 0)
 
 
-def assemble_system(spec: DesignSpec, poles: np.ndarray,
-                    q: Optional[float] = None) -> ConstraintSystem:
-    """Build the square constraint system Psi C = D.
-
-    Row blocks follow constraint_blocks.  When q is omitted, a numeric
-    spec.group_delay is used (0 for the "optimal" sentinel, since Psi does
-    not depend on q and D is rebuilt after the delay search).
-    """
+def _basis_matrix(spec: DesignSpec, poles: np.ndarray) -> Tuple[
+        np.ndarray, Tuple[Tuple[float, int], ...], float]:
+    """Psi, its row blocks and its condition estimate, without a warning."""
     K = spec.total_constraints
     if len(poles) != K:
         raise ValueError("pole count must equal the constraint count K")
@@ -283,11 +279,26 @@ def assemble_system(spec: DesignSpec, poles: np.ndarray,
         for k, p in enumerate(poles):
             psi[row:row + count, k] = basis_derivative_column(p, w_d, count)
         row += count
-    cond = float(np.linalg.cond(psi))
+    return psi, blocks, float(np.linalg.cond(psi))
+
+
+def _warn_ill_conditioned(cond: float) -> None:
     if cond > COND_WARN:
         warnings.warn("ill-conditioned constraint system: condition estimate "
                       f"{cond:.3e}", IllConditionedSystem)
 
+
+def assemble_system(spec: DesignSpec, poles: np.ndarray,
+                    q: Optional[float] = None) -> ConstraintSystem:
+    """Build the square constraint system Psi C = D.
+
+    Row blocks follow constraint_blocks.  When q is omitted, a numeric
+    spec.group_delay is used (0 for the "optimal" sentinel, since Psi does
+    not depend on q and D is rebuilt after the delay search).  Warns
+    IllConditionedSystem when the condition estimate exceeds COND_WARN.
+    """
+    psi, blocks, cond = _basis_matrix(spec, poles)
+    _warn_ill_conditioned(cond)
     if q is None:
         q = spec.group_delay if not isinstance(spec.group_delay, str) else 0.0
     d = _target_matrix(spec, float(q))
@@ -386,6 +397,30 @@ def wng_polynomial(spec: DesignSpec, system: ConstraintSystem, s: np.ndarray,
     return sigma_poly, np.atleast_1d(p_poly)
 
 
+def _wng_minimum(sigma_poly: np.ndarray,
+                 p_poly: np.ndarray) -> Optional[float]:
+    """The delay optimal_group_delay picks; None for a delay-independent
+    WNG."""
+    if np.all(np.abs(p_poly) < 1e-14):
+        return None
+    roots = np.polynomial.polynomial.polyroots(p_poly)
+    real_roots = np.sort(roots[np.abs(roots.imag) < TOL_CPX].real)
+    if len(real_roots) == 0:
+        raise NumericalError("WNG derivative has no real roots")
+    w = np.polynomial.polynomial.polyval(real_roots, sigma_poly)
+    tied = real_roots[w <= w.min() + TOL_WNG]
+    return float(tied.min())
+
+
+def _admissible_delay(q: Optional[float]) -> float:
+    """q itself, or 0 with a warning when any delay is optimal (None)."""
+    if q is None:
+        warnings.warn("delay-independent WNG — any q admissible; "
+                      "returning 0", UserWarning)
+        return 0.0
+    return q
+
+
 def optimal_group_delay(spec: DesignSpec, system: ConstraintSystem,
                         s: np.ndarray, k_t: int = 0) -> float:
     """Delay minimizing the WNG polynomial of output k_t.
@@ -394,18 +429,8 @@ def optimal_group_delay(spec: DesignSpec, system: ConstraintSystem,
     picks the one with the lowest Sigma; ties within TOL_WNG go to the
     smallest delay.  A delay-independent WNG yields q = 0.
     """
-    sigma_poly, p_poly = wng_polynomial(spec, system, s, k_t)
-    if np.all(np.abs(p_poly) < 1e-14):
-        warnings.warn("delay-independent WNG — any q admissible; returning 0",
-                      UserWarning)
-        return 0.0
-    roots = np.polynomial.polynomial.polyroots(p_poly)
-    real_roots = np.sort(roots[np.abs(roots.imag) < TOL_CPX].real)
-    if len(real_roots) == 0:
-        raise NumericalError("WNG derivative has no real roots")
-    w = np.polynomial.polynomial.polyval(real_roots, sigma_poly)
-    tied = real_roots[w <= w.min() + TOL_WNG]
-    return float(tied.min())
+    return _admissible_delay(_wng_minimum(*wng_polynomial(spec, system, s,
+                                                          k_t)))
 
 
 def transfer_coefficients(c: np.ndarray,
@@ -450,33 +475,113 @@ def transfer_coefficients(c: np.ndarray,
     return (b[0] if np.ndim(c) == 1 else b), a
 
 
+@dataclass(eq=False)
+class _Basis:
+    """What the designs of one constraint set share, whatever q and K_t.
+
+    spec is a spec of that set with K_t = 1 and q = 0; poles, psi (with its
+    row blocks and condition estimate) and, for causal sets, the Gram
+    matrix s are read-only.  The smoother-optimal delay is searched on the
+    first request and kept.
+    """
+
+    spec: DesignSpec
+    poles: np.ndarray
+    psi: np.ndarray
+    blocks: Tuple[Tuple[float, int], ...]
+    condition: float
+    s: Optional[np.ndarray]
+    _optimum: Optional[Tuple[Optional[float]]] = field(default=None,
+                                                       init=False)
+
+    def optimal_delay(self) -> float:
+        """optimal_group_delay(spec, system, s, 0), warning as it does on
+        every call."""
+        if self._optimum is None:
+            system = ConstraintSystem(
+                psi=self.psi, d=_target_matrix(self.spec, 0.0),
+                constraint_freqs=self.blocks, condition=self.condition)
+            self._optimum = (_wng_minimum(*wng_polynomial(
+                self.spec, system, self.s, 0)),)
+        return _admissible_delay(self._optimum[0])
+
+
+def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
+                 k_w_dc: int, k_w_nb: int, k_w_pi: int,
+                 causal: bool) -> _Basis:
+    spec = DesignSpec(f_s=f_s, f_wb=f_wb, f_nb=f_nb, k_w_dc=k_w_dc,
+                      k_w_nb=k_w_nb, k_w_pi=k_w_pi, k_t=1, group_delay=0.0,
+                      causal=causal)
+    K = spec.total_constraints
+    if causal:
+        poles = causal_z_poles(K, spec.omega_wb * spec.f_s, spec.t_s)
+    else:
+        poles = full_z_poles(K // 2, spec.omega_wb * spec.f_s, spec.t_s)
+        if np.any(np.abs(np.abs(poles) - 1.0) < 1e-9):
+            raise NumericalError("marginal pole — cannot split")
+    psi, blocks, cond = _basis_matrix(spec, poles)
+    s = gram_matrix(poles) if causal else None
+    for array in (poles, psi, s):
+        if array is not None:
+            array.flags.writeable = False
+    return _Basis(spec, poles, psi, blocks, cond, s)
+
+
+#: Bases with at most this many constraints are memoized.
+_MEMO_MAX_K = 16
+#: The memo holds at most this many bases, least recently used out first.
+#: A causal entry of K = 16 holds 9.5 KB (Psi and S 4 KB each; measured
+#: with tracemalloc), so the memo never holds more than 0.92 MB.  The
+#: benchmark's design-sweep grid has 44 constraint sets and each round
+#: adds 32 drawn ones, which fit beside them.
+_MEMO_SIZE = 96
+# typed: equal numbers of other types (1000 and np.float32(1000)) compute
+# other poles.  Exceptions are not stored, so a failing set fails each time.
+_memo_basis = functools.lru_cache(maxsize=_MEMO_SIZE,
+                                  typed=True)(_build_basis)
+
+
+def _basis(spec: DesignSpec) -> _Basis:
+    """The basis of spec's constraint set, from the memo if K is small;
+    warns as assemble_system does, on every call."""
+    build = _memo_basis if spec.total_constraints <= _MEMO_MAX_K \
+        else _build_basis
+    basis = build(spec.f_s, spec.f_wb,
+                  spec.f_nb if spec.k_w_nb > 0 else None,
+                  spec.k_w_dc, spec.k_w_nb, spec.k_w_pi, spec.causal)
+    _warn_ill_conditioned(basis.condition)
+    return basis
+
+
 def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
     """Solve a causal filterbank design end to end.
 
     With group_delay = "optimal" the smoother-optimal delay (k_t = 0) is
     applied to every output; optimal_group_delay(spec, system, s, k_t)
     gives the delay that would be optimal for output k_t alone.
+
+    The poles, Psi, S and the smoother-optimal delay depend only on F_s,
+    f_wb, f_nb (when K_w_nb > 0) and the constraint counts, not on q or
+    K_t; they come from a bounded memo, so designs that share them solve
+    only their own targets D.  Outputs, warnings and errors are those of a
+    fresh build, and every array of the design is its own writeable copy.
     """
     if not spec.causal:
         raise ValueError("use noncausal_design for causal=False specs")
-    K = spec.total_constraints
-    poles = causal_z_poles(K, spec.omega_wb * spec.f_s, spec.t_s)
-    system = assemble_system(spec, poles, q=0.0)
-    s = gram_matrix(poles)
-
+    basis = _basis(spec)
     if isinstance(spec.group_delay, str):  # the "optimal" sentinel
-        q = optimal_group_delay(spec, system, s, 0)
+        q = basis.optimal_delay()
     else:
         q = float(spec.group_delay)
 
     d = _target_matrix(spec, q)
-    c = _solve(system.psi, d)
-    _check_residual(system.psi, c, d)
-    sigma = white_noise_gain(c, s)
-    b, a = transfer_coefficients(c, poles)
-    return FilterbankDesign(poles=poles, c=c, q=q, sigma=sigma, a=a,
-                            b=tuple(b), t_s=spec.t_s,
-                            condition=system.condition)
+    c = _solve(basis.psi, d)
+    _check_residual(basis.psi, c, d)
+    sigma = white_noise_gain(c, basis.s)
+    b, a = transfer_coefficients(c, basis.poles)
+    return FilterbankDesign(poles=basis.poles.copy(), c=c, q=q, sigma=sigma,
+                            a=a, b=tuple(b), t_s=spec.t_s,
+                            condition=basis.condition)
 
 
 def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
@@ -504,6 +609,9 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
     The backward b/a run on time-reversed input (output reversed again
     afterwards); its response on the original axis is
     B(e^{-iw})/A(e^{-iw}) = sum_k c_k z/(z - p_k) at z = e^{iw}.
+
+    The 2K poles and Psi come from the memo design_filterbank uses, keyed
+    by the constraint set; each design solves its own targets.
     """
     if spec.causal:
         raise ValueError("noncausal_design requires a causal=False spec")
@@ -515,13 +623,12 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
         raise ValueError("non-causal designs require a numeric group delay "
                          "(conventionally 0)")
     q = float(spec.group_delay)
-    poles = full_z_poles(K // 2, spec.omega_wb * spec.f_s, spec.t_s)
-    if np.any(np.abs(np.abs(poles) - 1.0) < 1e-9):
-        raise NumericalError("marginal pole — cannot split")
+    basis = _basis(spec)
+    d = _target_matrix(spec, q)
+    c = _solve(basis.psi, d)
+    _check_residual(basis.psi, c, d)
 
-    system = assemble_system(spec, poles, q=q)
-    c = solve_coefficients(system)
-
+    poles = basis.poles
     inside = np.abs(poles) < 1.0
     p_in, c_in = poles[inside], c[inside, :]
     p_out, c_out = poles[~inside], c[~inside, :]
@@ -539,7 +646,7 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
     forward = FilterbankDesign(poles=p_in, c=c_in, q=q,
                                sigma=sigma_fwd + sigma_bwd, a=a_f,
                                b=tuple(b_f), t_s=spec.t_s,
-                               condition=system.condition)
+                               condition=basis.condition)
 
     # Backward part: sum_k (-c_k r_k) / (z - r_k) over the reversed axis is
     # z^-1 times the expansion of sum_k (-c_k r_k) z / (z - r_k), whose last
@@ -551,5 +658,5 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
     backward = FilterbankDesign(poles=r, c=c_out, q=q, sigma=sigma_bwd,
                                 a=a_b, b=tuple(np.roll(b_z, 1, axis=1)),
                                 t_s=spec.t_s,
-                                condition=system.condition)
+                                condition=basis.condition)
     return forward, backward

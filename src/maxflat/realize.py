@@ -138,12 +138,20 @@ def run_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     along the last axis of x, so each row of a 2-D input is filtered on
     its own, exactly as a 1-D call on that row.  For len(a) > 1 this is
     the kernel call of ``scipy.signal.lfilter(b, a, x)``, bit for bit.
+    b and a must be non-empty 1-D arrays, which the kernel does not check;
+    the ValueError raised otherwise words it as ``lfilter`` does.
     """
+    b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
+    if not (b.ndim == 1 and b.size > 0):
+        raise ValueError("Parameter b is not a non-empty 1d array, "
+                         f"since {b.shape=}!")
+    if not (a.ndim == 1 and a.size > 0):
+        raise ValueError("Parameter a is not a non-empty 1d array, "
+                         f"since {a.shape=}!")
     if abs(a[0] - 1.0) > 1e-12:
         raise ValueError("denominator must be monic (a[0] = 1)")
-    return _linear_filter(np.asarray(b, dtype=float), a,
-                          np.asarray(x, dtype=float), -1)
+    return _linear_filter(b, a, np.asarray(x, dtype=float), -1)
 
 
 def run_noncausal(forward: FilterbankDesign, backward: FilterbankDesign,

@@ -10,12 +10,12 @@ import pytest
 from maxflat import cli
 from maxflat import design as design_module
 from maxflat.butter import causal_z_poles, full_z_poles
-from maxflat.design import (DesignSpec, alpha_table, assemble_system,
-                            basis_derivative_column, dc_targets,
-                            design_filterbank, gram_matrix, noncausal_design,
-                            optimal_group_delay, solve_coefficients,
-                            transfer_coefficients, white_noise_gain,
-                            wng_polynomial)
+from maxflat.design import (DesignSpec, IllConditionedSystem, alpha_table,
+                            assemble_system, basis_derivative_column,
+                            dc_targets, design_filterbank, gram_matrix,
+                            noncausal_design, optimal_group_delay,
+                            solve_coefficients, transfer_coefficients,
+                            white_noise_gain, wng_polynomial)
 
 # ---------------------------------------------------------------------------
 # Spec validation
@@ -553,7 +553,7 @@ def test_noncausal_wng_split_sums_to_total():
 
 
 # ---------------------------------------------------------------------------
-# One constraint assembly per design
+# One constraint assembly per constraint set
 
 
 @pytest.mark.parametrize("solve, spec", [
@@ -569,14 +569,160 @@ def test_noncausal_wng_split_sums_to_total():
 ])
 def test_one_assembly_per_design(monkeypatch, solve, spec):
     """The delay search and the CLI's condition report reuse the system the
-    design solves."""
+    design solves, and a design whose constraint set is in the memo
+    assembles none.  Every assembly, assemble_system's too, builds Psi in
+    _basis_matrix."""
     calls = []
+    basis_matrix = design_module._basis_matrix
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return assemble_system(*args, **kwargs)
-    monkeypatch.setattr(design_module, "assemble_system", spy)
-    # Also counts a call the CLI would make through its own import.
-    monkeypatch.setattr(cli, "assemble_system", spy, raising=False)
+        return basis_matrix(*args, **kwargs)
+    monkeypatch.setattr(design_module, "_basis_matrix", spy)
+    design_module._memo_basis.cache_clear()
     solve(spec)
     assert len(calls) == 1
+    solve(spec)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# The basis memo
+
+
+def _sweep_specs():
+    """The benchmark's design-sweep grid (causal and two-sided), the 32
+    specs it draws for seed 3, round 0 (one of them rejected), a spec with
+    a delay-independent WNG, and a twin whose F_s is a float32 of the same
+    value (other poles, so another memo entry)."""
+    specs = []
+    for kdc in range(2, 9):
+        for knb in range(4):
+            for kt in range(1, min(kdc, 3) + 1):
+                for q in ("optimal", 5.0):
+                    specs.append(DesignSpec(
+                        f_s=1000.0, f_wb=0.05, f_nb=0.07 if knb else None,
+                        k_w_dc=kdc, k_w_nb=knb, k_t=kt, group_delay=q))
+    for kdc in (2, 4, 6, 8):
+        for knb in range(4):
+            for kt in (1, 2):
+                specs.append(DesignSpec(
+                    f_s=1000.0, f_wb=0.05, f_nb=0.07 if knb else None,
+                    k_w_dc=kdc, k_w_nb=knb, k_t=kt, group_delay=0.0,
+                    causal=False))
+    rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
+    drawn = []
+    while len(drawn) < 32:
+        kt = int(rng.integers(1, 4))
+        kdc = int(rng.integers(kt, 7))
+        knb = int(rng.integers(0, 3))
+        kpi = int(rng.integers(0, 3))
+        if kdc + 2 * knb + kpi > 12:
+            continue
+        f_wb = float(rng.uniform(0.02, 0.15))
+        f_nb = float(rng.uniform(f_wb + 0.01, 0.45)) if knb else None
+        f_s = float(rng.choice([1.0, 10.0, 1000.0]))
+        q = float(rng.uniform(0, 15)) if rng.random() < 0.5 else "optimal"
+        drawn.append(DesignSpec(f_s=f_s, f_wb=f_wb, f_nb=f_nb, k_w_dc=kdc,
+                                k_w_nb=knb, k_w_pi=kpi, k_t=kt,
+                                group_delay=q))
+    specs += drawn
+    specs.append(DesignSpec(f_s=1.0, f_wb=0.05, k_w_dc=1, k_t=1))
+    for f_s in (1000.0, np.float32(1000.0)):
+        specs.append(DesignSpec(f_s=f_s, f_wb=0.25, k_w_dc=3, k_t=1))
+    return specs
+
+
+def _outcome(spec):
+    """(every array of the design, or the error), and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            halves = (noncausal_design(spec) if not spec.causal
+                      else (design_filterbank(spec),))
+            result = [(d.q, d.condition, d.sigma.tobytes(), d.a.tobytes(),
+                       tuple(b.tobytes() for b in d.b), d.c.tobytes(),
+                       d.poles.tobytes()) for d in halves]
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def sweep_outcomes():
+    """Each spec designed cold (memo cleared first), then the whole list
+    twice with the memo kept, as the benchmark's rounds run it."""
+    specs = _sweep_specs()
+    cold = []
+    for spec in specs:
+        design_module._memo_basis.cache_clear()
+        cold.append(_outcome(spec))
+    design_module._memo_basis.cache_clear()
+    warm = [[_outcome(spec) for spec in specs] for _ in range(2)]
+    return cold, warm
+
+
+def test_memo_designs_equal_cold_designs_bit_for_bit(sweep_outcomes):
+    cold, warm = sweep_outcomes
+    results = [r for r, _ in cold]
+    assert sum(isinstance(r, tuple) for r in results) >= 2  # rejections
+    for rounds in warm:
+        assert [r for r, _ in rounds] == results
+
+
+def test_memo_designs_warn_as_cold_designs(sweep_outcomes):
+    cold, warm = sweep_outcomes
+    caught = [w for _, w in cold]
+    categories = {c for ws in caught for c, _ in ws}
+    assert {IllConditionedSystem, UserWarning} <= categories
+    for rounds in warm:
+        assert [w for _, w in rounds] == caught
+
+
+@pytest.mark.parametrize("spec", [
+    DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=3, k_w_nb=3,
+               k_t=3),
+    _nc_spec(),
+], ids=["causal", "two-sided"])
+def test_memo_hands_out_copies(spec):
+    """Writing into one design's arrays leaves the next design of the same
+    spec, and the memo, unchanged."""
+    solve = design_filterbank if spec.causal else noncausal_design
+    first = solve(spec)
+    first = first if isinstance(first, tuple) else (first,)
+    before = _outcome(spec)
+    for d in first:
+        for array in (d.poles, d.c, d.sigma, d.a, d.b[0]):
+            assert array.flags.writeable
+            array[...] = 7.0
+    assert _outcome(spec) == before
+    basis = design_module._basis(spec)
+    for array in (basis.poles, basis.psi, basis.s):
+        assert array is None or not array.flags.writeable
+
+
+def test_memo_key_ignores_f_nb_without_narrowband_constraints():
+    design_module._memo_basis.cache_clear()
+    for f_nb in (None, 0.3):
+        design_filterbank(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=f_nb,
+                                     k_w_dc=3, k_t=2))
+    info = design_module._memo_basis.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def test_memo_is_bounded():
+    design_module._memo_basis.cache_clear()
+    n = design_module._MEMO_SIZE + 20
+    for f_wb in np.linspace(0.01, 0.4, n):
+        design_filterbank(DesignSpec(f_s=1.0, f_wb=float(f_wb), k_w_dc=2,
+                                     k_t=1))
+    info = design_module._memo_basis.cache_info()
+    assert info.misses == n
+    assert info.currsize == info.maxsize == design_module._MEMO_SIZE
+    # Sets of more than _MEMO_MAX_K constraints are never stored.
+    big = DesignSpec(f_s=1.0, f_wb=0.45, k_w_dc=design_module._MEMO_MAX_K + 2,
+                     k_t=1, group_delay=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedSystem)
+        design_filterbank(big)
+    assert design_module._memo_basis.cache_info().misses == n

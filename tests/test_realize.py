@@ -124,6 +124,22 @@ def test_run_filter_requires_monic_denominator():
         run_filter(np.array([1.0]), np.array([2.0, 1.0]), np.zeros(4))
 
 
+@pytest.mark.parametrize("b, a", [
+    pytest.param(np.array([]), np.r_[1.0, -0.5], id="empty b"),
+    pytest.param(np.r_[0.5, 0.0], np.array([]), id="empty a"),
+    pytest.param(np.ones((2, 2)), np.r_[1.0, -0.5], id="2-D b"),
+])
+def test_run_filter_rejects_what_lfilter_rejects(b, a):
+    """The kernel checks neither coefficient array, so run_filter raises
+    lfilter's ValueError itself."""
+    x = np.ones(5)
+    with pytest.raises(ValueError) as expected:
+        lfilter(b, a, x)
+    with pytest.raises(ValueError) as got:
+        run_filter(b, a, x)
+    assert str(got.value) == str(expected.value)
+
+
 def test_run_noncausal_matches_two_sided_convolution():
     """Split-design filtering must equal direct convolution with the
     two-sided impulse response (forward kernel + anticausal kernel)."""
