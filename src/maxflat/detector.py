@@ -23,6 +23,7 @@ of unknown frequency buried in narrowband interference at 0.07 cyc/smp.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -55,6 +56,14 @@ P_INT = 0.1
 #: caches (2-core x86-64 VM); the peak resident memory of a run grows
 #: with the block too, by about 1.2 MB at 16.
 BLOCK = 16
+#: Simulated blocks that ``block_statistics`` keeps, least recently used
+#: out first.  A full block is (2 BLOCK, DETECT_N) float64, 256 kB, so the
+#: memo holds at most 4.1 MB: 256 trials of one seed and signal kind.
+#: Detectors compared on the same trials of up to that many, as the
+#: benchmark's five detectors at 200 trials are, simulate them once.  A
+#: longer run (criterion 10 and ``detect-sim`` at 2,000 trials) cycles its
+#: 125 blocks through the memo and reuses none of them.
+MEMO_BLOCKS = 16
 
 DETECTOR_TAGS = ("FIR_NUL_NC", "IIR_BW0", "IIR_BW1", "IIR_BW0_NC",
                  "IIR_BW1_NC")
@@ -80,11 +89,10 @@ def tk_energy_threepoint(x: np.ndarray, causal: bool, t_s: float) -> np.ndarray:
     if x.shape[-1] < 3:
         raise ValueError("need at least 3 samples")
     e = np.zeros_like(x)
-    energy = (x[..., 1:-1] ** 2 - x[..., :-2] * x[..., 2:]) / t_s ** 2
-    if causal:
-        e[..., 2:] = energy
-    else:
-        e[..., 1:-1] = energy
+    energy = e[..., 2:] if causal else e[..., 1:-1]
+    np.multiply(x[..., :-2], x[..., 2:], out=energy)
+    np.subtract(np.square(x[..., 1:-1]), energy, out=energy)
+    energy /= t_s ** 2
     return e
 
 
@@ -184,29 +192,13 @@ def build_detector(tag: str) -> Callable[[np.ndarray], np.ndarray]:
                      + ", ".join(DETECTOR_TAGS))
 
 
-def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
-                     seed: int, first: int, count: int,
-                     deterministic_signal: bool = True
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """True and false statistics of trials first, ..., first + count - 1.
-
-    Trial t draws from its own three streams,
-    ``SeedSequence(seed, spawn_key=(t, j))`` for j = 0 (signal frequency,
-    then the stochastic pulse), 1 (interference of the signal instance)
-    and 2 (interference-only instance), which are the three children of
-    ``SeedSequence(seed, spawn_key=(t,))``; so a trial's draws do not
-    depend on the block it runs in.  The rest is done once per block:
-    the interference process is filtered over all 2 * count rows in one
-    call, each signal is the closed-form response of its trial's
-    oscillator (``procsim.oscillator_response``), and the detector runs
-    once on the stacked (signal + interference; interference-only) rows.
-    The inputs follow ``procsim.generate_waveform``: a pulse of height
-    sqrt(P_SIG / T_s) at PULSE_SAMPLE, or Normal(0, P_SIG / T_s) over
-    [PULSE_SAMPLE, PULSE_SAMPLE + 50] for the stochastic signal, under
-    white Normal(0, P / T_s) interference drive with P = P_INT (or 1).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+@functools.lru_cache(maxsize=MEMO_BLOCKS, typed=True)
+def _simulate_block(seed: int, first: int, count: int,
+                    deterministic_signal: bool) -> np.ndarray:
+    """The detector inputs of trials first, ..., first + count - 1: rows
+    0 .. count - 1 are signal + interference, rows count .. 2 count - 1
+    interference only.  The array is read-only, because the memo hands
+    the same one to every detector."""
     t_s = 1.0 / DETECT_FS
     n_pulse = 1 if deterministic_signal else 51
     pulse_scale = np.sqrt(P_SIG / t_s)
@@ -232,6 +224,44 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
     x = run_filter(b, a, x)
     x[:count, PULSE_SAMPLE:] += oscillator_response(
         sig_params, t_s, pulse, DETECT_N - PULSE_SAMPLE)
+    x.flags.writeable = False
+    return x
+
+
+def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
+                     seed: int, first: int, count: int,
+                     deterministic_signal: bool = True
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """True and false statistics of trials first, ..., first + count - 1.
+
+    Trial t draws from its own three streams,
+    ``SeedSequence(seed, spawn_key=(t, j))`` for j = 0 (signal frequency,
+    then the stochastic pulse), 1 (interference of the signal instance)
+    and 2 (interference-only instance), which are the three children of
+    ``SeedSequence(seed, spawn_key=(t,))``; so a trial's draws do not
+    depend on the block it runs in.  The rest is done once per block:
+    the interference process is filtered over all 2 * count rows in one
+    call, each signal is the closed-form response of its trial's
+    oscillator (``procsim.oscillator_response``), and the detector runs
+    once on the stacked (signal + interference; interference-only) rows.
+    The inputs follow ``procsim.generate_waveform``: a pulse of height
+    sqrt(P_SIG / T_s) at PULSE_SAMPLE, or Normal(0, P_SIG / T_s) over
+    [PULSE_SAMPLE, PULSE_SAMPLE + 50] for the stochastic signal, under
+    white Normal(0, P / T_s) interference drive with P = P_INT (or 1).
+
+    The stacked rows come from a memo of MEMO_BLOCKS blocks keyed by
+    (seed, first, count, signal kind), so detectors scored on the same
+    trials share one simulation.  seed must be a non-negative integer:
+    None, which would draw fresh OS entropy, a bool or a negative number
+    raises ValueError.  The rows are read-only, and a detector that writes
+    into its input raises ValueError.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    x = _simulate_block(int(seed), first, count, bool(deterministic_signal))
     e = detector(x)
     stat_true = e[:count, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1].max(axis=-1)
     stat_false = e[count:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1].max(axis=-1)
@@ -290,8 +320,11 @@ def run_detection_mc(detector: Callable[[np.ndarray], np.ndarray],
     block size, while filtering and scoring are done on (rows, N) arrays
     once per block instead of once per instance.  The block stays small
     because its arrays are what a run holds in memory beyond the
-    detector; the per-trial cost left is building the three generators
-    and drawing from them.
+    detector.  The simulated blocks are memoized (see MEMO_BLOCKS), so a
+    second detector run on the same seed, signal kind and at most
+    MEMO_BLOCKS * BLOCK trials pays only for its own filtering and
+    scoring; a first or longer run still builds three generators per
+    trial and draws from them.  seed must be a non-negative integer.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

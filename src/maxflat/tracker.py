@@ -146,10 +146,17 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
     random origin in [-1000, 1000]^2; the measurement adds an independent
     interference waveform of power P_int = 1e2 (alpha_lambda = 1).  The
     reported RMS position error compares the estimates against the lag-q
-    truth after a settling window of 10 q samples.
+    truth after a settling window of 10 q samples, so n_samples must
+    exceed that window; a shorter run raises ValueError.
     """
     if scenario not in ("LoG", "HiG"):
         raise ValueError('scenario must be "LoG" or "HiG"')
+    settle = int(np.ceil(10.0 * design.q))
+    if n_samples <= settle:
+        raise ValueError(f"need at least {settle + 1} samples for this "
+                         f"tracker: the RMS error is taken after its "
+                         f"settling window of {settle} samples (10 q, "
+                         f"q = {design.q:.4g})")
     gain = "lo" if scenario == "LoG" else "hi"
     t_s = 1.0 / TRACK_FS
     sig_params = scenario_params("track", "signal", gain=gain, f_s=TRACK_FS)
@@ -173,7 +180,6 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
 
     track = run_track(design, meas_x, meas_y)
     q_int = int(round(design.q))
-    settle = int(np.ceil(10.0 * design.q))
     lagged = slice(settle - q_int, n_samples - q_int)
     err2 = (track.est_x[settle:] - truth_x[lagged]) ** 2 \
         + (track.est_y[settle:] - truth_y[lagged]) ** 2

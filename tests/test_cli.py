@@ -246,6 +246,22 @@ def test_track_sim_command(tmp_path):
     assert len(orbit_lines) == 7  # header + 6 orbit rates
 
 
+@pytest.mark.parametrize("tracker, samples, minimum", [
+    ("D", "150", 196), ("A", "1", 56), ("A", "0", 56)])
+def test_track_sim_inside_settling_window_exit_code(tmp_path, capsys,
+                                                    tracker, samples,
+                                                    minimum):
+    """Runs no longer than the settling window used to print
+    `rms error = nan` and exit 0 (`--samples 0`: exit 2, "n0 <= n1")."""
+    track = tmp_path / "track.csv"
+    rc = cli.main(["track-sim", "--tracker", tracker, "--samples", samples,
+                   "--track-csv", str(track),
+                   "--orbit-csv", str(tmp_path / "orbit.csv")])
+    assert rc == 2
+    assert f"need at least {minimum} samples" in capsys.readouterr().err
+    assert not track.exists()
+
+
 # ---------------------------------------------------------------------------
 # Cold start: which subcommands import scipy.signal
 

@@ -6,8 +6,9 @@ import pytest
 from maxflat import detector
 from maxflat.analyze import frequency_response
 from maxflat.detector import (BLOCK, DETECT_FS, DETECT_N, DETECTOR_TAGS,
-                              FALSE_WINDOW, P_INT, P_SIG, PULSE_SAMPLE,
-                              TRUE_WINDOW, build_detector, bw0_reference,
+                              FALSE_WINDOW, MEMO_BLOCKS, P_INT, P_SIG,
+                              PULSE_SAMPLE, TRUE_WINDOW, build_detector,
+                              bw0_reference,
                               detector_metrics, roc_from_statistics,
                               run_detection_mc, tk_energy_derivatives,
                               tk_energy_threepoint, trial_statistics)
@@ -59,6 +60,23 @@ def test_tk_energy_from_derivative_outputs():
     with pytest.raises(ValueError, match="equal lengths"):
         tk_energy_derivatives(np.zeros((2, 5)), np.zeros((2, 5)),
                               np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_tk_energy_equals_reference_expression(rng, causal):
+    """The in-place evaluation is bit for bit the plain expression, also
+    on read-only and reversed (negative-stride) rows."""
+    t_s = 1.0 / DETECT_FS
+    x = rng.normal(size=(4, 100))
+    x.flags.writeable = False
+    for rows in (x, x[:, ::-1]):
+        ref = np.zeros_like(rows)
+        energy = (rows[:, 1:-1] ** 2 - rows[:, :-2] * rows[:, 2:]) / t_s ** 2
+        if causal:
+            ref[:, 2:] = energy
+        else:
+            ref[:, 1:-1] = energy
+        assert np.array_equal(tk_energy_threepoint(rows, causal, t_s), ref)
 
 
 def test_tk_energy_input_validation():
@@ -270,3 +288,81 @@ def test_block_statistics_equal_per_trial_loop(monkeypatch, detectors, tag,
     assert np.array_equal(stat_false, loop[:, 1])
     assert np.allclose(stat_true, loop[:, 0], rtol=2e-9, atol=0.0)
 
+
+
+# ---------------------------------------------------------------------------
+# The memo of simulated blocks
+
+
+@pytest.mark.parametrize("deterministic_signal", [True, False])
+def test_warm_memo_statistics_equal_cold(monkeypatch, detectors,
+                                         deterministic_signal):
+    """Every detector scores the same statistics on blocks that another
+    detector simulated as on blocks it simulates itself."""
+    trials = 2 * BLOCK + 3
+    cold = {}
+    for tag in DETECTOR_TAGS:
+        detector._simulate_block.cache_clear()
+        cold[tag] = _mc_statistics(monkeypatch, detectors[tag], trials, 4,
+                                   deterministic_signal)
+    detector._simulate_block.cache_clear()
+    for tag in DETECTOR_TAGS:
+        warm = _mc_statistics(monkeypatch, detectors[tag], trials, 4,
+                              deterministic_signal)
+        assert np.array_equal(warm[0], cold[tag][0])
+        assert np.array_equal(warm[1], cold[tag][1])
+    info = detector._simulate_block.cache_info()
+    assert (info.misses, info.hits) == (3, 3 * (len(DETECTOR_TAGS) - 1))
+
+
+def test_detector_writing_its_input_raises_and_corrupts_nothing(
+        monkeypatch, detectors):
+    def vandal(x):
+        x[:] = 0.0
+        return x
+
+    detector._simulate_block.cache_clear()
+    before = _mc_statistics(monkeypatch, detectors["FIR_NUL_NC"], BLOCK, 2,
+                            True)
+    with pytest.raises(ValueError, match="read-only"):
+        run_detection_mc(vandal, BLOCK, 2)
+    after = _mc_statistics(monkeypatch, detectors["FIR_NUL_NC"], BLOCK, 2,
+                           True)
+    assert detector._simulate_block.cache_info().hits == 2
+    assert np.array_equal(after[0], before[0])
+    assert np.array_equal(after[1], before[1])
+
+
+def test_memo_stays_within_its_bound(detectors):
+    detector._simulate_block.cache_clear()
+    run_detection_mc(detectors["FIR_NUL_NC"], 300, 0)
+    assert detector._simulate_block.cache_info().currsize <= MEMO_BLOCKS
+
+
+def test_signal_kinds_do_not_share_blocks(detectors):
+    det = detectors["FIR_NUL_NC"]
+    detector._simulate_block.cache_clear()
+    deterministic = run_detection_mc(det, BLOCK + 1, 6, True)
+    stochastic = run_detection_mc(det, BLOCK + 1, 6, False)
+    info = detector._simulate_block.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
+    assert deterministic.auc != stochastic.auc
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 2.0, "3"])
+def test_seed_must_be_a_non_negative_integer(detectors, seed):
+    """None used to draw fresh OS entropy on every call, which a memo
+    would freeze."""
+    det = detectors["FIR_NUL_NC"]
+    with pytest.raises(ValueError, match="non-negative integer"):
+        run_detection_mc(det, 4, seed)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        detector.block_statistics(det, seed, 0, 4)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        trial_statistics(det, seed, 0)
+
+
+def test_numpy_integer_seed_is_the_same_seed(detectors):
+    det = detectors["FIR_NUL_NC"]
+    assert trial_statistics(det, np.uint64(9), 3) == \
+        trial_statistics(det, 9, 3)

@@ -115,6 +115,21 @@ def test_tracking_mc_deterministic_and_sane(tracker_designs):
         run_tracking_mc("MidG", tracker_designs["B"], seed=1)
 
 
+@pytest.mark.parametrize("tag", ["A", "D"])
+def test_tracking_mc_rejects_runs_inside_the_settling_window(
+        tracker_designs, tag):
+    """A run no longer than the settling window of ceil(10 q) samples left
+    nothing to score and reported an RMS error of NaN."""
+    design = tracker_designs[tag]
+    settle = int(np.ceil(10.0 * design.q))
+    for n_samples in (0, 1, settle):
+        with pytest.raises(ValueError,
+                           match=f"need at least {settle + 1} samples"):
+            run_tracking_mc("LoG", design, seed=1, n_samples=n_samples)
+    run = run_tracking_mc("LoG", design, seed=1, n_samples=settle + 1)
+    assert np.isfinite(run.rms_error)
+
+
 def _per_axis_track(design, meas_x, meas_y):
     """Oracle: one run_filter call per axis and output, stacked into
     (N, K_t) columns."""
