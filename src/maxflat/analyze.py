@@ -185,6 +185,14 @@ def measured_group_delay(b: np.ndarray, a: np.ndarray,
     return -np.gradient(phase, w)
 
 
+def check_orbit_rate(f_orb: float) -> None:
+    """Turn rates in [0, 0.5) cycles/sample are the ones a sampled orbit
+    represents without aliasing; any other value, NaN included, raises
+    ValueError."""
+    if not 0 <= f_orb < 0.5:
+        raise ValueError("f_orb must lie in [0, 0.5) cycles/sample")
+
+
 def orbit_steady_state(design: FilterbankDesign, f_orb: float,
                        r_orb: float) -> OrbitError:
     """Steady-state error of the smoother tracking a circular orbit.
@@ -194,8 +202,7 @@ def orbit_steady_state(design: FilterbankDesign, f_orb: float,
     w = 2 pi f_orb.  After removing the design delay q, the radial error
     is (|H(w)| - 1) r_orb and the angular error is angle(H(w)) + q w.
     """
-    if not 0 <= f_orb < 0.5:
-        raise ValueError("f_orb must lie in [0, 0.5) cycles/sample")
+    check_orbit_rate(f_orb)
     w = 2.0 * np.pi * f_orb
     h = complex(design_response(design, np.array([w]), 0)[0])
     eps_r = (abs(h) - 1.0) * r_orb

@@ -32,7 +32,7 @@ import numpy as np
 from .butter import butterworth_s_poles
 from .design import DesignSpec, FilterbankDesign, design_filterbank, \
     noncausal_design
-from .procsim import discretize_process, oscillator_response, \
+from .procsim import check_seed, discretize_process, oscillator_response, \
     scenario_params
 from .realize import run_filter, run_noncausal
 
@@ -256,12 +256,10 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
     raises ValueError.  The rows are read-only, and a detector that writes
     into its input raises ValueError.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = check_seed(seed)
     if count < 1:
         raise ValueError("count must be >= 1")
-    x = _simulate_block(int(seed), first, count, bool(deterministic_signal))
+    x = _simulate_block(seed, first, count, bool(deterministic_signal))
     e = detector(x)
     stat_true = e[:count, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1].max(axis=-1)
     stat_false = e[count:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1].max(axis=-1)

@@ -88,6 +88,17 @@ class InputSpec:
             raise ValueError("power must be nonnegative")
 
 
+def check_seed(seed) -> int:
+    """seed as a Python int.  A seed must be a non-negative integer, a
+    NumPy integer included: None, which would draw fresh OS entropy that a
+    memo keyed on the seed would freeze, a bool, a float, a string or a
+    negative number raises ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def discretize_process(params: ProcessParams, t_s: float) -> DiscreteProcess:
     """Exact zero-order-hold (G, H) of the oscillator over one T_s."""
     if t_s <= 0:

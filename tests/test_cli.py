@@ -369,6 +369,20 @@ def test_unknown_tag_exit_code_lists_tags(tmp_path, monkeypatch, capsys,
     assert all(tag in out for tag in tags)
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect-sim", "--detector", "IIR_BW1", "--trials", "1",
+     "--roc", "r.csv", "--summary", "s.json"],
+    ["track-sim", "--tracker", "A", "--samples", "1000",
+     "--track-csv", "t.csv", "--orbit-csv", "o.csv"],
+])
+def test_negative_seed_exit_code(tmp_path, monkeypatch, capsys, argv):
+    """Both simulation subcommands share one seed rule."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
 def test_design_order_past_int64_alpha_exit_code(tmp_path, capsys):
     """K = 22 used to end in an OverflowError traceback from the int64

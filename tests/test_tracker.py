@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from maxflat import tracker
+from maxflat.analyze import NULL_RADIUS_TOL, OrbitError
+from maxflat.procsim import (InputSpec, discretize_process,
+                             generate_waveform, scenario_params)
 from maxflat.realize import run_filter
-from maxflat.tracker import (DEFAULT_ORBIT_RATES, TRACKER_CONFIGS,
-                             orbit_check, orbit_simulation, run_track,
-                             run_tracking_mc, tracker_design, tracker_spec)
+from maxflat.tracker import (DEFAULT_ORBIT_RATES, MEMO_SCENARIOS,
+                             TRACKER_CONFIGS, orbit_check, orbit_simulation,
+                             run_track, run_tracking_mc, tracker_design,
+                             tracker_spec)
 
 
 def test_tracker_configs():
@@ -168,3 +173,135 @@ def test_interference_null_improves_low_gain_tracking(tracker_designs):
                          for s in range(4)])
            for tag in ("A", "B")}
     assert rms["B"] < rms["A"]
+
+
+def _scenario_oracle(scenario, seed, n_samples):
+    """Oracle: the scenario drawn with four explicit generate_waveform
+    calls on the five spawned streams, as run_tracking_mc drew it before
+    the memo."""
+    t_s = 1.0 / tracker.TRACK_FS
+    gain = "lo" if scenario == "LoG" else "hi"
+    sig = discretize_process(scenario_params("track", "signal", gain=gain,
+                                             f_s=tracker.TRACK_FS), t_s)
+    itf = discretize_process(scenario_params("track", "interference",
+                                             f_s=tracker.TRACK_FS), t_s)
+    rng_sx, rng_sy, rng_ix, rng_iy, rng_origin = (
+        np.random.default_rng(s)
+        for s in np.random.SeedSequence(entropy=seed).spawn(5))
+    x0, y0 = rng_origin.uniform(-1000.0, 1000.0, size=2)
+    drive = InputSpec("stochastic", 0, n_samples - 1, tracker.P_SIG_TRACK)
+    noise = InputSpec("stochastic", 0, n_samples - 1, tracker.P_INT_TRACK)
+    truth_x = x0 + generate_waveform(sig, drive, n_samples, rng=rng_sx)
+    truth_y = y0 + generate_waveform(sig, drive, n_samples, rng=rng_sy)
+    meas_x = truth_x + generate_waveform(itf, noise, n_samples, rng=rng_ix)
+    meas_y = truth_y + generate_waveform(itf, noise, n_samples, rng=rng_iy)
+    return truth_x, truth_y, meas_x, meas_y
+
+
+def _assert_runs_equal(run, ref):
+    assert run.rms_error == ref.rms_error
+    for name in ("truth_x", "truth_y", "meas_x", "meas_y"):
+        assert np.array_equal(getattr(run, name), getattr(ref, name)), name
+    for name in ("est_x", "est_y", "deriv_x", "deriv_y"):
+        assert np.array_equal(getattr(run.track, name),
+                              getattr(ref.track, name)), name
+
+
+@pytest.mark.parametrize("scenario", ["LoG", "HiG"])
+def test_memoized_scenario_equals_explicit_draws(tracker_designs, scenario):
+    """The memo's simulation is the one drawn by four explicit
+    generate_waveform calls on the same streams, bit for bit."""
+    tracker._simulate_scenario.cache_clear()
+    d = tracker_designs["B"]
+    run = run_tracking_mc(scenario, d, seed=7, n_samples=3000)
+    truth_x, truth_y, meas_x, meas_y = _scenario_oracle(scenario, 7, 3000)
+    assert np.array_equal(run.truth_x, truth_x)
+    assert np.array_equal(run.truth_y, truth_y)
+    assert np.array_equal(run.meas_x, meas_x)
+    assert np.array_equal(run.meas_y, meas_y)
+    track = run_track(d, meas_x, meas_y)
+    assert np.array_equal(run.track.est_x, track.est_x)
+    assert np.array_equal(run.track.deriv_y, track.deriv_y)
+
+
+def test_warm_memo_run_equals_cold_memo_run(tracker_designs):
+    """In the benchmark's loop order (each tracker on LoG, then HiG) the
+    four trackers simulate the two scenarios once, and every run equals
+    the run made with the memo cleared before it."""
+    tracker._simulate_scenario.cache_clear()
+    warm = {(tag, scenario): run_tracking_mc(scenario, d, 11, 3000)
+            for tag, d in tracker_designs.items()
+            for scenario in ("LoG", "HiG")}
+    info = tracker._simulate_scenario.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+    for (tag, scenario), run in warm.items():
+        tracker._simulate_scenario.cache_clear()
+        cold = run_tracking_mc(scenario, tracker_designs[tag], 11, 3000)
+        _assert_runs_equal(run, cold)
+
+
+def test_memo_is_read_only_and_bounded(tracker_designs):
+    tracker._simulate_scenario.cache_clear()
+    d = tracker_designs["A"]
+    for seed in range(MEMO_SCENARIOS + 2):
+        run = run_tracking_mc("LoG", d, seed, 1000)
+        assert tracker._simulate_scenario.cache_info().currsize \
+            <= MEMO_SCENARIOS
+    for a in (run.truth_x, run.truth_y, run.meas_x, run.meas_y):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 2.0, "3"])
+def test_tracking_seed_must_be_a_non_negative_integer(tracker_designs,
+                                                      seed):
+    """None drew fresh OS entropy and True ran as seed 1; a memo keyed on
+    the seed would freeze the first and alias the second."""
+    with pytest.raises(ValueError, match="non-negative integer"):
+        run_tracking_mc("LoG", tracker_designs["A"], seed, 1000)
+
+
+def test_numpy_integer_tracking_seed_is_the_same_seed(tracker_designs):
+    d = tracker_designs["A"]
+    assert run_tracking_mc("HiG", d, np.uint64(4), 1000).rms_error == \
+        run_tracking_mc("HiG", d, 4, 1000).rms_error
+
+
+def _orbit_oracle(design, f_orb, r_orb, center):
+    """Oracle: the orbit simulated through run_track, all outputs."""
+    decay = np.log(1e-14) / np.log(np.max(np.abs(design.poles)))
+    n_samples = int(np.ceil(10 / f_orb)) + int(np.ceil(decay))
+    n = np.arange(n_samples)
+    phase = 2.0 * np.pi * f_orb * n
+    x0, y0 = center
+    track = run_track(design, x0 + r_orb * np.cos(phase),
+                      y0 + r_orb * np.sin(phase))
+    ex, ey = track.est_x[-1] - x0, track.est_y[-1] - y0
+    r_est = float(np.hypot(ex, ey))
+    if r_est < NULL_RADIUS_TOL * r_orb:
+        return OrbitError(eps_r=r_est - r_orb, eps_theta=0.0)
+    eps_theta = float(np.arctan2(ey, ex)) \
+        - 2.0 * np.pi * f_orb * (n_samples - 1 - design.q)
+    return OrbitError(eps_r=r_est - r_orb,
+                      eps_theta=float((eps_theta + np.pi) % (2.0 * np.pi)
+                                      - np.pi))
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (500.0, -800.0)])
+def test_orbit_simulation_equals_run_track_oracle(tracker_designs, center):
+    """Filtering only the smoother output changes no bit of the orbit
+    errors."""
+    for tag, d in tracker_designs.items():
+        for f_orb in DEFAULT_ORBIT_RATES:
+            assert orbit_simulation(d, f_orb, 1.5, center) == \
+                _orbit_oracle(d, f_orb, 1.5, center), (tag, f_orb)
+
+
+@pytest.mark.parametrize("f_orb", [-0.01, 0.5, 0.7, np.inf, np.nan])
+def test_orbit_simulation_rate_domain(tracker_designs, f_orb):
+    """The rates orbit_steady_state rejects: these raised IndexError or a
+    NaN conversion error, returned NaN, or simulated an aliased orbit."""
+    with pytest.raises(ValueError,
+                       match=r"f_orb must lie in \[0, 0.5\) cycles/sample"):
+        orbit_simulation(tracker_designs["B"], f_orb, 1.0)
