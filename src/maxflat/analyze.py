@@ -193,6 +193,15 @@ def check_orbit_rate(f_orb: float) -> None:
         raise ValueError("f_orb must lie in [0, 0.5) cycles/sample")
 
 
+def check_orbit_radius(r_orb: float) -> None:
+    """An orbit has a positive finite radius.  At zero or below the errors
+    would describe another orbit than the one predicted, and NaN or an
+    infinite radius has no steady state; any such value raises
+    ValueError."""
+    if not 0 < r_orb < np.inf:
+        raise ValueError("r_orb must be a positive finite number")
+
+
 def orbit_steady_state(design: FilterbankDesign, f_orb: float,
                        r_orb: float) -> OrbitError:
     """Steady-state error of the smoother tracking a circular orbit.
@@ -201,8 +210,11 @@ def orbit_steady_state(design: FilterbankDesign, f_orb: float,
     complex exponential, so the smoother output is H(w) times it with
     w = 2 pi f_orb.  After removing the design delay q, the radial error
     is (|H(w)| - 1) r_orb and the angular error is angle(H(w)) + q w.
+    f_orb must lie in [0, 0.5) cycles/sample and r_orb must be positive
+    and finite; otherwise ValueError.
     """
     check_orbit_rate(f_orb)
+    check_orbit_radius(r_orb)
     w = 2.0 * np.pi * f_orb
     h = complex(design_response(design, np.array([w]), 0)[0])
     eps_r = (abs(h) - 1.0) * r_orb

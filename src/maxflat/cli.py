@@ -19,6 +19,7 @@ uses '.' decimals, comma delimiters, and a single header row.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
@@ -69,11 +70,31 @@ _SPEC_KEYS = {
 }
 
 
+#: The config keys of the spec fields that have no default.
+_REQUIRED_SPEC_KEYS = tuple(
+    key for key, name in _SPEC_KEYS.items()
+    if name in {f.name for f in dataclasses.fields(DesignSpec)
+                if f.default is dataclasses.MISSING})
+
+
+def _check_object(value: Any, required: Sequence[str], what: str) -> None:
+    """A JSON document read from a file must be an object holding every
+    key of required; otherwise ValueError names what is wrong."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{json.dumps(value)[:40]}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{what} lacks required keys: "
+                         + ", ".join(missing))
+
+
 def spec_to_config(spec: DesignSpec) -> Dict[str, Any]:
     return {key: getattr(spec, field) for key, field in _SPEC_KEYS.items()}
 
 
 def spec_from_config(cfg: Dict[str, Any]) -> DesignSpec:
+    _check_object(cfg, _REQUIRED_SPEC_KEYS, "design config")
     unknown = sorted(set(cfg) - set(_SPEC_KEYS))
     if unknown:
         raise ValueError("unknown config keys: " + ", ".join(unknown))
@@ -110,7 +131,13 @@ def design_to_payload(spec: DesignSpec) -> Dict[str, Any]:
             "condition": fwd.condition}
 
 
+#: The keys of a causal design file that ``bank_from_payload`` reads.
+_BANK_KEYS = ("q_smp", "poles_re_im", "c_re_im", "a", "b", "sigma",
+              "ts_sec")
+
+
 def bank_from_payload(payload: Dict[str, Any]) -> FilterbankDesign:
+    _check_object(payload, _BANK_KEYS, "design file")
     poles = np.array([complex(re, im) for re, im in payload["poles_re_im"]])
     cols = [np.array([complex(re, im) for re, im in col])
             for col in payload["c_re_im"]]
@@ -147,13 +174,15 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_response(args: argparse.Namespace) -> int:
+    if args.grid < 2:
+        raise ValueError(f"grid must be at least 2, got {args.grid}: the "
+                         f"group delay needs two frequencies")
     with open(args.design) as fh:
         payload = json.load(fh)
-    if "forward" in payload:
+    if isinstance(payload, dict) and "forward" in payload:
         raise ValueError("response command expects a causal design file")
     design = bank_from_payload(payload)
-    n = args.grid
-    omegas = np.linspace(0.0, np.pi, n)
+    omegas = np.linspace(0.0, np.pi, args.grid)
     header = ["f_cyc_per_smp"]
     cols = [omegas / (2.0 * np.pi)]
     for kt in range(design.n_outputs):
@@ -196,8 +225,7 @@ def cmd_track_sim(args: argparse.Namespace) -> int:
                ["n", "truth_x", "truth_y", "meas_x", "meas_y",
                 "est_x", "est_y"],
                np.column_stack([n, run.truth_x, run.truth_y, run.meas_x,
-                                run.meas_y, run.track.est_x,
-                                run.track.est_y]))
+                                run.meas_y, run.est_x, run.est_y]))
     rows = tracker.orbit_check(design)
     orbit_cols = ["f_orb", "eps_r_predicted", "eps_r_measured",
                   "eps_theta_predicted", "eps_theta_measured"]
@@ -259,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("response", help="frequency response CSV")
     p.add_argument("--design", required=True, help="design JSON file")
-    p.add_argument("--grid", type=int, default=2048, help="grid size")
+    p.add_argument("--grid", type=int, default=2048,
+                   help="grid size, at least 2")
     p.add_argument("-o", "--output", default="response.csv")
     p.set_defaults(func=cmd_response)
 

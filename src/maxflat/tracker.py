@@ -17,8 +17,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .analyze import NULL_RADIUS_TOL, OrbitError, check_orbit_rate, \
-    orbit_steady_state
+from .analyze import NULL_RADIUS_TOL, OrbitError, check_orbit_radius, \
+    check_orbit_rate, orbit_steady_state
 from .design import DesignSpec, FilterbankDesign, design_filterbank
 from .procsim import InputSpec, check_seed, discretize_process, \
     generate_waveform, scenario_params
@@ -92,10 +92,11 @@ def orbit_simulation(design: FilterbankDesign, f_orb: float, r_orb: float,
     The error is read from the final sample against the lag-adjusted truth
     at n - q, expressed as a radial offset and an angular offset.  Only the
     smoother output is filtered, over both axes at once.  f_orb must lie in
-    [0, 0.5) cycles/sample, as for ``orbit_steady_state``; otherwise
-    ValueError.
+    [0, 0.5) cycles/sample and r_orb must be positive and finite, as for
+    ``orbit_steady_state``; otherwise ValueError.
     """
     check_orbit_rate(f_orb)
+    check_orbit_radius(r_orb)
     if f_orb == 0.0:
         return OrbitError(eps_r=0.0, eps_theta=0.0)
     # Revolutions alone can be too short in samples at high turn rates;
@@ -142,15 +143,19 @@ def orbit_check(design: FilterbankDesign,
 
 @dataclass(frozen=True)
 class TrackingRun:
-    """One Monte-Carlo tracking instance with its summary error.  The truth
-    and measurement arrays are read-only: the scenario memo hands the same
-    ones to every tracker."""
+    """One Monte-Carlo tracking instance: truth, measurement, the lag-q
+    position estimate of each axis (the smoother output) and the RMS error
+    scored from it.  The truth and measurement arrays are read-only: the
+    scenario memo hands the same ones to every tracker.  The derivative
+    tracks are not computed; ``run_track(design, run.meas_x, run.meas_y)``
+    gives all outputs of the bank for the same measurement."""
 
     truth_x: np.ndarray
     truth_y: np.ndarray
     meas_x: np.ndarray
     meas_y: np.ndarray
-    track: Track2D
+    est_x: np.ndarray
+    est_y: np.ndarray
     rms_error: float
 
 
@@ -202,9 +207,12 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
     The simulated truth and measurement do not depend on the tracker.  They
     come from a memo of MEMO_SCENARIOS instances keyed by (scenario, seed,
     n_samples), so trackers run on the same draws simulate them once and
-    each pays only for its own filtering and scoring.  The returned arrays
-    are read-only.  seed must be a non-negative integer: None, a bool, a
-    float, a string or a negative number raises ValueError.
+    each pays only for its own filtering and scoring.  The returned truth
+    and measurement arrays are read-only.  Only the smoother output is
+    filtered, over both axes in one call, so a run returns the position
+    estimates and not the derivative tracks.  seed must be a non-negative
+    integer: None, a bool, a float, a string or a negative number raises
+    ValueError.
     """
     if scenario not in ("LoG", "HiG"):
         raise ValueError('scenario must be "LoG" or "HiG"')
@@ -217,11 +225,12 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
                          f"q = {design.q:.4g})")
     truth_x, truth_y, meas_x, meas_y = _simulate_scenario(scenario, seed,
                                                           n_samples)
-    track = run_track(design, meas_x, meas_y)
+    est_x, est_y = run_filter(design.b[0], design.a,
+                              np.array([meas_x, meas_y]))
     q_int = int(round(design.q))
     lagged = slice(settle - q_int, n_samples - q_int)
-    err2 = (track.est_x[settle:] - truth_x[lagged]) ** 2 \
-        + (track.est_y[settle:] - truth_y[lagged]) ** 2
+    err2 = (est_x[settle:] - truth_x[lagged]) ** 2 \
+        + (est_y[settle:] - truth_y[lagged]) ** 2
     return TrackingRun(truth_x=truth_x, truth_y=truth_y, meas_x=meas_x,
-                       meas_y=meas_y, track=track,
+                       meas_y=meas_y, est_x=est_x, est_y=est_y,
                        rms_error=float(np.sqrt(np.mean(err2))))

@@ -219,6 +219,23 @@ def test_response_command_rejects_noncausal_file(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("grid", [-3, 0, 1])
+def test_response_grid_below_two_exit_code(tmp_path, capsys, grid):
+    """--grid 0 and 1 ended in an IndexError traceback from np.gradient,
+    and --grid -3 exited 2 with NumPy's linspace message."""
+    design_file = tmp_path / "d.json"
+    cli.main(["design", "-o", str(design_file)])
+    out = tmp_path / "r.csv"
+    rc = cli.main(["response", "--design", str(design_file),
+                   "--grid", str(grid), "-o", str(out)])
+    assert rc == 2
+    assert f"grid must be at least 2, got {grid}" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["response", "--design", str(design_file),
+                     "--grid", "2", "-o", str(out)]) == 0
+    assert len(_read(out).strip().splitlines()) == 3
+
+
 def test_detect_sim_command_deterministic(tmp_path):
     args = ["detect-sim", "--detector", "FIR_NUL_NC", "--trials", "8",
             "--seed", "3"]
@@ -451,6 +468,33 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, key, value,
     path.write_text(json.dumps(cfg))
     out = tmp_path / "d.json"
     rc = cli.main(["design", "--config", str(path), "-o", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, document, message", [
+    ("design", [1, 2], "design config must be a JSON object, got [1, 2]"),
+    ("design", None, "design config must be a JSON object, got null"),
+    ("design", {"fs_hz": 1000},
+     "design config lacks required keys: f_wb_cyc_per_smp, k_w_dc, k_t"),
+    ("response", [1], "design file must be a JSON object, got [1]"),
+    ("response", None, "design file must be a JSON object, got null"),
+    ("response", {"q_smp": 3.0},
+     "design file lacks required keys: poles_re_im, c_re_im, a, b, sigma, "
+     "ts_sec"),
+], ids=["config-array", "config-null", "config-missing-keys",
+        "design-array", "design-null", "design-missing-keys"])
+def test_malformed_design_file_exit_code(tmp_path, capsys, command,
+                                         document, message):
+    """A config that is not an object ended in a TypeError traceback, one
+    without a required key in DesignSpec's "missing 3 required positional
+    arguments"; a design file of [1] in a TypeError traceback."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(document))
+    flag = "--config" if command == "design" else "--design"
+    out = tmp_path / "out"
+    rc = cli.main([command, flag, str(path), "-o", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maxflat import tracker
-from maxflat.analyze import NULL_RADIUS_TOL, OrbitError
+from maxflat.analyze import NULL_RADIUS_TOL, OrbitError, orbit_steady_state
 from maxflat.procsim import (InputSpec, discretize_process,
                              generate_waveform, scenario_params)
 from maxflat.realize import run_filter
@@ -154,15 +154,45 @@ def test_track_and_rms_error_equal_per_axis_formulation(tracker_designs,
     run = run_tracking_mc("HiG", d, seed=5, n_samples=3000)
     est_x, est_y, deriv_x, deriv_y = _per_axis_track(d, run.meas_x,
                                                      run.meas_y)
-    assert np.array_equal(run.track.est_x, est_x)
-    assert np.array_equal(run.track.est_y, est_y)
-    assert np.array_equal(run.track.deriv_x, deriv_x)
-    assert np.array_equal(run.track.deriv_y, deriv_y)
+    assert np.array_equal(run.est_x, est_x)
+    assert np.array_equal(run.est_y, est_y)
+    track = run_track(d, run.meas_x, run.meas_y)
+    assert np.array_equal(track.deriv_x, deriv_x)
+    assert np.array_equal(track.deriv_y, deriv_y)
     q_int = int(round(d.q))
     n = np.arange(int(np.ceil(10.0 * d.q)), 3000)
     err2 = (est_x[n] - run.truth_x[n - q_int]) ** 2 \
         + (est_y[n] - run.truth_y[n - q_int]) ** 2
     assert run.rms_error == float(np.sqrt(np.mean(err2)))
+
+
+@pytest.mark.parametrize("scenario", ["LoG", "HiG"])
+@pytest.mark.parametrize("tag", sorted(TRACKER_CONFIGS))
+def test_run_estimates_equal_run_track(tracker_designs, tag, scenario):
+    """A run filters only the smoother output, and its estimates are those
+    of run_track on the run's measurement, bit for bit."""
+    d = tracker_designs[tag]
+    run = run_tracking_mc(scenario, d, seed=3, n_samples=3000)
+    track = run_track(d, run.meas_x, run.meas_y)
+    assert np.array_equal(run.est_x, track.est_x)
+    assert np.array_equal(run.est_y, track.est_y)
+
+
+def test_tracking_run_filters_once_with_a_warm_memo(tracker_designs,
+                                                    monkeypatch):
+    """With the scenario in the memo, a run makes one run_filter call:
+    the smoother over both axes.  Filtering every output made K_t calls."""
+    d = tracker_designs["B"]
+    run_tracking_mc("LoG", d, seed=2, n_samples=2000)
+    calls = []
+
+    def spy(b, a, x):
+        calls.append(np.shape(x))
+        return run_filter(b, a, x)
+
+    monkeypatch.setattr(tracker, "run_filter", spy)
+    run_tracking_mc("LoG", d, seed=2, n_samples=2000)
+    assert calls == [(2, 2000)]
 
 
 def test_interference_null_improves_low_gain_tracking(tracker_designs):
@@ -198,13 +228,16 @@ def _scenario_oracle(scenario, seed, n_samples):
     return truth_x, truth_y, meas_x, meas_y
 
 
-def _assert_runs_equal(run, ref):
+def _assert_runs_equal(run, ref, design):
     assert run.rms_error == ref.rms_error
-    for name in ("truth_x", "truth_y", "meas_x", "meas_y"):
+    for name in ("truth_x", "truth_y", "meas_x", "meas_y", "est_x",
+                 "est_y"):
         assert np.array_equal(getattr(run, name), getattr(ref, name)), name
-    for name in ("est_x", "est_y", "deriv_x", "deriv_y"):
-        assert np.array_equal(getattr(run.track, name),
-                              getattr(ref.track, name)), name
+    track = run_track(design, run.meas_x, run.meas_y)
+    ref_track = run_track(design, ref.meas_x, ref.meas_y)
+    for name in ("deriv_x", "deriv_y"):
+        assert np.array_equal(getattr(track, name),
+                              getattr(ref_track, name)), name
 
 
 @pytest.mark.parametrize("scenario", ["LoG", "HiG"])
@@ -220,8 +253,10 @@ def test_memoized_scenario_equals_explicit_draws(tracker_designs, scenario):
     assert np.array_equal(run.meas_x, meas_x)
     assert np.array_equal(run.meas_y, meas_y)
     track = run_track(d, meas_x, meas_y)
-    assert np.array_equal(run.track.est_x, track.est_x)
-    assert np.array_equal(run.track.deriv_y, track.deriv_y)
+    assert np.array_equal(run.est_x, track.est_x)
+    assert np.array_equal(run.est_y, track.est_y)
+    assert np.array_equal(run_track(d, run.meas_x, run.meas_y).deriv_y,
+                          track.deriv_y)
 
 
 def test_warm_memo_run_equals_cold_memo_run(tracker_designs):
@@ -237,7 +272,7 @@ def test_warm_memo_run_equals_cold_memo_run(tracker_designs):
     for (tag, scenario), run in warm.items():
         tracker._simulate_scenario.cache_clear()
         cold = run_tracking_mc(scenario, tracker_designs[tag], 11, 3000)
-        _assert_runs_equal(run, cold)
+        _assert_runs_equal(run, cold, tracker_designs[tag])
 
 
 def test_memo_is_read_only_and_bounded(tracker_designs):
@@ -305,3 +340,15 @@ def test_orbit_simulation_rate_domain(tracker_designs, f_orb):
     with pytest.raises(ValueError,
                        match=r"f_orb must lie in \[0, 0.5\) cycles/sample"):
         orbit_simulation(tracker_designs["B"], f_orb, 1.0)
+
+
+@pytest.mark.parametrize("r_orb", [0.0, -1.0, np.nan, np.inf])
+def test_orbit_radius_domain(tracker_designs, r_orb):
+    """A radius of 0 or -1 measured an error of another orbit than the one
+    predicted (eps_theta -1.594 against -0.0061 at 0), NaN gave NaN and an
+    infinite radius a RuntimeWarning and a prediction of -inf."""
+    d = tracker_designs["B"]
+    for orbit_error in (orbit_simulation, orbit_steady_state):
+        with pytest.raises(ValueError,
+                           match="r_orb must be a positive finite number"):
+            orbit_error(d, 0.01, r_orb)
