@@ -10,12 +10,12 @@ Importing maxflat never loads ``scipy.signal`` (see ``realize``).
 """
 
 from .butter import butterworth_s_poles, causal_z_poles, full_z_poles
-from .design import (DesignSpec, ConstraintSystem, FilterbankDesign,
-                     NumericalError, alpha_table, assemble_system,
-                     basis_derivative_column, dc_targets, design_filterbank,
-                     gram_matrix, noncausal_design, optimal_group_delay,
-                     solve_coefficients, transfer_coefficients,
-                     white_noise_gain, wng_polynomial)
+from .design import (DesignSpec, ConstraintBasis, ConstraintSystem,
+                     FilterbankDesign, NumericalError, alpha_table,
+                     assemble_system, basis_derivative_column,
+                     constraint_basis, dc_targets, design_filterbank,
+                     gram_matrix, noncausal_design, solve_coefficients,
+                     transfer_coefficients, white_noise_gain, wng_polynomial)
 from .analyze import (OrbitError, frequency_response, ideal_response,
                       measured_group_delay, orbit_steady_state,
                       verify_constraints)
@@ -32,13 +32,13 @@ from .tracker import (Track2D, orbit_check, orbit_simulation, run_track,
 __version__ = "1.0.0"
 
 __all__ = [
-    "DesignSpec", "ConstraintSystem", "FilterbankDesign",
+    "DesignSpec", "ConstraintBasis", "ConstraintSystem", "FilterbankDesign",
     "StateSpaceRealization", "OrbitError", "DiscreteProcess", "InputSpec",
     "ProcessParams", "RocCurve", "Track2D", "NumericalError",
     "butterworth_s_poles", "causal_z_poles", "full_z_poles",
     "alpha_table", "assemble_system", "basis_derivative_column",
-    "dc_targets", "design_filterbank", "gram_matrix", "noncausal_design",
-    "optimal_group_delay", "solve_coefficients", "transfer_coefficients",
+    "constraint_basis", "dc_targets", "design_filterbank", "gram_matrix",
+    "noncausal_design", "solve_coefficients", "transfer_coefficients",
     "white_noise_gain", "wng_polynomial",
     "run_filter", "run_lss", "run_noncausal", "to_ccf", "to_dcf", "to_dsf",
     "frequency_response", "ideal_response", "measured_group_delay",

@@ -136,18 +136,44 @@ _BANK_KEYS = ("q_smp", "poles_re_im", "c_re_im", "a", "b", "sigma",
               "ts_sec")
 
 
+def _bank_floats(payload: Dict[str, Any], key: str, shape: Sequence[int],
+                 what: str, positive: bool = False) -> np.ndarray:
+    """payload[key] as a float array of the given shape (-1: any length),
+    every entry finite (and positive if asked); otherwise ValueError."""
+    try:
+        value = np.array(payload[key], dtype=float)
+    except (TypeError, ValueError):  # not numbers, or ragged lists
+        value = np.empty(0)
+    if (value.ndim != len(shape) or value.size == 0
+            or any(m not in (n, -1) for n, m in zip(value.shape, shape))
+            or not np.all(np.isfinite(value))
+            or (positive and not np.all(value > 0))):
+        raise ValueError(f"design file: {key} must be {what}, got "
+                         f"{json.dumps(payload[key])[:40]}")
+    return value
+
+
 def bank_from_payload(payload: Dict[str, Any]) -> FilterbankDesign:
     _check_object(payload, _BANK_KEYS, "design file")
-    poles = np.array([complex(re, im) for re, im in payload["poles_re_im"]])
-    cols = [np.array([complex(re, im) for re, im in col])
-            for col in payload["c_re_im"]]
-    c = np.column_stack(cols)
-    sigma = np.array(payload["sigma"], dtype=float)
+    poles_re_im = _bank_floats(payload, "poles_re_im", (-1, 2),
+                               "K >= 1 finite [re, im] pairs")
+    K = len(poles_re_im)
+    c_re_im = _bank_floats(payload, "c_re_im", (-1, K, 2),
+                           f"K_t >= 1 columns of {K} finite [re, im] pairs")
+    k_t = len(c_re_im)
+    a = _bank_floats(payload, "a", (K + 1,), f"{K + 1} finite numbers")
+    b = _bank_floats(payload, "b", (k_t, K + 1),
+                     f"{k_t} rows of {K + 1} finite numbers")
+    sigma = _bank_floats(payload, "sigma", (k_t, k_t),
+                         f"a finite {k_t} x {k_t} matrix")
+    q = _bank_floats(payload, "q_smp", (), "a finite number")
+    t_s = _bank_floats(payload, "ts_sec", (), "a finite positive number",
+                       positive=True)
+    # A C-ordered float64 [re, im] pair is one complex128 in memory.
     return FilterbankDesign(
-        poles=poles, c=c, q=float(payload["q_smp"]), sigma=sigma,
-        a=np.array(payload["a"], dtype=float),
-        b=tuple(np.array(b, dtype=float) for b in payload["b"]),
-        t_s=float(payload["ts_sec"]))
+        poles=poles_re_im.view(complex)[:, 0],
+        c=c_re_im.view(complex)[:, :, 0].T, q=float(q), sigma=sigma, a=a,
+        b=tuple(b), t_s=float(t_s))
 
 
 # --------------------------------------------------------------------------

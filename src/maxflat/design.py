@@ -142,8 +142,8 @@ class FilterbankDesign:
     k_t).  a is the shared monic denominator (length K+1); b[k_t] is the
     matching numerator (length K+1, last entry zero for causal banks).
     sigma is the real white-noise cross-gain matrix.  condition is the
-    condition estimate of the solved constraint system (None for a design
-    read back from JSON).
+    condition estimate of Psi in the design's ConstraintBasis (None for a
+    design read back from JSON).
 
     In the backward half of a two-sided design, poles holds r = 1/p but c
     the coefficients of the terms c z/(z - p), so (c, poles) does not
@@ -236,15 +236,6 @@ def dc_targets(q: float, t_s: float, k_w_dc: int, k_t: int) -> np.ndarray:
     return d
 
 
-def _target_matrix(spec: DesignSpec, q: float) -> np.ndarray:
-    """Stack the dc targets (one column per k_t) over zero nb/pi rows."""
-    K = spec.total_constraints
-    D = np.zeros((K, spec.k_t), dtype=complex)
-    for kt in range(spec.k_t):
-        D[:spec.k_w_dc, kt] = dc_targets(q, spec.t_s, spec.k_w_dc, kt)
-    return D
-
-
 def constraint_blocks(spec: DesignSpec) -> Tuple[Tuple[float, int], ...]:
     """The (omega, count) row blocks of the constraint system.
 
@@ -262,48 +253,10 @@ def constraint_blocks(spec: DesignSpec) -> Tuple[Tuple[float, int], ...]:
     return tuple((w, n) for (w, n) in blocks if n > 0)
 
 
-def _basis_matrix(spec: DesignSpec, poles: np.ndarray) -> Tuple[
-        np.ndarray, Tuple[Tuple[float, int], ...], float]:
-    """Psi, its row blocks and its condition estimate, without a warning."""
-    K = spec.total_constraints
-    if len(poles) != K:
-        raise ValueError("pole count must equal the constraint count K")
-    blocks = constraint_blocks(spec)
-
-    # One basis_derivative_column call per pole and block, each entry its
-    # own dot product: a single alpha @ powers product would round Psi
-    # differently and move the optimal delay of the worst-conditioned specs.
-    psi = np.empty((K, K), dtype=complex)
-    row = 0
-    for w_d, count in blocks:
-        for k, p in enumerate(poles):
-            psi[row:row + count, k] = basis_derivative_column(p, w_d, count)
-        row += count
-    return psi, blocks, float(np.linalg.cond(psi))
-
-
 def _warn_ill_conditioned(cond: float) -> None:
     if cond > COND_WARN:
         warnings.warn("ill-conditioned constraint system: condition estimate "
                       f"{cond:.3e}", IllConditionedSystem)
-
-
-def assemble_system(spec: DesignSpec, poles: np.ndarray,
-                    q: Optional[float] = None) -> ConstraintSystem:
-    """Build the square constraint system Psi C = D.
-
-    Row blocks follow constraint_blocks.  When q is omitted, a numeric
-    spec.group_delay is used (0 for the "optimal" sentinel, since Psi does
-    not depend on q and D is rebuilt after the delay search).  Warns
-    IllConditionedSystem when the condition estimate exceeds COND_WARN.
-    """
-    psi, blocks, cond = _basis_matrix(spec, poles)
-    _warn_ill_conditioned(cond)
-    if q is None:
-        q = spec.group_delay if not isinstance(spec.group_delay, str) else 0.0
-    d = _target_matrix(spec, float(q))
-    return ConstraintSystem(psi=psi, d=d, constraint_freqs=blocks,
-                            condition=cond)
 
 
 def gram_matrix(poles: np.ndarray) -> np.ndarray:
@@ -315,6 +268,95 @@ def gram_matrix(poles: np.ndarray) -> np.ndarray:
     if np.any(np.abs(poles) >= 1.0):
         raise ValueError("Gram matrix undefined for non-causal basis")
     return 1.0 / (1.0 - np.conj(poles)[:, None] * poles[None, :])
+
+
+@dataclass(frozen=True, eq=False)
+class ConstraintBasis:
+    """What the designs of one constraint set share, whatever q and K_t.
+
+    psi holds the constraint rows of the basis over poles, one block per
+    entry of blocks (see constraint_blocks), with its condition estimate;
+    s is the Gram matrix of a causal set (None for a two-sided one).  spec
+    fixes the set; its K_t and group delay are not read.  The optimal delay
+    of each output is searched on its first request and kept.
+    """
+
+    spec: DesignSpec
+    poles: np.ndarray
+    psi: np.ndarray
+    blocks: Tuple[Tuple[float, int], ...]
+    condition: float
+    s: Optional[np.ndarray]
+    _optima: Dict[int, Optional[float]] = field(default_factory=dict,
+                                                init=False, repr=False)
+
+    @classmethod
+    def from_poles(cls, spec: DesignSpec,
+                   poles: np.ndarray) -> "ConstraintBasis":
+        """Build the basis of spec's constraint set over poles, without a
+        warning."""
+        K = spec.total_constraints
+        if len(poles) != K:
+            raise ValueError("pole count must equal the constraint count K")
+        blocks = constraint_blocks(spec)
+
+        # One basis_derivative_column call per pole and block, each entry
+        # its own dot product: a single alpha @ powers product would round
+        # Psi differently and move the optimal delay of the
+        # worst-conditioned specs.
+        psi = np.empty((K, K), dtype=complex)
+        row = 0
+        for w_d, count in blocks:
+            for k, p in enumerate(poles):
+                psi[row:row + count, k] = basis_derivative_column(p, w_d,
+                                                                  count)
+            row += count
+        s = gram_matrix(poles) if spec.causal else None
+        return cls(spec, poles, psi, blocks, float(np.linalg.cond(psi)), s)
+
+    def system(self, q: float, k_t: int) -> ConstraintSystem:
+        """Psi C = D for delay q and k_t outputs: column k of D holds the
+        dc targets of derivative order k over zero nb/pi rows."""
+        spec = self.spec
+        d = np.zeros((spec.total_constraints, k_t), dtype=complex)
+        for kt in range(k_t):
+            d[:spec.k_w_dc, kt] = dc_targets(q, spec.t_s, spec.k_w_dc, kt)
+        return ConstraintSystem(psi=self.psi, d=d,
+                                constraint_freqs=self.blocks,
+                                condition=self.condition)
+
+    def optimal_delay(self, k_t: int = 0) -> float:
+        """Delay minimizing the WNG polynomial of output k_t.
+
+        Among real roots of P(q) = dSigma/dq (imaginary part below
+        TOL_CPX), picks the one with the lowest Sigma; ties within TOL_WNG
+        go to the smallest delay.  A delay-independent WNG yields q = 0 and
+        a warning, on every call.
+        """
+        if k_t not in self._optima:
+            self._optima[k_t] = _wng_minimum(*wng_polynomial(self, k_t))
+        q = self._optima[k_t]
+        if q is None:
+            warnings.warn("delay-independent WNG — any q admissible; "
+                          "returning 0", UserWarning)
+            return 0.0
+        return q
+
+
+def assemble_system(spec: DesignSpec, poles: np.ndarray,
+                    q: Optional[float] = None) -> ConstraintSystem:
+    """Build the square constraint system Psi C = D over poles.
+
+    ConstraintBasis.from_poles(spec, poles).system(q, spec.k_t).  When q
+    is omitted, a numeric spec.group_delay is used (0 for the "optimal"
+    sentinel, since Psi does not depend on q).  Warns IllConditionedSystem
+    when the condition estimate exceeds COND_WARN.
+    """
+    basis = ConstraintBasis.from_poles(spec, poles)
+    _warn_ill_conditioned(basis.condition)
+    if q is None:
+        q = spec.group_delay if not isinstance(spec.group_delay, str) else 0.0
+    return basis.system(float(q), spec.k_t)
 
 
 def _solve(psi: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -330,50 +372,56 @@ def _solve(psi: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def solve_coefficients(system: ConstraintSystem) -> np.ndarray:
-    """Coefficient matrix C with Psi C = D."""
-    c = _solve(system.psi, system.d)
-    _check_residual(system.psi, c, system.d)
-    return c
-
-
-def _check_residual(psi: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
+    """Coefficient matrix C with Psi C = D, within the residual bound
+    RESIDUAL_RTOL (1 + max |D|)."""
+    psi, d = system.psi, system.d
+    c = _solve(psi, d)
     res = np.max(np.abs(psi @ c - d))
     bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(d)))
     if res > bound:
         raise NumericalError("degenerate constraint set: solve residual "
                              f"{res:.3e} exceeds {bound:.3e}")
+    return c
+
+
+def _real_wng(values: np.ndarray) -> np.ndarray:
+    """The real part of WNG values, after checking that their imaginary
+    residue, relative to max(1, max |values|), is below TOL_CPX."""
+    resid = float(np.max(np.abs(values.imag)))
+    resid /= max(1.0, float(np.max(np.abs(values))))
+    if resid > TOL_CPX:
+        raise NumericalError("non-real WNG — design inconsistency "
+                             f"(imaginary residue {resid:.3e})")
+    return values.real
 
 
 def white_noise_gain(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """White-noise cross-gain matrix Sigma = C^H S C, coerced to real."""
-    sigma = c.conj().T @ s @ c
-    resid = float(np.max(np.abs(sigma.imag)))
-    resid /= max(1.0, float(np.max(np.abs(sigma))))
-    if resid > TOL_CPX:
-        raise NumericalError("non-real WNG — design inconsistency "
-                             f"(imaginary residue {resid:.3e})")
-    return sigma.real
+    return _real_wng(c.conj().T @ s @ c)
 
 
-def wng_polynomial(spec: DesignSpec, system: ConstraintSystem, s: np.ndarray,
+def wng_polynomial(basis: ConstraintBasis,
                    k_t: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """WNG of output k_t as a polynomial in the group delay q.
 
     Returns (sigma_poly, p_poly) as ascending-power real coefficient arrays:
     Sigma(q) and its formal derivative P(q).  Only the dc targets depend on
-    q, so with Phi = the dc columns of Psi^{-1} (Psi from the spec's
-    assembled system, at any q) and J = Phi^H S Phi,
+    q, so with Phi = the dc columns of Psi^{-1} and J = Phi^H S Phi (Psi and
+    S of the causal basis),
 
         Sigma(q) = sum_{a,b >= k_t} conj(g_a) g_b J[a,b] q^{a+b-2 k_t},
 
     where g_k collects the q-independent factor (-i)^k (1/T_s)^{k_t}
     k!/(k-k_t)! of the dc target of row k.
     """
+    spec = basis.spec
     if not 0 <= k_t < spec.k_w_dc:
         raise ValueError("require 0 <= k_t < K_w_dc")
-    phi = _solve(system.psi, np.eye(spec.total_constraints,
-                                    dtype=complex))[:, :spec.k_w_dc]
-    j = phi.conj().T @ s @ phi
+    if basis.s is None:
+        raise ValueError("the WNG polynomial needs a causal basis")
+    phi = _solve(basis.psi, np.eye(spec.total_constraints,
+                                   dtype=complex))[:, :spec.k_w_dc]
+    j = phi.conj().T @ basis.s @ phi
 
     kdc = spec.k_w_dc
     deg = 2 * (kdc - 1 - k_t)
@@ -386,12 +434,7 @@ def wng_polynomial(spec: DesignSpec, system: ConstraintSystem, s: np.ndarray,
     for ka in range(k_t, kdc):
         for kb in range(k_t, kdc):
             coeffs[ka + kb - 2 * k_t] += np.conj(g[ka]) * g[kb] * j[ka, kb]
-    resid = float(np.max(np.abs(coeffs.imag))) if len(coeffs) else 0.0
-    resid /= max(1.0, float(np.max(np.abs(coeffs))) if len(coeffs) else 1.0)
-    if resid > TOL_CPX:
-        raise NumericalError("non-real WNG — design inconsistency "
-                             f"(imaginary residue {resid:.3e})")
-    sigma_poly = coeffs.real
+    sigma_poly = _real_wng(coeffs)
     p_poly = np.polynomial.polynomial.polyder(sigma_poly) if deg > 0 \
         else np.zeros(1)
     return sigma_poly, np.atleast_1d(p_poly)
@@ -399,8 +442,8 @@ def wng_polynomial(spec: DesignSpec, system: ConstraintSystem, s: np.ndarray,
 
 def _wng_minimum(sigma_poly: np.ndarray,
                  p_poly: np.ndarray) -> Optional[float]:
-    """The delay optimal_group_delay picks; None for a delay-independent
-    WNG."""
+    """The delay ConstraintBasis.optimal_delay keeps for a WNG polynomial
+    (see wng_polynomial); None for a delay-independent WNG."""
     if np.all(np.abs(p_poly) < 1e-14):
         return None
     roots = np.polynomial.polynomial.polyroots(p_poly)
@@ -410,27 +453,6 @@ def _wng_minimum(sigma_poly: np.ndarray,
     w = np.polynomial.polynomial.polyval(real_roots, sigma_poly)
     tied = real_roots[w <= w.min() + TOL_WNG]
     return float(tied.min())
-
-
-def _admissible_delay(q: Optional[float]) -> float:
-    """q itself, or 0 with a warning when any delay is optimal (None)."""
-    if q is None:
-        warnings.warn("delay-independent WNG — any q admissible; "
-                      "returning 0", UserWarning)
-        return 0.0
-    return q
-
-
-def optimal_group_delay(spec: DesignSpec, system: ConstraintSystem,
-                        s: np.ndarray, k_t: int = 0) -> float:
-    """Delay minimizing the WNG polynomial of output k_t.
-
-    Among real roots of P(q) = dSigma/dq (imaginary part below TOL_CPX),
-    picks the one with the lowest Sigma; ties within TOL_WNG go to the
-    smallest delay.  A delay-independent WNG yields q = 0.
-    """
-    return _admissible_delay(_wng_minimum(*wng_polynomial(spec, system, s,
-                                                          k_t)))
 
 
 def transfer_coefficients(c: np.ndarray,
@@ -475,40 +497,9 @@ def transfer_coefficients(c: np.ndarray,
     return (b[0] if np.ndim(c) == 1 else b), a
 
 
-@dataclass(eq=False)
-class _Basis:
-    """What the designs of one constraint set share, whatever q and K_t.
-
-    spec is a spec of that set with K_t = 1 and q = 0; poles, psi (with its
-    row blocks and condition estimate) and, for causal sets, the Gram
-    matrix s are read-only.  The smoother-optimal delay is searched on the
-    first request and kept.
-    """
-
-    spec: DesignSpec
-    poles: np.ndarray
-    psi: np.ndarray
-    blocks: Tuple[Tuple[float, int], ...]
-    condition: float
-    s: Optional[np.ndarray]
-    _optimum: Optional[Tuple[Optional[float]]] = field(default=None,
-                                                       init=False)
-
-    def optimal_delay(self) -> float:
-        """optimal_group_delay(spec, system, s, 0), warning as it does on
-        every call."""
-        if self._optimum is None:
-            system = ConstraintSystem(
-                psi=self.psi, d=_target_matrix(self.spec, 0.0),
-                constraint_freqs=self.blocks, condition=self.condition)
-            self._optimum = (_wng_minimum(*wng_polynomial(
-                self.spec, system, self.s, 0)),)
-        return _admissible_delay(self._optimum[0])
-
-
 def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
                  k_w_dc: int, k_w_nb: int, k_w_pi: int,
-                 causal: bool) -> _Basis:
+                 causal: bool) -> ConstraintBasis:
     spec = DesignSpec(f_s=f_s, f_wb=f_wb, f_nb=f_nb, k_w_dc=k_w_dc,
                       k_w_nb=k_w_nb, k_w_pi=k_w_pi, k_t=1, group_delay=0.0,
                       causal=causal)
@@ -519,12 +510,11 @@ def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
         poles = full_z_poles(K // 2, spec.omega_wb * spec.f_s, spec.t_s)
         if np.any(np.abs(np.abs(poles) - 1.0) < 1e-9):
             raise NumericalError("marginal pole — cannot split")
-    psi, blocks, cond = _basis_matrix(spec, poles)
-    s = gram_matrix(poles) if causal else None
-    for array in (poles, psi, s):
+    basis = ConstraintBasis.from_poles(spec, poles)
+    for array in (basis.poles, basis.psi, basis.s):
         if array is not None:
             array.flags.writeable = False
-    return _Basis(spec, poles, psi, blocks, cond, s)
+    return basis
 
 
 #: Bases with at most this many constraints are memoized.
@@ -541,9 +531,14 @@ _memo_basis = functools.lru_cache(maxsize=_MEMO_SIZE,
                                   typed=True)(_build_basis)
 
 
-def _basis(spec: DesignSpec) -> _Basis:
-    """The basis of spec's constraint set, from the memo if K is small;
-    warns as assemble_system does, on every call."""
+def constraint_basis(spec: DesignSpec) -> ConstraintBasis:
+    """The basis of spec's constraint set over its Butterworth poles.
+
+    It depends only on F_s, f_wb, f_nb (when K_w_nb > 0), the constraint
+    counts and causality, so it comes from a bounded memo when K is small;
+    its arrays are read-only.  Warns IllConditionedSystem as
+    assemble_system does, on every call.
+    """
     build = _memo_basis if spec.total_constraints <= _MEMO_MAX_K \
         else _build_basis
     basis = build(spec.f_s, spec.f_wb,
@@ -556,27 +551,26 @@ def _basis(spec: DesignSpec) -> _Basis:
 def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
     """Solve a causal filterbank design end to end.
 
-    With group_delay = "optimal" the smoother-optimal delay (k_t = 0) is
-    applied to every output; optimal_group_delay(spec, system, s, k_t)
-    gives the delay that would be optimal for output k_t alone.
+    The steps: the basis of the constraint set (constraint_basis), the
+    delay q, the coefficients solve_coefficients(basis.system(q, K_t)), the
+    white-noise gain and the b/a expansion.  With group_delay = "optimal"
+    the smoother-optimal delay basis.optimal_delay() is applied to every
+    output; basis.optimal_delay(k_t) gives the delay that would be optimal
+    for output k_t alone.
 
-    The poles, Psi, S and the smoother-optimal delay depend only on F_s,
-    f_wb, f_nb (when K_w_nb > 0) and the constraint counts, not on q or
-    K_t; they come from a bounded memo, so designs that share them solve
+    Designs that share a constraint set share its memoized basis and solve
     only their own targets D.  Outputs, warnings and errors are those of a
     fresh build, and every array of the design is its own writeable copy.
     """
     if not spec.causal:
         raise ValueError("use noncausal_design for causal=False specs")
-    basis = _basis(spec)
+    basis = constraint_basis(spec)
     if isinstance(spec.group_delay, str):  # the "optimal" sentinel
         q = basis.optimal_delay()
     else:
         q = float(spec.group_delay)
 
-    d = _target_matrix(spec, q)
-    c = _solve(basis.psi, d)
-    _check_residual(basis.psi, c, d)
+    c = solve_coefficients(basis.system(q, spec.k_t))
     sigma = white_noise_gain(c, basis.s)
     b, a = transfer_coefficients(c, basis.poles)
     return FilterbankDesign(poles=basis.poles.copy(), c=c, q=q, sigma=sigma,
@@ -610,8 +604,9 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
     afterwards); its response on the original axis is
     B(e^{-iw})/A(e^{-iw}) = sum_k c_k z/(z - p_k) at z = e^{iw}.
 
-    The 2K poles and Psi come from the memo design_filterbank uses, keyed
-    by the constraint set; each design solves its own targets.
+    The 2K poles and Psi come from constraint_basis(spec), and the
+    coefficients from solve_coefficients(basis.system(q, K_t)), as in
+    design_filterbank.
     """
     if spec.causal:
         raise ValueError("noncausal_design requires a causal=False spec")
@@ -623,10 +618,8 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
         raise ValueError("non-causal designs require a numeric group delay "
                          "(conventionally 0)")
     q = float(spec.group_delay)
-    basis = _basis(spec)
-    d = _target_matrix(spec, q)
-    c = _solve(basis.psi, d)
-    _check_residual(basis.psi, c, d)
+    basis = constraint_basis(spec)
+    c = solve_coefficients(basis.system(q, spec.k_t))
 
     poles = basis.poles
     inside = np.abs(poles) < 1.0

@@ -129,7 +129,9 @@ def test_design_payload_round_trip(bw1_spec, bw1_design):
     assert np.array_equal(d.a, bw1_design.a)
     assert all(np.array_equal(x, y) for x, y in zip(d.b, bw1_design.b))
     assert np.array_equal(d.poles, bw1_design.poles)
-    assert d.q == bw1_design.q
+    assert np.array_equal(d.c, bw1_design.c)
+    assert np.array_equal(d.sigma, bw1_design.sigma)
+    assert d.q == bw1_design.q and d.t_s == bw1_design.t_s
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +475,19 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, key, value,
     assert not out.exists()
 
 
+#: A well-formed causal design file of one pole and one output.
+_BANK = {"q_smp": 0.0, "poles_re_im": [[0.5, 0.0]], "c_re_im": [[[0.5, 0.0]]],
+         "a": [1.0, -0.5], "b": [[0.5, 0.0]], "sigma": [[1 / 3]],
+         "ts_sec": 1.0}
+
+
+def test_small_design_file_is_well_formed(tmp_path):
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(_BANK))
+    assert cli.main(["response", "--design", str(path), "--grid", "4",
+                     "-o", str(tmp_path / "r.csv")]) == 0
+
+
 @pytest.mark.parametrize("command, document, message", [
     ("design", [1, 2], "design config must be a JSON object, got [1, 2]"),
     ("design", None, "design config must be a JSON object, got null"),
@@ -483,13 +498,22 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, key, value,
     ("response", {"q_smp": 3.0},
      "design file lacks required keys: poles_re_im, c_re_im, a, b, sigma, "
      "ts_sec"),
+    ("response", dict(_BANK, poles_re_im=5),
+     "design file: poles_re_im must be K >= 1 finite [re, im] pairs, got 5"),
+    ("response", dict(_BANK, b=[]),
+     "design file: b must be 1 rows of 2 finite numbers, got []"),
+    ("response", dict(_BANK, ts_sec=None),
+     "design file: ts_sec must be a finite positive number, got null"),
 ], ids=["config-array", "config-null", "config-missing-keys",
-        "design-array", "design-null", "design-missing-keys"])
+        "design-array", "design-null", "design-missing-keys",
+        "design-poles-not-pairs", "design-empty-b", "design-null-ts"])
 def test_malformed_design_file_exit_code(tmp_path, capsys, command,
                                          document, message):
     """A config that is not an object ended in a TypeError traceback, one
     without a required key in DesignSpec's "missing 3 required positional
-    arguments"; a design file of [1] in a TypeError traceback."""
+    arguments"; a design file of [1] in a TypeError traceback, and so did
+    poles that are not pairs and a null ts_sec, while an empty b ended in
+    an IndexError traceback."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(document))
     flag = "--config" if command == "design" else "--design"

@@ -10,10 +10,11 @@ import pytest
 from maxflat import cli
 from maxflat import design as design_module
 from maxflat.butter import causal_z_poles, full_z_poles
-from maxflat.design import (DesignSpec, IllConditionedSystem, alpha_table,
+from maxflat.design import (ConstraintBasis, DesignSpec,
+                            IllConditionedSystem, alpha_table,
                             assemble_system, basis_derivative_column,
-                            dc_targets, design_filterbank, gram_matrix,
-                            noncausal_design, optimal_group_delay,
+                            constraint_basis, dc_targets, design_filterbank,
+                            gram_matrix, noncausal_design,
                             solve_coefficients, transfer_coefficients,
                             white_noise_gain, wng_polynomial)
 
@@ -298,11 +299,7 @@ def test_wng_polynomial_consistent_with_direct_solves(bw1_spec):
     """Sigma(q) evaluated from the polynomial must match a from-scratch
     design at several fixed delays."""
     spec = bw1_spec
-    poles = causal_z_poles(spec.total_constraints, spec.omega_wb * spec.f_s,
-                           spec.t_s)
-    s = gram_matrix(poles)
-    sigma_poly, _ = wng_polynomial(spec, assemble_system(spec, poles), s,
-                                   k_t=0)
+    sigma_poly, _ = wng_polynomial(constraint_basis(spec), k_t=0)
     for q in (0.0, 5.0, 12.0, 20.0):
         fixed = DesignSpec(f_s=spec.f_s, f_wb=spec.f_wb, f_nb=spec.f_nb,
                            k_w_dc=spec.k_w_dc, k_w_nb=spec.k_w_nb,
@@ -316,22 +313,15 @@ def test_wng_polynomial_degree():
     """Sigma(q) is a polynomial of degree 2 (K_w_dc - 1) in the delay."""
     spec = DesignSpec(f_s=1.0, f_wb=0.05, f_nb=0.08, k_w_dc=4, k_w_nb=1,
                       k_t=1)
-    poles = causal_z_poles(spec.total_constraints, spec.omega_wb * spec.f_s,
-                           spec.t_s)
-    sigma_poly, _ = wng_polynomial(spec, assemble_system(spec, poles),
-                                   gram_matrix(poles), k_t=0)
+    sigma_poly, _ = wng_polynomial(constraint_basis(spec), k_t=0)
     assert len(sigma_poly) - 1 == 2 * (spec.k_w_dc - 1)
 
 
 def test_optimal_delay_beats_dense_grid(bw1_spec):
     """No delay on a dense grid may yield a lower WNG than the optimum."""
-    spec = bw1_spec
-    poles = causal_z_poles(spec.total_constraints, spec.omega_wb * spec.f_s,
-                           spec.t_s)
-    system = assemble_system(spec, poles)
-    s = gram_matrix(poles)
-    sigma_poly, _ = wng_polynomial(spec, system, s, k_t=0)
-    q_opt = optimal_group_delay(spec, system, s, k_t=0)
+    basis = constraint_basis(bw1_spec)
+    sigma_poly, _ = wng_polynomial(basis, k_t=0)
+    q_opt = basis.optimal_delay(k_t=0)
     sig = np.polynomial.polynomial.polyval
     grid = np.arange(-5.0, 40.0, 0.01)
     assert float(sig(q_opt, sigma_poly)) <= np.min(sig(grid, sigma_poly)) \
@@ -342,11 +332,19 @@ def test_fully_interpolating_design_has_flat_wng():
     """K_w_dc = K = K_t + ...: when every degree of freedom is pinned the
     WNG cannot depend on q; the search warns and returns 0."""
     spec = DesignSpec(f_s=1.0, f_wb=0.05, k_w_dc=1, k_t=1)
-    poles = causal_z_poles(1, spec.omega_wb * spec.f_s, spec.t_s)
     with pytest.warns(UserWarning, match="delay-independent"):
-        q = optimal_group_delay(spec, assemble_system(spec, poles),
-                                gram_matrix(poles), k_t=0)
+        q = constraint_basis(spec).optimal_delay(k_t=0)
     assert q == 0.0
+
+
+def test_kept_optimum_warns_on_every_call(bw1_spec):
+    """The optimum of each output is searched once and kept, but a
+    delay-independent WNG (BW1's highest derivative output) warns on every
+    request, as a fresh search does."""
+    basis = constraint_basis(bw1_spec)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="delay-independent"):
+            assert basis.optimal_delay(k_t=bw1_spec.k_t - 1) == 0.0
 
 
 def test_white_noise_gain_first_order_closed_form():
@@ -481,20 +479,16 @@ def test_per_output_delay_optimizes_each_row(bw1_spec, bw1_design):
     """The delay optimal for each output alone comes from the design's own
     system: the smoother's is the delay the design applies, and each
     output's minimizes that output's WNG over a dense grid."""
-    poles = causal_z_poles(bw1_spec.total_constraints,
-                           bw1_spec.omega_wb * bw1_spec.f_s, bw1_spec.t_s)
-    system = assemble_system(bw1_spec, poles)
-    s = gram_matrix(poles)
+    basis = constraint_basis(bw1_spec)
     with warnings.catch_warnings():
         # The highest derivative row has a delay-independent WNG here.
         warnings.simplefilter("ignore", UserWarning)
-        delays = [optimal_group_delay(bw1_spec, system, s, kt)
-                  for kt in range(bw1_spec.k_t)]
+        delays = [basis.optimal_delay(kt) for kt in range(bw1_spec.k_t)]
     assert delays[0] == bw1_design.q
     sig = np.polynomial.polynomial.polyval
     grid = np.arange(-5.0, 40.0, 0.01)
     for kt, q in enumerate(delays):
-        sigma_poly, _ = wng_polynomial(bw1_spec, system, s, kt)
+        sigma_poly, _ = wng_polynomial(basis, kt)
         best = float(np.min(sig(grid, sigma_poly)))
         assert float(sig(q, sigma_poly)) <= best * (1.0 + 1e-12) + 1e-12
 
@@ -543,6 +537,8 @@ def test_noncausal_requires_even_constraints_and_numeric_delay():
                                     group_delay=0.0))
     with pytest.raises(ValueError, match="use noncausal_design"):
         design_filterbank(_nc_spec())
+    with pytest.raises(ValueError, match="needs a causal basis"):
+        wng_polynomial(constraint_basis(_nc_spec()))
 
 
 def test_noncausal_wng_split_sums_to_total():
@@ -568,22 +564,43 @@ def test_noncausal_wng_split_sums_to_total():
     (cli.design_to_payload, _nc_spec()),
 ])
 def test_one_assembly_per_design(monkeypatch, solve, spec):
-    """The delay search and the CLI's condition report reuse the system the
-    design solves, and a design whose constraint set is in the memo
-    assembles none.  Every assembly, assemble_system's too, builds Psi in
-    _basis_matrix."""
+    """The delay search and the CLI's condition report reuse the basis the
+    design solves on, and a design whose constraint set is in the memo
+    builds none.  Every basis, assemble_system's too, is built by
+    ConstraintBasis.from_poles."""
     calls = []
-    basis_matrix = design_module._basis_matrix
+    from_poles = ConstraintBasis.from_poles
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return basis_matrix(*args, **kwargs)
-    monkeypatch.setattr(design_module, "_basis_matrix", spy)
+        return from_poles(*args, **kwargs)
+    monkeypatch.setattr(ConstraintBasis, "from_poles", spy)
     design_module._memo_basis.cache_clear()
     solve(spec)
     assert len(calls) == 1
     solve(spec)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=3, k_w_nb=3,
+               k_t=3),
+    _nc_spec(k_t=2),
+], ids=["causal", "two-sided"])
+def test_assemble_system_equals_basis_system(spec):
+    """assemble_system over the spec's own Butterworth poles gives the
+    Psi and D of the design path's basis, bit for bit."""
+    K, q = spec.total_constraints, 3.5
+    if spec.causal:
+        poles = causal_z_poles(K, spec.omega_wb * spec.f_s, spec.t_s)
+    else:
+        poles = full_z_poles(K // 2, spec.omega_wb * spec.f_s, spec.t_s)
+    system = assemble_system(spec, poles, q)
+    basis = constraint_basis(spec)
+    assert np.array_equal(system.psi, basis.psi)
+    assert np.array_equal(system.d, basis.system(q, spec.k_t).d)
+    assert system.condition == basis.condition
+    assert system.constraint_freqs == basis.blocks
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +713,7 @@ def test_memo_hands_out_copies(spec):
             assert array.flags.writeable
             array[...] = 7.0
     assert _outcome(spec) == before
-    basis = design_module._basis(spec)
+    basis = constraint_basis(spec)
     for array in (basis.poles, basis.psi, basis.s):
         assert array is None or not array.flags.writeable
 
