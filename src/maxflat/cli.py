@@ -195,7 +195,8 @@ def cmd_design(args: argparse.Namespace) -> int:
     payload = design_to_payload(spec)
     with open(args.output, "w") as fh:
         fh.write(dumps_json(payload))
-    print(f"wrote {args.output} (q = {payload.get('q_smp', 0.0)})")
+    q_smp = payload.get("forward", payload)["q_smp"]
+    print(f"wrote {args.output} (q = {q_smp})")
     return EXIT_OK
 
 

@@ -130,8 +130,6 @@ class ConstraintSystem:
 
     psi: np.ndarray
     d: np.ndarray
-    constraint_freqs: Tuple[Tuple[float, int], ...]
-    condition: float
 
 
 @dataclass(frozen=True)
@@ -140,14 +138,11 @@ class FilterbankDesign:
 
     c is the K x K_t coefficient matrix (column k_t drives derivative order
     k_t).  a is the shared monic denominator (length K+1); b[k_t] is the
-    matching numerator (length K+1, last entry zero for causal banks).
-    sigma is the real white-noise cross-gain matrix.  condition is the
-    condition estimate of Psi in the design's ConstraintBasis (None for a
-    design read back from JSON).
-
-    In the backward half of a two-sided design, poles holds r = 1/p but c
-    the coefficients of the terms c z/(z - p), so (c, poles) does not
-    expand to its b/a; see noncausal_design.
+    matching numerator (length K+1, last entry zero; the backward half of
+    a two-sided design holds it one sample late, first entry zero).  sigma
+    is the real white-noise cross-gain matrix.  condition is the condition
+    estimate of Psi in the design's ConstraintBasis (None for a design read
+    back from JSON).
     """
 
     poles: np.ndarray
@@ -321,9 +316,7 @@ class ConstraintBasis:
         d = np.zeros((spec.total_constraints, k_t), dtype=complex)
         for kt in range(k_t):
             d[:spec.k_w_dc, kt] = dc_targets(q, spec.t_s, spec.k_w_dc, kt)
-        return ConstraintSystem(psi=self.psi, d=d,
-                                constraint_freqs=self.blocks,
-                                condition=self.condition)
+        return ConstraintSystem(psi=self.psi, d=d)
 
     def optimal_delay(self, k_t: int = 0) -> float:
         """Delay minimizing the WNG polynomial of output k_t.
@@ -582,27 +575,15 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
                                                 FilterbankDesign]:
     """Solve a zero-delay design over all 2K Butterworth poles and split it.
 
-    The 2K-term partial fraction is partitioned by pole radius: poles inside
-    the unit circle form the forward (causal) part; poles outside are
-    realized backwards in time after the substitution z -> 1/z, which maps
-    each outside pole p to the stable pole r = 1/p and each term
-    c z/(z - p) to -c r/(z - r) on the reversed axis.
-
-    Returns (forward, backward) FilterbankDesigns.  The forward design is
-    an ordinary causal bank over the inside poles: poles, c, b and a
-    describe one another as in design_filterbank, and its sigma holds the
-    total (two-sided) white-noise gain.  The backward design holds:
-
-    - poles: the reflected poles r = 1/p of the outside poles p;
-    - c: the coefficients of the terms c z/(z - p) on the original axis,
-      so (c, poles) is not a partial fraction of its b/a;
-    - a: the monic polynomial with roots r;
-    - b: numerators of sum_k -c_k r_k / (z - r_k), first entry zero;
-    - sigma: only the anticausal contribution to the white-noise gain.
-
-    The backward b/a run on time-reversed input (output reversed again
-    afterwards); its response on the original axis is
-    B(e^{-iw})/A(e^{-iw}) = sum_k c_k z/(z - p_k) at z = e^{iw}.
+    The 2K-term partial fraction is split by pole radius into two causal
+    banks, returned as (forward, backward).  The forward bank holds the
+    poles inside the unit circle and their terms.  On the time-reversed
+    axis (z -> 1/z) each outside term c z/(z - p) is -c r/(z - r) with
+    r = 1/p: the term c_b z/(z - r), c_b = -c r, one sample late.  The
+    backward bank holds r and c_b, its b is their expansion delayed one
+    sample, and it runs on time-reversed input (realize.run_noncausal).
+    Each bank's sigma is the white-noise gain of its own terms, except that
+    the forward sigma holds the total of both.
 
     The 2K poles and Psi come from constraint_basis(spec), and the
     coefficients from solve_coefficients(basis.system(q, K_t)), as in
@@ -621,35 +602,24 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
     basis = constraint_basis(spec)
     c = solve_coefficients(basis.system(q, spec.k_t))
 
-    poles = basis.poles
-    inside = np.abs(poles) < 1.0
-    p_in, c_in = poles[inside], c[inside, :]
-    p_out, c_out = poles[~inside], c[~inside, :]
-    r = 1.0 / p_out
-
-    s_fwd = gram_matrix(p_in)
-    # Anticausal impulse responses -c p^n, n <= -1, have pairwise inner
-    # products conj(r_a) r_b / (1 - conj(r_a) r_b) with r = 1/p.
-    s_bwd = (np.conj(r)[:, None] * r[None, :]) \
-        / (1.0 - np.conj(r)[:, None] * r[None, :])
-    sigma_fwd = white_noise_gain(c_in, s_fwd)
-    sigma_bwd = white_noise_gain(c_out, s_bwd)
+    inside = np.abs(basis.poles) < 1.0
+    p_in, c_in = basis.poles[inside], c[inside, :]
+    r = 1.0 / basis.poles[~inside]
+    # The products -c r are formed in extended precision, because the
+    # expansion sums them with cancellation; the bank keeps their rounding.
+    c_b_hp = -c[~inside, :].astype(np.clongdouble) * r[:, None]
+    c_b = c_b_hp.astype(complex)
+    sigma_b = white_noise_gain(c_b, gram_matrix(r))
 
     b_f, a_f = transfer_coefficients(c_in, p_in)
-    forward = FilterbankDesign(poles=p_in, c=c_in, q=q,
-                               sigma=sigma_fwd + sigma_bwd, a=a_f,
-                               b=tuple(b_f), t_s=spec.t_s,
-                               condition=basis.condition)
-
-    # Backward part: sum_k (-c_k r_k) / (z - r_k) over the reversed axis is
-    # z^-1 times the expansion of sum_k (-c_k r_k) z / (z - r_k), whose last
-    # entry is an exact 0, so the shift is a roll.  The products c_k r_k
-    # are formed in extended precision as well, because the expansion sums
-    # them with cancellation.
-    b_z, a_b = transfer_coefficients(
-        -c_out.astype(np.clongdouble) * r[:, None], r)
-    backward = FilterbankDesign(poles=r, c=c_out, q=q, sigma=sigma_bwd,
-                                a=a_b, b=tuple(np.roll(b_z, 1, axis=1)),
-                                t_s=spec.t_s,
-                                condition=basis.condition)
+    forward = FilterbankDesign(
+        poles=p_in, c=c_in, q=q,
+        sigma=white_noise_gain(c_in, gram_matrix(p_in)) + sigma_b, a=a_f,
+        b=tuple(b_f), t_s=spec.t_s, condition=basis.condition)
+    # The expansion of sum_k c_b z/(z - r) ends in an exact 0, so the
+    # one-sample delay is a roll.
+    b_z, a_b = transfer_coefficients(c_b_hp, r)
+    backward = FilterbankDesign(poles=r, c=c_b, q=q, sigma=sigma_b, a=a_b,
+                                b=tuple(np.roll(b_z, 1, axis=1)),
+                                t_s=spec.t_s, condition=basis.condition)
     return forward, backward

@@ -184,14 +184,18 @@ def test_design_json_causal_is_boolean(tmp_path, flags, causal):
     assert again.read_bytes() == out.read_bytes()
 
 
-def test_noncausal_design_command(tmp_path):
+def test_noncausal_design_command(tmp_path, capsys):
+    """A two-sided file holds q_smp only in each half; the command prints
+    that q (it once printed 0.0 whatever --q was)."""
     out = tmp_path / "nc.json"
     rc = cli.main(["design", "--fwb", "0.05", "--fnb", "0.07", "--kdc", "4",
-                   "--knb", "2", "--kt", "1", "--q", "0", "--noncausal",
+                   "--knb", "2", "--kt", "1", "--q", "2", "--noncausal",
                    "-o", str(out)])
     assert rc == 0
+    assert capsys.readouterr().out == f"wrote {out} (q = 2.0)\n"
     payload = json.loads(_read(out))
     assert "forward" in payload and "backward" in payload
+    assert payload["forward"]["q_smp"] == payload["backward"]["q_smp"] == 2.0
 
 
 def test_response_command(tmp_path):

@@ -152,14 +152,15 @@ def test_run_noncausal_matches_two_sided_convolution():
     y = run_noncausal(fwd, bwd, x)
 
     # Oracle: materialize h[n] for n in [-L, L] from the partial fractions
-    # (forward: c p^n for n >= 0; backward: -c r^{-n} ... i.e. the stored
-    # stable form run on reversed time) and convolve directly.
+    # of both halves, not their b/a (forward: h[n] = sum c p^n for n >= 0;
+    # backward: h[-m] = sum c r^(m-1) for m >= 1), and convolve directly.
     L = 200
     n = np.arange(0, L + 1)
     h_pos = np.real(sum(c * p ** n for c, p in zip(fwd.c[:, 0], fwd.poles)))
-    imp = np.r_[np.zeros(L), 1.0, np.zeros(L)]
-    y_b = run_filter(bwd.b[0], bwd.a, imp[::-1])[::-1]
-    h = np.r_[y_b[:L], y_b[L] + h_pos[0], h_pos[1:]]
+    m = np.arange(L, 0, -1)
+    h_neg = np.real(sum(c * r ** (m - 1)
+                        for c, r in zip(bwd.c[:, 0], bwd.poles)))
+    h = np.r_[h_neg, h_pos]
     y_ref = np.convolve(np.r_[np.zeros(L), x], h, mode="full")[2 * L:2 * L
                                                                + len(x)]
     assert np.max(np.abs(y - y_ref)) < 1e-10 * max(1.0, np.max(np.abs(y)))
