@@ -31,16 +31,15 @@ COEFF_EPS = 1e-11
 NULL_RADIUS_TOL = 1e-9
 
 # The finite differences sample the response at omega_d + FD_STEP * offset
-# for these five offsets.  The central stencils of derivative orders 0..3
-# each take a subset of them: (indices into _FD_OFFSETS, weights).  Order 0
-# is the response itself.
+# for these five offsets.  Row k of _FD_WEIGHTS is the central stencil of
+# derivative order k (0..3) over those samples, before its division by
+# FD_STEP**k; order 0 is the response itself.
 _FD_OFFSETS = np.arange(-2.0, 3.0)
-_FD_STENCILS = {
-    0: ([2], np.array([1.0])),
-    1: ([1, 3], np.array([-0.5, 0.5])),
-    2: ([1, 2, 3], np.array([1.0, -2.0, 1.0])),
-    3: ([0, 1, 3, 4], np.array([-0.5, 1.0, -1.0, 0.5])),
-}
+_FD_WEIGHTS = np.array([[0.0, 0.0, 1.0, 0.0, 0.0],
+                        [0.0, -0.5, 0.0, 0.5, 0.0],
+                        [0.0, 1.0, -2.0, 1.0, 0.0],
+                        [-0.5, 1.0, 0.0, -1.0, 0.5]])
+_FD_SCALES = np.array([FD_STEP ** k for k in range(FD_MAX_ORDER + 1)])
 
 
 @dataclass(frozen=True)
@@ -91,35 +90,38 @@ def noncausal_response(forward: FilterbankDesign, backward: FilterbankDesign,
             + frequency_response(backward.b[k_t], backward.a, -w))
 
 
-def _bank_derivatives(design: FilterbankDesign, omega_d: float,
+def _bank_derivatives(design: FilterbankDesign, omegas: np.ndarray,
                       n: int) -> np.ndarray:
-    """Frequency derivatives 0..n-1 (rows) of every output (columns) at
-    omega_d, from the partial-fraction (basis) representation.
+    """Frequency derivatives 0..n-1 (axis 1) of every output (axis 2) at
+    each of omegas (axis 0), from the partial-fraction (basis)
+    representation.
 
     Row k is i^k sum_l alpha_{k,l} (-1)^l psi^{l+1} C, with psi the basis
     functions z / (z - p) of all poles at z = e^{i omega_d}.
     """
-    z = np.exp(1j * omega_d)
+    z = np.exp(1j * omegas)[:, None]
     if np.any(np.abs(z - design.poles) < 1e-12):
         raise NumericalError("singular basis evaluation: pole on the unit "
                              "circle at a constraint frequency")
     psi = z / (z - design.poles)
     orders = np.arange(n)
-    powers = psi ** (orders[:, None] + 1) * (-1.0) ** orders[:, None]
+    powers = psi[:, None, :] ** (orders[:, None] + 1) \
+        * (-1.0) ** orders[:, None]
     return (1j ** orders)[:, None] * (alpha_table(n) @ powers @ design.c)
 
 
 def _fd_samples(design: FilterbankDesign,
-                omega_d: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Responses H = B(z)/A(z) of every output (rows) at the stencil points
-    around omega_d (columns), and the rounding-noise scale of each.
+                omegas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Responses H = B(z)/A(z) of every output (axis 0) at the stencil
+    points (axis 2) around each of omegas (axis 1), and the rounding-noise
+    scale of each.
 
     Each response sample carries relative rounding noise amplified by the
     evaluation condition number of the two polynomials (sum of absolute
     coefficients over the achieved value).  A stencil divides that noise by
     h^order; below the resulting scale an estimate carries no information.
     """
-    z = np.exp(1j * (omega_d + FD_STEP * _FD_OFFSETS))
+    z = np.exp(1j * (omegas[:, None] + FD_STEP * _FD_OFFSETS)).ravel()
     coeffs = np.vstack(design.b + (design.a,))
     # One Horner pass evaluates every numerator and the denominator.
     vals = np.zeros((len(coeffs), len(z)), dtype=complex)
@@ -130,7 +132,13 @@ def _fd_samples(design: FilterbankDesign,
     sums = np.sum(np.abs(coeffs), axis=1)
     noise = COEFF_EPS * (sums[:-1, None] + np.abs(h) * sums[-1]) \
         / np.abs(a_val)
-    return h, noise
+    shape = (len(h), len(omegas), len(_FD_OFFSETS))
+    return h.reshape(shape), noise.reshape(shape)
+
+
+def _abs(x: np.ndarray) -> np.ndarray:
+    """|x| as hypot(re, im), the rounding of Python's abs(complex)."""
+    return np.hypot(x.real, x.imag)
 
 
 def verify_constraints(spec: DesignSpec,
@@ -139,41 +147,51 @@ def verify_constraints(spec: DesignSpec,
 
     The analytic path evaluates the basis-derivative expansion; the
     finite-difference path probes the realized transfer function directly
-    (orders 0..3).  Both are compared to the constraint targets.  Each
-    constraint frequency is evaluated once for all outputs; the report
-    lists the checks by output, then block, then order.
+    (orders 0..3).  Both are compared to the constraint targets.  All
+    constraint frequencies are checked in one pass for all outputs: one
+    alpha_table(n) @ powers @ C product over the (blocks, n, K) stack of
+    basis powers (n = the largest block count + 3) gives the analytic
+    derivatives, one Horner pass over blocks x 5 stencil points the
+    response samples, and one stencil-weight matrix the finite
+    differences.  The report lists the checks by output, then block, then
+    order.
     """
-    blocks = [(w_d, count, _bank_derivatives(design, w_d, count + 3),
-               _fd_samples(design, w_d))
-              for w_d, count in constraint_blocks(spec)]
+    blocks = constraint_blocks(spec)
+    omegas = np.array([w_d for w_d, _ in blocks])
+    width = max(count for _, count in blocks)
+    # Axes (output, block, order) from here on.
+    analytic = _bank_derivatives(design, omegas, width + 3).transpose(2, 0, 1)
+    target = np.zeros((spec.k_t, len(blocks), width), dtype=complex)
+    for kt in range(spec.k_t):
+        target[kt, omegas == 0.0, :spec.k_w_dc] = dc_targets(
+            design.q, design.t_s, spec.k_w_dc, kt)
+    scale = 1.0 + _abs(target)
+    a_ok = _abs(analytic[..., :width] - target) <= 1e-6 * scale
+
+    n_fd = min(FD_MAX_ORDER + 1, width)
+    h, noise = _fd_samples(design, omegas)
+    fd = (h @ _FD_WEIGHTS[:n_fd].T) / _FD_SCALES[:n_fd]
+    fd_noise = (noise @ np.abs(_FD_WEIGHTS[:n_fd]).T) / _FD_SCALES[:n_fd]
+    # A second-order-accurate stencil carries truncation error
+    # ~ h^2 |f^(k+2)| plus the rounding noise of the sampled responses;
+    # neither is resolvable, so both enter the acceptance bound.  Order 0
+    # samples the response itself and has no truncation error.
+    trunc = FD_STEP ** 2 * _abs(analytic[..., 2:n_fd + 2])
+    trunc[..., 0] = 0.0
+    fd_ok = _abs(fd - target[..., :n_fd]) \
+        <= FD_RTOL * scale[..., :n_fd] + trunc + 10.0 * fd_noise
+
+    analytic, target = analytic.tolist(), target.tolist()
+    a_ok, fd, fd_ok = a_ok.tolist(), fd.tolist(), fd_ok.tolist()
     report: List[ConstraintCheck] = []
     for kt in range(spec.k_t):
-        targets_dc = dc_targets(design.q, design.t_s, spec.k_w_dc, kt)
-        for w_d, count, analytic, (h, noise) in blocks:
+        for j, (w_d, count) in enumerate(blocks):
             for kw in range(count):
-                target = targets_dc[kw] if w_d == 0.0 else 0.0 + 0.0j
-                scale = 1.0 + abs(target)
-                a_ok = abs(analytic[kw, kt] - target) <= 1e-6 * scale
-                fd_val = None
-                fd_ok = True
-                if kw <= FD_MAX_ORDER:
-                    idx, weights = _FD_STENCILS[kw]
-                    fd_val = complex(np.dot(weights, h[kt, idx])
-                                     / FD_STEP ** kw)
-                    fd_noise = float(np.dot(np.abs(weights), noise[kt, idx])) \
-                        / FD_STEP ** kw
-                    # A second-order-accurate stencil carries truncation
-                    # error ~ h^2 |f^(k+2)| plus the rounding noise of the
-                    # sampled responses; neither is resolvable, so both
-                    # enter the acceptance bound.  Order 0 samples the
-                    # response itself and has no truncation error.
-                    trunc = FD_STEP ** 2 * abs(analytic[kw + 2, kt]) \
-                        if kw else 0.0
-                    fd_ok = abs(fd_val - target) \
-                        <= FD_RTOL * scale + trunc + 10.0 * fd_noise
-                report.append(ConstraintCheck(w_d, kw, kt, target,
-                                              analytic[kw, kt], fd_val,
-                                              a_ok, fd_ok))
+                has_fd = kw < n_fd
+                report.append(ConstraintCheck(
+                    w_d, kw, kt, target[kt][j][kw], analytic[kt][j][kw],
+                    fd[kt][j][kw] if has_fd else None, a_ok[kt][j][kw],
+                    fd_ok[kt][j][kw] if has_fd else True))
     return report
 
 

@@ -448,6 +448,36 @@ def _wng_minimum(sigma_poly: np.ndarray,
     return float(tied.min())
 
 
+def _pole_tables(poles_hp: np.ndarray) -> Tuple[np.ndarray, float,
+                                                np.ndarray]:
+    """What transfer_coefficients needs of the poles alone, read-only: the
+    monic denominator (real part, a[0] = 1 exactly), the largest imaginary
+    residue of its extended-precision expansion, and the (K-1, K) factor
+    table of the numerator expansion.
+
+    Row s of the table holds the factor that step s multiplies each term
+    by: p_s for terms k > s, p_{s+1} for k <= s.
+    """
+    a = np.ones(1, dtype=np.clongdouble)
+    for p in poles_hp:
+        a = np.convolve(a, np.array([1.0, -p], dtype=np.clongdouble))
+    resid = float(np.max(np.abs(a.imag)))
+    a = np.asarray(a.real, dtype=float)
+    a[0] = 1.0
+    K = len(poles_hp)
+    steps, ks = np.arange(K - 1)[:, None], np.arange(K)[None, :]
+    factors = np.where(ks > steps, poles_hp[:-1, None], poles_hp[1:, None])
+    for array in (a, factors):
+        array.flags.writeable = False
+    return a, resid, factors
+
+
+def _pole_tables_of_bytes(key: bytes) -> Tuple[np.ndarray, float,
+                                               np.ndarray]:
+    return _pole_tables(np.frombuffer(key, dtype=complex)
+                        .astype(np.clongdouble))
+
+
 def transfer_coefficients(c: np.ndarray,
                           poles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Expand sum_k c_k z / (z - p_k) into numerator/denominator polynomials.
@@ -456,38 +486,42 @@ def transfer_coefficients(c: np.ndarray,
     Returns (b, a) in descending powers of z: a is real, monic and of length
     K+1; b is real with last entry 0, of length K+1 for a vector c and
     K_t x (K+1) (one row per output) for a matrix.
+
+    The expansion runs in extended precision, because the product
+    accumulation is the accuracy bottleneck for clustered pole sets.  What
+    depends on the poles alone, the denominator and the factor table of
+    the numerator expansion, is built once per pole set: sets of at most
+    _MEMO_MAX_K poles that complex128 holds exactly (the causal poles and
+    both halves of a two-sided design) come from a bounded memo keyed by
+    their bytes, others are expanded afresh.  Each call returns its own
+    arrays.
     """
-    # Expand in extended precision: the product accumulation is the
-    # accuracy bottleneck for clustered pole sets.
-    poles_hp = np.asarray(poles, dtype=np.clongdouble)
-    K = len(poles_hp)
+    poles = np.asarray(poles)
+    K = len(poles)
+    if K <= _MEMO_MAX_K and np.can_cast(poles.dtype, complex):
+        a, resid_a, factors = _memo_pole_tables(
+            np.ascontiguousarray(poles, dtype=complex).tobytes())
+    else:
+        a, resid_a, factors = _pole_tables(
+            np.asarray(poles, dtype=np.clongdouble))
     cols = np.asarray(c, dtype=np.clongdouble).reshape(K, -1).T
-    a = np.ones(1, dtype=np.clongdouble)
-    for p in poles_hp:
-        a = np.convolve(a, np.array([1.0, -p], dtype=np.clongdouble))
     # terms[k] is [c_k, 0] multiplied by each (z - p_j), j != k, in
     # increasing j, for all outputs at once.  Expanding the cofactor first
     # and scaling it by c_k would round differently.  Step s multiplies
-    # every term by its s-th factor: p_s for k > s, p_{s+1} for k <= s.
+    # every term by its s-th factor (row s of the factor table).
     terms = np.zeros((K, len(cols), K + 1), dtype=np.clongdouble)
     terms[:, :, 0] = cols.T
-    ks = np.arange(K)
-    for step in range(K - 1):
-        factor = np.where(ks > step, poles_hp[step], poles_hp[step + 1])
+    for step, factor in enumerate(factors):
         terms[:, :, 1:step + 2] -= factor[:, None, None] \
             * terms[:, :, :step + 1]
-    b = np.zeros((len(cols), K + 1), dtype=np.clongdouble)
-    for term in terms:  # summed in k order
-        b += term
-    resid = max(float(np.max(np.abs(a.imag))), float(np.max(np.abs(b.imag))))
+    b = terms.sum(axis=0)  # summed in k order
+    resid = max(resid_a, float(np.max(np.abs(b.imag))))
     if resid > TOL_CPX:
         raise NumericalError("transfer coefficients have imaginary residue "
                              f"{resid:.3e} — design inconsistency")
-    a = np.asarray(a.real, dtype=float)
     b = np.asarray(b.real, dtype=float)
-    a[0] = 1.0
     b[:, K] = 0.0
-    return (b[0] if np.ndim(c) == 1 else b), a
+    return (b[0] if np.ndim(c) == 1 else b), a.copy()
 
 
 def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
@@ -522,6 +556,11 @@ _MEMO_SIZE = 96
 # other poles.  Exceptions are not stored, so a failing set fails each time.
 _memo_basis = functools.lru_cache(maxsize=_MEMO_SIZE,
                                   typed=True)(_build_basis)
+# The pole-set tables of transfer_coefficients, under the same bounds.  An
+# entry of K = 16 holds 8.5 KB, its key included (the factor table 7.5 KB;
+# measured with tracemalloc), so this memo never holds more than 0.82 MB.
+_memo_pole_tables = functools.lru_cache(maxsize=_MEMO_SIZE)(
+    _pole_tables_of_bytes)
 
 
 def constraint_basis(spec: DesignSpec) -> ConstraintBasis:

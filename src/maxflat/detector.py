@@ -266,19 +266,6 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
     return stat_true, stat_false
 
 
-def trial_statistics(detector: Callable[[np.ndarray], np.ndarray],
-                     seed: int, trial: int,
-                     deterministic_signal: bool = True
-                     ) -> Tuple[float, float]:
-    """One MC trial: a signal+interference instance and an
-    interference-only instance from independent sub-seeds.  This is
-    ``block_statistics`` for a block of one trial, so it gives the same
-    statistics as that trial within any block of ``run_detection_mc``."""
-    stat_true, stat_false = block_statistics(detector, seed, trial, 1,
-                                             deterministic_signal)
-    return float(stat_true[0]), float(stat_false[0])
-
-
 def roc_from_statistics(stat_true: np.ndarray,
                         stat_false: np.ndarray) -> RocCurve:
     """Empirical ROC over the pooled sorted statistics; AUC by trapezoid."""

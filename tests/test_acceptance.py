@@ -48,9 +48,9 @@ from maxflat.analyze import (design_response, noncausal_response,
                              verify_constraints)
 from maxflat.design import (DesignSpec, assemble_system, design_filterbank,
                             gram_matrix, noncausal_design, solve_coefficients)
-from maxflat.detector import (build_detector, bw0_reference, bw1_filterbank,
-                              bw1_nc_smoother, roc_from_statistics,
-                              run_detection_mc, trial_statistics)
+from maxflat.detector import (block_statistics, build_detector,
+                              bw0_reference, bw1_filterbank, bw1_nc_smoother,
+                              roc_from_statistics, run_detection_mc)
 from maxflat.realize import run_filter, run_lss, to_ccf, to_dcf, to_dsf
 from maxflat.procsim import (ProcessParams, discretize_process,
                              impulse_energy_closed_form, scenario_params,
@@ -277,7 +277,8 @@ def test_criterion_12_property_suite(bw1_design):
                                np.array([2 * np.pi * 0.07]))[0]) < 1e-9
     # Seed determinism.
     det = build_detector("IIR_BW1")
-    assert trial_statistics(det, 5, 0) == trial_statistics(det, 5, 0)
+    first, again = (block_statistics(det, 5, 0, 1) for _ in range(2))
+    assert all(np.array_equal(x, y) for x, y in zip(first, again))
     # ROC monotonicity and chance calibration.
     rng = np.random.default_rng(3)
     roc = roc_from_statistics(rng.normal(size=2000), rng.normal(size=2000))

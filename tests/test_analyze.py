@@ -9,7 +9,8 @@ from maxflat.analyze import (COEFF_EPS, FD_MAX_ORDER, FD_RTOL, FD_STEP,
                              frequency_response, ideal_response,
                              measured_group_delay, noncausal_response,
                              orbit_steady_state, verify_constraints)
-from maxflat.design import (DesignSpec, alpha_table, basis_derivative_column,
+from maxflat.design import (DesignSpec, FilterbankDesign, NumericalError,
+                            alpha_table, basis_derivative_column,
                             constraint_blocks, dc_targets, design_filterbank,
                             noncausal_design)
 from maxflat.realize import run_filter
@@ -168,6 +169,23 @@ def test_verify_constraints_matches_per_order_check(k_w_dc):
                         assert abs(got[5] - ref[5]) <= 1e-12 * spread, spec
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_verify_constraints_rejects_pole_at_constraint_frequency(block):
+    """A hand-built design with a pole on the unit circle at one of the
+    spec's constraint frequencies (dc, -omega_nb, +omega_nb, pi) has no
+    basis evaluation there: NumericalError, not a check of inf or NaN."""
+    spec = DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=3,
+                      k_w_nb=1, k_w_pi=1, k_t=2, group_delay=4.0)
+    d = design_filterbank(spec)
+    w_d, _ = constraint_blocks(spec)[block]
+    poles = d.poles.copy()
+    poles[1] = np.exp(1j * w_d)
+    bad = FilterbankDesign(poles=poles, c=d.c, q=d.q, sigma=d.sigma,
+                           a=d.a, b=d.b, t_s=d.t_s)
+    with pytest.raises(NumericalError, match="singular basis evaluation"):
+        verify_constraints(spec, bad)
 
 
 def test_response_conjugate_symmetry(bw1_design):

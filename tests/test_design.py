@@ -656,11 +656,8 @@ def test_assemble_system_equals_basis_system(spec):
 # The basis memo
 
 
-def _sweep_specs():
-    """The benchmark's design-sweep grid (causal and two-sided), the 32
-    specs it draws for seed 3, round 0 (one of them rejected), a spec with
-    a delay-independent WNG, and a twin whose F_s is a float32 of the same
-    value (other poles, so another memo entry)."""
+def _sweep_grid_specs():
+    """The benchmark's design-sweep grid, causal and two-sided."""
     specs = []
     for kdc in range(2, 9):
         for knb in range(4):
@@ -676,6 +673,15 @@ def _sweep_specs():
                     f_s=1000.0, f_wb=0.05, f_nb=0.07 if knb else None,
                     k_w_dc=kdc, k_w_nb=knb, k_t=kt, group_delay=0.0,
                     causal=False))
+    return specs
+
+
+def _sweep_specs():
+    """The benchmark's design-sweep grid, the 32 specs it draws for seed 3,
+    round 0 (one of them rejected), a spec with a delay-independent WNG,
+    and a twin whose F_s is a float32 of the same value (other poles, so
+    another memo entry)."""
+    specs = _sweep_grid_specs()
     rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
     drawn = []
     while len(drawn) < 32:
@@ -792,3 +798,88 @@ def test_memo_is_bounded():
         warnings.simplefilter("ignore", IllConditionedSystem)
         design_filterbank(big)
     assert design_module._memo_basis.cache_info().misses == n
+
+
+# ---------------------------------------------------------------------------
+# The pole-set tables of transfer_coefficients
+
+
+def _expansion_bytes(c, poles):
+    b, a = transfer_coefficients(c, poles)
+    return b.tobytes(), a.tobytes()
+
+
+def _backward_c_hp(spec):
+    """The extended-precision c_b = -c r that noncausal_design expands for
+    its backward half (its stored c is the complex128 rounding)."""
+    basis = constraint_basis(spec)
+    c = solve_coefficients(basis.system(float(spec.group_delay), spec.k_t))
+    outside = np.abs(basis.poles) >= 1.0
+    r = 1.0 / basis.poles[outside]
+    return -c[outside, :].astype(np.clongdouble) * r[:, None]
+
+
+@pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
+@pytest.mark.filterwarnings("ignore:delay-independent WNG")
+def test_expansion_memo_cold_equals_warm_and_designs_expand_with_it():
+    """For every design-sweep grid spec, the expansion from a cleared memo
+    and from a warm one agree bit for bit, and every bank's b/a are
+    transfer_coefficients of its own coefficients over its poles: (c,
+    poles) for causal banks and the forward half, (-c r in extended
+    precision, r) one sample late for the backward half."""
+    memo = design_module._memo_pole_tables
+    designed = 0
+    for spec in _sweep_grid_specs():
+        try:
+            banks = (noncausal_design(spec) if not spec.causal
+                     else (design_filterbank(spec),))
+        except ValueError:  # a grid spec the design rejects
+            continue
+        designed += 1
+        inputs = [(d.c, d.poles) for d in banks]
+        if not spec.causal:
+            inputs.append((_backward_c_hp(spec), banks[1].poles))
+        for c, poles in inputs:
+            memo.cache_clear()
+            cold = _expansion_bytes(c, poles)
+            assert memo.cache_info().misses == 1
+            assert _expansion_bytes(c, poles) == cold
+            assert memo.cache_info().hits == 1
+        expected = [transfer_coefficients(c, p) for c, p in inputs[:1]]
+        if not spec.causal:
+            b_z, a_b = transfer_coefficients(*inputs[2])
+            expected.append((np.roll(b_z, 1, axis=1), a_b))
+        for d, (b, a) in zip(banks, expected):
+            assert np.array_equal(np.array(d.b), b), spec
+            assert np.array_equal(d.a, a), spec
+    assert designed > len(_sweep_grid_specs()) // 2
+
+
+def test_expansion_memo_is_bounded_and_read_only():
+    """The memo keeps at most _MEMO_SIZE pole sets, its tables cannot be
+    written, and each call hands out its own denominator.  Pole sets it
+    cannot key exactly (extended precision, or more than _MEMO_MAX_K
+    poles) are expanded afresh, to the same bits as complex128 poles."""
+    memo = design_module._memo_pole_tables
+    memo.cache_clear()
+    n = design_module._MEMO_SIZE + 20
+    c = np.array([0.25, 0.5 + 0.1j, 0.5 - 0.1j])
+    for radius in np.linspace(0.1, 0.9, n):
+        transfer_coefficients(c, radius * np.array([1.0, 1j, -1j]))
+    info = memo.cache_info()
+    assert info.misses == n
+    assert info.currsize == info.maxsize == design_module._MEMO_SIZE
+    poles = np.array([0.5, 0.25 + 0.5j, 0.25 - 0.5j])
+    a_table, _, factors = memo(poles.tobytes())
+    assert not a_table.flags.writeable and not factors.flags.writeable
+    b, a = transfer_coefficients(c, poles)
+    assert a.flags.writeable and a is not a_table
+    a[...] = 7.0
+    assert np.array_equal(transfer_coefficients(c, poles)[1], a_table)
+    misses = memo.cache_info().misses
+    fresh = transfer_coefficients(c, poles.astype(np.clongdouble))
+    assert np.array_equal(fresh[0], b) and np.array_equal(fresh[1], a_table)
+    big = 0.9 * np.exp(2j * np.pi * np.arange(design_module._MEMO_MAX_K + 1)
+                       / (design_module._MEMO_MAX_K + 1))
+    transfer_coefficients(np.ones(len(big)) / len(big), big)
+    assert memo.cache_info().misses == misses

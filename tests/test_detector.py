@@ -8,10 +8,10 @@ from maxflat.analyze import frequency_response
 from maxflat.detector import (BLOCK, DETECT_FS, DETECT_N, DETECTOR_TAGS,
                               FALSE_WINDOW, MEMO_BLOCKS, P_INT, P_SIG,
                               PULSE_SAMPLE, TRUE_WINDOW, build_detector,
-                              bw0_reference,
+                              block_statistics, bw0_reference,
                               detector_metrics, roc_from_statistics,
                               run_detection_mc, tk_energy_derivatives,
-                              tk_energy_threepoint, trial_statistics)
+                              tk_energy_threepoint)
 from maxflat.procsim import (InputSpec, discretize_process,
                              generate_waveform, scenario_params)
 
@@ -185,12 +185,23 @@ def test_roc_auc_of_separated_distributions_is_one():
     assert roc.auc == pytest.approx(1.0)
 
 
-def test_trial_statistics_deterministic_given_seed():
+def _single_trial(det, seed, trial, deterministic_signal=True):
+    """(true, false) statistics of one trial: block_statistics over a
+    block of one."""
+    stat_true, stat_false = block_statistics(det, seed, trial, 1,
+                                             deterministic_signal)
+    return float(stat_true[0]), float(stat_false[0])
+
+
+def test_block_statistics_deterministic_given_seed():
+    """A block of one trial, simulated afresh, repeats its statistics;
+    the next trial draws others."""
     det = build_detector("FIR_NUL_NC")
-    a = trial_statistics(det, seed=9, trial=3)
-    b = trial_statistics(det, seed=9, trial=3)
+    a = _single_trial(det, seed=9, trial=3)
+    detector._simulate_block.cache_clear()
+    b = _single_trial(det, seed=9, trial=3)
     assert a == b
-    c = trial_statistics(det, seed=9, trial=4)
+    c = _single_trial(det, seed=9, trial=4)
     assert a != c
 
 
@@ -257,11 +268,11 @@ def detectors():
 def test_block_statistics_equal_single_trials(monkeypatch, detectors, tag,
                                               trials, deterministic_signal):
     """However trials fall into blocks, each trial's statistics are those
-    of trial_statistics, a block of one."""
+    of a block of one."""
     det = detectors[tag]
     stat_true, stat_false = _mc_statistics(monkeypatch, det, trials, 7,
                                            deterministic_signal)
-    single = np.array([trial_statistics(det, 7, t, deterministic_signal)
+    single = np.array([_single_trial(det, 7, t, deterministic_signal)
                        for t in range(trials)])
     assert np.array_equal(stat_false, single[:, 1])
     assert np.allclose(stat_true, single[:, 0], rtol=1e-9, atol=0.0)
@@ -358,11 +369,8 @@ def test_seed_must_be_a_non_negative_integer(detectors, seed):
         run_detection_mc(det, 4, seed)
     with pytest.raises(ValueError, match="non-negative integer"):
         detector.block_statistics(det, seed, 0, 4)
-    with pytest.raises(ValueError, match="non-negative integer"):
-        trial_statistics(det, seed, 0)
 
 
 def test_numpy_integer_seed_is_the_same_seed(detectors):
     det = detectors["FIR_NUL_NC"]
-    assert trial_statistics(det, np.uint64(9), 3) == \
-        trial_statistics(det, 9, 3)
+    assert _single_trial(det, np.uint64(9), 3) == _single_trial(det, 9, 3)
