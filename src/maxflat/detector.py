@@ -32,8 +32,8 @@ import numpy as np
 from .butter import butterworth_s_poles
 from .design import DesignSpec, FilterbankDesign, design_filterbank, \
     noncausal_design
-from .procsim import check_seed, discretize_process, oscillator_response, \
-    scenario_params
+from .procsim import check_nonnegative_int, discretize_process, \
+    oscillator_response, scenario_params
 from .realize import run_filter, run_noncausal
 
 #: Sampling rate of the detection study (Hz).
@@ -251,12 +251,14 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
 
     The stacked rows come from a memo of MEMO_BLOCKS blocks keyed by
     (seed, first, count, signal kind), so detectors scored on the same
-    trials share one simulation.  seed must be a non-negative integer:
-    None, which would draw fresh OS entropy, a bool or a negative number
+    trials share one simulation.  seed, first and count must be
+    non-negative integers: None, a bool, a float or a negative number
     raises ValueError.  The rows are read-only, and a detector that writes
     into its input raises ValueError.
     """
-    seed = check_seed(seed)
+    seed = check_nonnegative_int(seed, "seed")
+    first = check_nonnegative_int(first, "first")
+    count = check_nonnegative_int(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     x = _simulate_block(seed, first, count, bool(deterministic_signal))
@@ -309,8 +311,10 @@ def run_detection_mc(detector: Callable[[np.ndarray], np.ndarray],
     second detector run on the same seed, signal kind and at most
     MEMO_BLOCKS * BLOCK trials pays only for its own filtering and
     scoring; a first or longer run still builds three generators per
-    trial and draws from them.  seed must be a non-negative integer.
+    trial and draws from them.  seed and trials must be integers, trials
+    at least 1.
     """
+    trials = check_nonnegative_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     blocks = [block_statistics(detector, seed, first,

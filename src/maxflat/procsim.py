@@ -88,15 +88,16 @@ class InputSpec:
             raise ValueError("power must be nonnegative")
 
 
-def check_seed(seed) -> int:
-    """seed as a Python int.  A seed must be a non-negative integer, a
-    NumPy integer included: None, which would draw fresh OS entropy that a
-    memo keyed on the seed would freeze, a bool, a float, a string or a
-    negative number raises ValueError."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def check_nonnegative_int(value, name: str) -> int:
+    """A seed or a count as a Python int, so that a NumPy integer and the
+    equal int are one memo key.  None (fresh OS entropy, as a seed, that a
+    memo would freeze), a bool, a float, a string or a negative number
+    raises ValueError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, "
+                         f"got {value!r}")
+    return int(value)
 
 
 def discretize_process(params: ProcessParams, t_s: float) -> DiscreteProcess:

@@ -20,7 +20,7 @@ import numpy as np
 from .analyze import NULL_RADIUS_TOL, OrbitError, check_orbit_radius, \
     check_orbit_rate, orbit_steady_state
 from .design import DesignSpec, FilterbankDesign, design_filterbank
-from .procsim import InputSpec, check_seed, discretize_process, \
+from .procsim import InputSpec, check_nonnegative_int, discretize_process, \
     generate_waveform, scenario_params
 from .realize import run_filter
 
@@ -36,13 +36,17 @@ DEFAULT_ORBIT_RATES = (0.001, 0.005, 0.01, 0.025, 0.05, 0.07)
 P_SIG_TRACK = 1.0e4
 P_INT_TRACK = 1.0e2
 #: Simulated scenarios that ``run_tracking_mc`` keeps, least recently used
-#: out first.  An entry is the truth and measurement of both axes, four
-#: float64 arrays of n_samples, so 32 B per sample: 6.4 MB at 1e5 samples,
-#: and the memo holds at most twice that.  Trackers compared on the same
-#: draws, as the benchmark's four are on one LoG and one HiG instance per
-#: round, simulate each instance once; a loop that cycles through more
+#: out first.  An entry is the truth and the measurement, two (2, N) float64
+#: arrays: 3.2 MB at 1e5 samples (tracemalloc).  Trackers compared on the
+#: same draws, as the benchmark's four are on one LoG and one HiG instance
+#: per round, simulate each instance once; a loop that cycles through more
 #: than two (scenario, seed, n_samples) keys reuses none of them.
 MEMO_SCENARIOS = 2
+#: Scenario-independent draws kept for the last (seed, n_samples): 32 B per
+#: sample, 3.2 MB at 1e5 samples (tracemalloc).  They save a draw only when
+#: both scenarios run on one (seed, n_samples), as in every track-long
+#: round of the benchmark and in no ``track-sim`` process.
+MEMO_DRAWS = 1
 
 
 @dataclass(frozen=True)
@@ -143,12 +147,13 @@ def orbit_check(design: FilterbankDesign,
 
 @dataclass(frozen=True)
 class TrackingRun:
-    """One Monte-Carlo tracking instance: truth, measurement, the lag-q
-    position estimate of each axis (the smoother output) and the RMS error
-    scored from it.  The truth and measurement arrays are read-only: the
-    scenario memo hands the same ones to every tracker.  The derivative
-    tracks are not computed; ``run_track(design, run.meas_x, run.meas_y)``
-    gives all outputs of the bank for the same measurement."""
+    """One Monte-Carlo tracking instance: truth, measurement and smoother
+    position estimate of each axis, rows of (2, N) arrays, and the RMS
+    error against the truth delayed by round(q) samples.  The truth and
+    measurement rows are read-only: the scenario memo hands the same ones
+    to every tracker.  The derivative tracks are not computed;
+    ``run_track(design, run.meas_x, run.meas_y)`` gives all outputs of the
+    bank for the same measurement."""
 
     truth_x: np.ndarray
     truth_y: np.ndarray
@@ -159,37 +164,53 @@ class TrackingRun:
     rms_error: float
 
 
-@functools.lru_cache(maxsize=MEMO_SCENARIOS, typed=True)
-def _simulate_scenario(scenario: str, seed: int, n_samples: int
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]:
-    """Read-only truth_x, truth_y, meas_x, meas_y of one scenario instance,
-    drawn from the five children of ``SeedSequence(seed)``: signal x, signal
-    y, interference x, interference y and the origin."""
-    gain = "lo" if scenario == "LoG" else "hi"
+@functools.lru_cache(maxsize=MEMO_DRAWS, typed=True)
+def _draw_noise(seed: int, n_samples: int
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only origin (2,), white signal drives (2, N) of power
+    P_SIG_TRACK and interference (2, N), rows x then y, from the five
+    children of ``SeedSequence(seed)``: signal x, signal y, interference
+    x, interference y and the origin.  LoG and HiG share them."""
     t_s = 1.0 / TRACK_FS
-    sig_params = scenario_params("track", "signal", gain=gain, f_s=TRACK_FS)
-    int_params = scenario_params("track", "interference", f_s=TRACK_FS)
-    sig_proc = discretize_process(sig_params, t_s)
-    int_proc = discretize_process(int_params, t_s)
-
-    ss = np.random.SeedSequence(entropy=seed)
+    int_proc = discretize_process(
+        scenario_params("track", "interference", f_s=TRACK_FS), t_s)
     rng_sx, rng_sy, rng_ix, rng_iy, rng_origin = (
-        np.random.default_rng(s) for s in ss.spawn(5))
-    x0, y0 = rng_origin.uniform(-1000.0, 1000.0, size=2)
-
-    drive = InputSpec("stochastic", 0, n_samples - 1, P_SIG_TRACK)
+        np.random.default_rng(s)
+        for s in np.random.SeedSequence(entropy=seed).spawn(5))
+    origin = rng_origin.uniform(-1000.0, 1000.0, size=2)
     noise = InputSpec("stochastic", 0, n_samples - 1, P_INT_TRACK)
-    truth_x = x0 + generate_waveform(sig_proc, drive, n_samples, rng=rng_sx)
-    truth_y = y0 + generate_waveform(sig_proc, drive, n_samples, rng=rng_sy)
-    meas_x = truth_x + generate_waveform(int_proc, noise, n_samples,
-                                         rng=rng_ix)
-    meas_y = truth_y + generate_waveform(int_proc, noise, n_samples,
-                                         rng=rng_iy)
-    out = (truth_x, truth_y, meas_x, meas_y)
+    drives = np.empty((2, n_samples))
+    interference = np.empty((2, n_samples))
+    for axis, (rng_s, rng_i) in enumerate([(rng_sx, rng_ix),
+                                           (rng_sy, rng_iy)]):
+        drives[axis] = rng_s.normal(0.0, np.sqrt(P_SIG_TRACK / t_s),
+                                    n_samples)
+        interference[axis] = generate_waveform(int_proc, noise, n_samples,
+                                               rng=rng_i)
+    out = (origin, drives, interference)
     for a in out:
         a.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=MEMO_SCENARIOS, typed=True)
+def _simulate_scenario(scenario: str, seed: int, n_samples: int
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only truth and measurement of one scenario instance, (2, N)
+    arrays with rows x then y: the seed's drives filtered through the
+    scenario's signal process, plus the origin, and that truth plus the
+    interference (``_draw_noise``)."""
+    gain = "lo" if scenario == "LoG" else "hi"
+    sig_proc = discretize_process(
+        scenario_params("track", "signal", gain=gain, f_s=TRACK_FS),
+        1.0 / TRACK_FS)
+    origin, drives, interference = _draw_noise(seed, n_samples)
+    truth = run_filter(*sig_proc.transfer(), drives)
+    truth += origin[:, None]
+    meas = truth + interference
+    truth.flags.writeable = False
+    meas.flags.writeable = False
+    return truth, meas
 
 
 def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
@@ -200,37 +221,38 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
     (alpha_tau = 8, alpha_lambda = 8 for Lo-G or 2 for Hi-G) started from a
     random origin in [-1000, 1000]^2; the measurement adds an independent
     interference waveform of power P_int = 1e2 (alpha_lambda = 1).  The
-    reported RMS position error compares the estimates against the lag-q
-    truth after a settling window of 10 q samples, so n_samples must
-    exceed that window; a shorter run raises ValueError.
+    reported RMS position error compares the estimates against the truth
+    delayed by round(q) samples, not the lag-q truth (ROADMAP item 4),
+    after a settling window of 10 q samples, so n_samples must exceed that
+    window; a shorter run raises ValueError.
 
     The simulated truth and measurement do not depend on the tracker.  They
     come from a memo of MEMO_SCENARIOS instances keyed by (scenario, seed,
     n_samples), so trackers run on the same draws simulate them once and
-    each pays only for its own filtering and scoring.  The returned truth
-    and measurement arrays are read-only.  Only the smoother output is
-    filtered, over both axes in one call, so a run returns the position
-    estimates and not the derivative tracks.  seed must be a non-negative
-    integer: None, a bool, a float, a string or a negative number raises
-    ValueError.
+    each pays only for its own filtering and scoring; the two scenarios of
+    one (seed, n_samples) draw their noise once (MEMO_DRAWS).  The returned
+    truth and measurement arrays are read-only.  Only the smoother output
+    is filtered, over both axes in one call, so a run returns the position
+    estimates and not the derivative tracks.  seed and n_samples must be
+    non-negative integers: None, a bool, a float, a string or a negative
+    number raises ValueError.
     """
     if scenario not in ("LoG", "HiG"):
         raise ValueError('scenario must be "LoG" or "HiG"')
-    seed = check_seed(seed)
+    seed = check_nonnegative_int(seed, "seed")
+    n_samples = check_nonnegative_int(n_samples, "n_samples")
     settle = int(np.ceil(10.0 * design.q))
     if n_samples <= settle:
         raise ValueError(f"need at least {settle + 1} samples for this "
                          f"tracker: the RMS error is taken after its "
                          f"settling window of {settle} samples (10 q, "
                          f"q = {design.q:.4g})")
-    truth_x, truth_y, meas_x, meas_y = _simulate_scenario(scenario, seed,
-                                                          n_samples)
-    est_x, est_y = run_filter(design.b[0], design.a,
-                              np.array([meas_x, meas_y]))
+    truth, meas = _simulate_scenario(scenario, seed, n_samples)
+    est = run_filter(design.b[0], design.a, meas)
     q_int = int(round(design.q))
-    lagged = slice(settle - q_int, n_samples - q_int)
-    err2 = (est_x[settle:] - truth_x[lagged]) ** 2 \
-        + (est_y[settle:] - truth_y[lagged]) ** 2
-    return TrackingRun(truth_x=truth_x, truth_y=truth_y, meas_x=meas_x,
-                       meas_y=meas_y, est_x=est_x, est_y=est_y,
+    err = est[:, settle:] - truth[:, settle - q_int:n_samples - q_int]
+    np.square(err, out=err)
+    err2 = np.add(err[0], err[1], out=err[0])
+    return TrackingRun(truth_x=truth[0], truth_y=truth[1], meas_x=meas[0],
+                       meas_y=meas[1], est_x=est[0], est_y=est[1],
                        rms_error=float(np.sqrt(np.mean(err2))))

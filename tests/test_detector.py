@@ -371,6 +371,26 @@ def test_seed_must_be_a_non_negative_integer(detectors, seed):
         detector.block_statistics(det, seed, 0, 4)
 
 
+@pytest.mark.parametrize("trials", [200.0, True, None, "4", -1])
+def test_trial_count_must_be_a_non_negative_integer(detectors, trials):
+    """A float count failed in range() with a TypeError."""
+    with pytest.raises(ValueError,
+                       match="trials must be a non-negative integer"):
+        run_detection_mc(detectors["FIR_NUL_NC"], trials, 0)
+
+
+def test_numpy_integer_trial_count_is_one_memo_key(detectors):
+    """A NumPy count is turned into an int before it keys the block
+    memo, so it reuses the blocks of the equal int count."""
+    det = detectors["FIR_NUL_NC"]
+    detector._simulate_block.cache_clear()
+    a = detector.block_statistics(det, 0, np.int64(0), np.int64(4))
+    b = detector.block_statistics(det, 0, 0, 4)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    info = detector._simulate_block.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def test_numpy_integer_seed_is_the_same_seed(detectors):
     det = detectors["FIR_NUL_NC"]
     assert _single_trial(det, np.uint64(9), 3) == _single_trial(det, 9, 3)

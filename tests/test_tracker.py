@@ -259,30 +259,40 @@ def test_memoized_scenario_equals_explicit_draws(tracker_designs, scenario):
                           track.deriv_y)
 
 
+def _clear_memos():
+    tracker._draw_noise.cache_clear()
+    tracker._simulate_scenario.cache_clear()
+
+
 def test_warm_memo_run_equals_cold_memo_run(tracker_designs):
     """In the benchmark's loop order (each tracker on LoG, then HiG) the
-    four trackers simulate the two scenarios once, and every run equals
-    the run made with the memo cleared before it."""
-    tracker._simulate_scenario.cache_clear()
+    four trackers simulate the two scenarios once, the two scenarios
+    draw their noise once, and every run equals the run made with both
+    memos cleared before it."""
+    _clear_memos()
     warm = {(tag, scenario): run_tracking_mc(scenario, d, 11, 3000)
             for tag, d in tracker_designs.items()
             for scenario in ("LoG", "HiG")}
     info = tracker._simulate_scenario.cache_info()
     assert (info.misses, info.hits) == (2, 6)
+    info = tracker._draw_noise.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     for (tag, scenario), run in warm.items():
-        tracker._simulate_scenario.cache_clear()
+        _clear_memos()
         cold = run_tracking_mc(scenario, tracker_designs[tag], 11, 3000)
         _assert_runs_equal(run, cold, tracker_designs[tag])
 
 
 def test_memo_is_read_only_and_bounded(tracker_designs):
-    tracker._simulate_scenario.cache_clear()
+    _clear_memos()
     d = tracker_designs["A"]
     for seed in range(MEMO_SCENARIOS + 2):
         run = run_tracking_mc("LoG", d, seed, 1000)
         assert tracker._simulate_scenario.cache_info().currsize \
             <= MEMO_SCENARIOS
-    for a in (run.truth_x, run.truth_y, run.meas_x, run.meas_y):
+        assert tracker._draw_noise.cache_info().currsize <= 1
+    for a in (run.truth_x, run.truth_y, run.meas_x, run.meas_y,
+              *tracker._draw_noise(seed, 1000)):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -295,6 +305,26 @@ def test_tracking_seed_must_be_a_non_negative_integer(tracker_designs,
     the seed would freeze the first and alias the second."""
     with pytest.raises(ValueError, match="non-negative integer"):
         run_tracking_mc("LoG", tracker_designs["A"], seed, 1000)
+
+
+@pytest.mark.parametrize("n_samples", [3000.0, True, None, "3000", -1])
+def test_tracking_sample_count_must_be_a_non_negative_integer(
+        tracker_designs, n_samples):
+    """A float count failed deep in NumPy with a TypeError."""
+    with pytest.raises(ValueError,
+                       match="n_samples must be a non-negative integer"):
+        run_tracking_mc("LoG", tracker_designs["A"], 1, n_samples)
+
+
+def test_numpy_integer_sample_count_is_one_memo_key(tracker_designs):
+    """np.int64(3000) and 3000 were two keys of the typed memos, so the
+    same draws were simulated twice."""
+    _clear_memos()
+    d = tracker_designs["A"]
+    run = run_tracking_mc("LoG", d, 1, np.int64(3000))
+    assert run_tracking_mc("LoG", d, 1, 3000).rms_error == run.rms_error
+    info = tracker._simulate_scenario.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_numpy_integer_tracking_seed_is_the_same_seed(tracker_designs):
