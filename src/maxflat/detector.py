@@ -24,6 +24,7 @@ of unknown frequency buried in narrowband interference at 0.07 cyc/smp.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -158,38 +159,162 @@ def build_detector(tag: str) -> Callable[[np.ndarray], np.ndarray]:
     The callable works along the last axis, so a (rows, N) array gives
     the TK energy of each row, equal to one call per row.  Every pipeline
     is built at DETECT_FS, the rate of the scenario that
-    ``block_statistics`` simulates."""
+    ``block_statistics`` simulates.
+
+    Its attribute ``reach`` says how far past sample n its output at n
+    reads: 0 for IIR_BW0 and IIR_BW1 (causal filters, causal TK), 1 for
+    FIR_NUL_NC (non-causal TK), None, for no bound, for IIR_BW0_NC and
+    IIR_BW1_NC, whose backward pass reads to the end of the row.  With
+    reach r, each output sample n < m - r of the first m input samples
+    is the one of the full row, bit for bit: the filter kernel and the
+    element-wise TK arithmetic compute it with the same operations."""
     t_s = 1.0 / DETECT_FS
     if tag == "FIR_NUL_NC":
-        return lambda x: tk_energy_threepoint(x, causal=False, t_s=t_s)
-    if tag == "IIR_BW0":
+        def detect(x: np.ndarray) -> np.ndarray:
+            return tk_energy_threepoint(x, causal=False, t_s=t_s)
+        detect.reach = 1
+    elif tag == "IIR_BW0":
         b, a = bw0_reference(causal=True)
-        return lambda x: tk_energy_threepoint(run_filter(b, a, x),
-                                              causal=True, t_s=t_s)
-    if tag == "IIR_BW1":
+
+        def detect(x: np.ndarray) -> np.ndarray:
+            return tk_energy_threepoint(run_filter(b, a, x), causal=True,
+                                        t_s=t_s)
+        detect.reach = 0
+    elif tag == "IIR_BW1":
         d = bw1_filterbank()
 
         def detect(x: np.ndarray) -> np.ndarray:
             y = [run_filter(d.b[kt], d.a, x) for kt in range(3)]
             return tk_energy_derivatives(*y)
-        return detect
-    if tag == "IIR_BW0_NC":
+        detect.reach = 0
+    elif tag == "IIR_BW0_NC":
         b, a = bw0_reference(causal=False)
 
         def detect(x: np.ndarray) -> np.ndarray:
             y = run_filter(b, a, x)
             y = run_filter(b, a, y[..., ::-1])[..., ::-1]
             return tk_energy_threepoint(y, causal=False, t_s=t_s)
-        return detect
-    if tag == "IIR_BW1_NC":
+        detect.reach = None
+    elif tag == "IIR_BW1_NC":
         fwd, bwd = bw1_nc_smoother()
 
         def detect(x: np.ndarray) -> np.ndarray:
             y = run_noncausal(fwd, bwd, x, k_t=0)
             return tk_energy_threepoint(y, causal=False, t_s=t_s)
-        return detect
-    raise ValueError(f"unknown detector tag {tag!r}; supported tags: "
-                     + ", ".join(DETECTOR_TAGS))
+        detect.reach = None
+    else:
+        raise ValueError(f"unknown detector tag {tag!r}; supported tags: "
+                         + ", ".join(DETECTOR_TAGS))
+    return detect
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, the same
+# since NumPy 1.17): a pool of four uint32 words, the hash constants and
+# the multipliers of its mixing function.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list:
+    """n as SeedSequence splits an integer: 32-bit words, least
+    significant first; [0] for 0."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant: init, init * mult, ..."""
+    while True:
+        yield init
+        init = init * mult & _MASK32
+
+
+def _hashmix(value, const, mult: int):
+    """SeedSequence's hashmix of value under the hash constant const, whose
+    successor is const * mult.  Both are ints or uint32 arrays."""
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _seed_state(entropy: list) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of the SeedSequence whose assembled
+    entropy is the list of words, for at least _POOL words.  A word is an
+    int or a uint32 array with one element per stream, and the result has
+    one row of 4 words per stream.  The first _POOL words are mixed with
+    each other one pool word at a time, so they must be ints; every later
+    word mixes into the four pool words independently, so each array word
+    costs a few operations on (_POOL, streams) arrays."""
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, next(constants), _MULT_A)
+            for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(
+                    pool[src], next(constants), _MULT_A))
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    for word in entropy[_POOL:]:
+        const = np.array([next(constants) for _ in range(_POOL)],
+                         dtype=np.uint32)[:, None]
+        pool = _mix(pool, _hashmix(word, const, _MULT_A))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    const = np.array([next(constants) for _ in range(2 * _POOL)],
+                     dtype=np.uint32)[:, None]
+    state = _hashmix(np.tile(pool, (2, 1)), const, _MULT_B)
+    # Word pairs, low word first, make the uint64 words, as in NumPy.
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
+        np.uint64)
+
+
+def _trial_seed_states(seed: int, first: int, count: int) -> np.ndarray:
+    """Row 3 i + j is ``SeedSequence(seed, spawn_key=(first + i, j))
+    .generate_state(4, np.uint64)``, the seed of a PCG64 stream, for
+    i < count and j = 0, 1, 2.  A spawned SeedSequence pads the seed's
+    words with zeros to the pool size and appends the words of t and j;
+    trials are grouped by the number of words of t."""
+    seed_words = _uint32_words(seed)
+    seed_words += [0] * (_POOL - len(seed_words))
+    states = []
+    for _, group in itertools.groupby(
+            (_uint32_words(t) for t in range(first, first + count)), len):
+        trial_words = np.array(list(group), dtype=np.uint32)
+        spawn_words = list(np.repeat(trial_words, 3, axis=0).T)
+        j = np.tile(np.arange(3, dtype=np.uint32), len(trial_words))
+        states.append(_seed_state(seed_words + spawn_words + [j]))
+    return np.concatenate(states)
+
+
+@functools.cache
+def _generator_from_state():
+    """A function from PCG64 seed words to a Generator.  ``numpy.random``
+    is imported here, on the first simulation, so that ``import maxflat``
+    does not pay for it."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        """A seed sequence whose state is already generated; PCG64 asks
+        it only for ``generate_state(4, np.uint64)``."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return lambda state: Generator(PCG64(SeedState(state)))
 
 
 @functools.lru_cache(maxsize=MEMO_BLOCKS, typed=True)
@@ -206,10 +331,10 @@ def _simulate_block(seed: int, first: int, count: int,
     pulse = np.full((count, n_pulse), pulse_scale)
     x = np.empty((2 * count, DETECT_N))
     sig_params = []
+    generator = _generator_from_state()
+    states = _trial_seed_states(seed, first, count)
     for i in range(count):
-        rng_sig, rng_int1, rng_int2 = (
-            np.random.default_rng(np.random.SeedSequence(
-                seed, spawn_key=(first + i, j))) for j in range(3))
+        rng_sig, rng_int1, rng_int2 = map(generator, states[3 * i:3 * i + 3])
         sig_params.append(scenario_params("detect", "signal",
                                           known_freq=False, rng=rng_sig,
                                           f_s=DETECT_FS))
@@ -239,15 +364,24 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
     then the stochastic pulse), 1 (interference of the signal instance)
     and 2 (interference-only instance), which are the three children of
     ``SeedSequence(seed, spawn_key=(t,))``; so a trial's draws do not
-    depend on the block it runs in.  The rest is done once per block:
-    the interference process is filtered over all 2 * count rows in one
-    call, each signal is the closed-form response of its trial's
-    oscillator (``procsim.oscillator_response``), and the detector runs
-    once on the stacked (signal + interference; interference-only) rows.
-    The inputs follow ``procsim.generate_waveform``: a pulse of height
-    sqrt(P_SIG / T_s) at PULSE_SAMPLE, or Normal(0, P_SIG / T_s) over
+    depend on the block it runs in.  The PCG64 seeds of a block's 3 count
+    streams are hashed in one array pass that repeats SeedSequence's
+    arithmetic, and each stream's Generator is built from its seed.  The
+    rest is done once per block too: the interference process is filtered
+    over all 2 * count rows in one call, and each signal is the
+    closed-form response of its trial's oscillator
+    (``procsim.oscillator_response``).  The inputs follow
+    ``procsim.generate_waveform``: a pulse of height sqrt(P_SIG / T_s) at
+    PULSE_SAMPLE, or Normal(0, P_SIG / T_s) over
     [PULSE_SAMPLE, PULSE_SAMPLE + 50] for the stochastic signal, under
     white Normal(0, P / T_s) interference drive with P = P_INT (or 1).
+
+    A detector with a bounded ``reach`` r (see ``build_detector``) runs
+    twice: on the signal rows up to the end of TRUE_WINDOW plus r, and on
+    the interference-only rows up to the end of FALSE_WINDOW plus r.  Its
+    window samples are those of the full rows, bit for bit.  Any other
+    callable runs once on the stacked (signal + interference;
+    interference-only) rows of DETECT_N samples.
 
     The stacked rows come from a memo of MEMO_BLOCKS blocks keyed by
     (seed, first, count, signal kind), so detectors scored on the same
@@ -262,9 +396,15 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
     if count < 1:
         raise ValueError("count must be >= 1")
     x = _simulate_block(seed, first, count, bool(deterministic_signal))
-    e = detector(x)
-    stat_true = e[:count, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1].max(axis=-1)
-    stat_false = e[count:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1].max(axis=-1)
+    reach = getattr(detector, "reach", None)
+    if reach is None:
+        e = detector(x)
+        e_true, e_false = e[:count], e[count:]
+    else:
+        e_true = detector(x[:count, :TRUE_WINDOW[1] + 1 + reach])
+        e_false = detector(x[count:, :FALSE_WINDOW[1] + 1 + reach])
+    stat_true = e_true[:, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1].max(axis=-1)
+    stat_false = e_false[:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1].max(axis=-1)
     return stat_true, stat_false
 
 
@@ -310,9 +450,11 @@ def run_detection_mc(detector: Callable[[np.ndarray], np.ndarray],
     detector.  The simulated blocks are memoized (see MEMO_BLOCKS), so a
     second detector run on the same seed, signal kind and at most
     MEMO_BLOCKS * BLOCK trials pays only for its own filtering and
-    scoring; a first or longer run still builds three generators per
-    trial and draws from them.  seed and trials must be integers, trials
-    at least 1.
+    scoring.  A first or longer run also simulates: it hashes the seeds
+    of a block's streams in one pass, builds a Generator from each and
+    draws the trials' noise.  A pipeline from ``build_detector`` with a
+    bounded reach filters only the samples its windows score.  seed and
+    trials must be integers, trials at least 1.
     """
     trials = check_nonnegative_int(trials, "trials")
     if trials < 1:

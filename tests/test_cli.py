@@ -254,6 +254,24 @@ def test_detect_sim_command_deterministic(tmp_path):
         json.loads(_read(out2[1]))["auc"]
 
 
+def test_detect_sim_stochastic_signal(tmp_path):
+    """The stochastic pulse is drawn from each trial's signal stream:
+    repeatable, and the AUC of the library call."""
+    args = ["detect-sim", "--detector", "IIR_BW1", "--trials", "40",
+            "--seed", "5", "--stochastic-signal"]
+    runs = []
+    for k in (1, 2):
+        detector._simulate_block.cache_clear()
+        roc, summary = tmp_path / f"roc{k}.csv", tmp_path / f"s{k}.json"
+        assert cli.main(args + ["--roc", str(roc),
+                                "--summary", str(summary)]) == 0
+        runs.append((roc.read_bytes(), summary.read_bytes()))
+    assert runs[0] == runs[1]
+    auc = detector.run_detection_mc(detector.build_detector("IIR_BW1"), 40,
+                                    5, deterministic_signal=False).auc
+    assert json.loads(runs[0][1])["auc"] == auc
+
+
 def test_track_sim_command(tmp_path):
     track = tmp_path / "track.csv"
     orbit = tmp_path / "orbit.csv"
@@ -334,6 +352,26 @@ def test_detect_and_track_sim_never_load_scipy(tmp_path):
             ["track-sim", "--tracker", "B", "--samples", "200"]]
     assert _fresh_python(_CLI_PROBE, json.dumps(runs), cwd=tmp_path) \
         == [[0, False]] * len(runs)
+
+
+def test_import_design_and_response_never_load_numpy_random(tmp_path):
+    """Only the simulations draw random numbers, so only they pay for
+    loading numpy.random, about 16 ms in a fresh process."""
+    code = """
+import json, sys
+import maxflat
+out = ['numpy.random' in sys.modules]
+from maxflat import cli
+for argv in json.loads(sys.argv[1]):
+    out.append([cli.main(argv), 'numpy.random' in sys.modules])
+print(json.dumps(out))
+"""
+    runs = [["design", "--fs", "1000", "--fwb", "0.05", "--fnb", "0.07",
+             "--kdc", "3", "--knb", "3", "--kt", "3", "-o", "d.json"],
+            ["response", "--design", "d.json", "--grid", "64",
+             "-o", "r.csv"]]
+    assert _fresh_python(code, json.dumps(runs), cwd=tmp_path) == \
+        [False, [0, False], [0, False]]
 
 
 def test_package_names_resolve_without_scipy(tmp_path):

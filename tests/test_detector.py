@@ -1,5 +1,7 @@
 """Teager-Kaiser detectors, reference filters, and the ROC machinery."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from maxflat.detector import (BLOCK, DETECT_FS, DETECT_N, DETECTOR_TAGS,
                               run_detection_mc, tk_energy_derivatives,
                               tk_energy_threepoint)
 from maxflat.procsim import (InputSpec, discretize_process,
-                             generate_waveform, scenario_params)
+                             generate_waveform, oscillator_response,
+                             scenario_params)
+from maxflat.realize import run_filter
 
 # ---------------------------------------------------------------------------
 # Three-point TK energy
@@ -358,6 +362,134 @@ def test_signal_kinds_do_not_share_blocks(detectors):
     info = detector._simulate_block.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
     assert deterministic.auc != stochastic.auc
+
+
+# ---------------------------------------------------------------------------
+# Stream seeds hashed in one pass
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5,
+                                  2**128 + 7])
+@pytest.mark.parametrize("first, count", [(0, 3), (2**32 - 2, 4)])
+def test_trial_seed_states_equal_seed_sequence(seed, first, count):
+    """Every seed width, and trials on both sides of 2**32, where a
+    trial index takes a second word."""
+    got = detector._trial_seed_states(seed, first, count)
+    want = [np.random.SeedSequence(seed, spawn_key=(t, j))
+            .generate_state(4, np.uint64)
+            for t in range(first, first + count) for j in range(3)]
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+def _per_trial_generator_block(seed, first, count, deterministic_signal):
+    """The detector inputs of a block as they were drawn before the
+    streams' seeds were hashed in one pass: one default_rng per stream,
+    built trial by trial from its SeedSequence."""
+    t_s = 1.0 / DETECT_FS
+    n_pulse = 1 if deterministic_signal else 51
+    pulse_scale = np.sqrt(P_SIG / t_s)
+    int_scale = np.sqrt((P_INT if deterministic_signal else 1.0) / t_s)
+    pulse = np.full((count, n_pulse), pulse_scale)
+    x = np.empty((2 * count, DETECT_N))
+    sig_params = []
+    for i in range(count):
+        rng_sig, rng_int1, rng_int2 = (
+            np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(first + i, j))) for j in range(3))
+        sig_params.append(scenario_params("detect", "signal",
+                                          known_freq=False, rng=rng_sig,
+                                          f_s=DETECT_FS))
+        if not deterministic_signal:
+            pulse[i] = rng_sig.normal(0.0, pulse_scale, n_pulse)
+        x[i] = rng_int1.normal(0.0, int_scale, DETECT_N)
+        x[count + i] = rng_int2.normal(0.0, int_scale, DETECT_N)
+    b, a = discretize_process(
+        scenario_params("detect", "interference", f_s=DETECT_FS),
+        t_s).transfer()
+    x = run_filter(b, a, x)
+    x[:count, PULSE_SAMPLE:] += oscillator_response(
+        sig_params, t_s, pulse, DETECT_N - PULSE_SAMPLE)
+    return x
+
+
+@pytest.mark.parametrize("deterministic_signal", [True, False])
+@pytest.mark.parametrize("seed, first, count", [(0, 0, BLOCK),
+                                                (2**64 + 5, 2**32 - 2, 4)])
+def test_simulated_block_equals_per_trial_generators(
+        seed, first, count, deterministic_signal):
+    detector._simulate_block.cache_clear()
+    got = detector._simulate_block(seed, first, count, deterministic_signal)
+    want = _per_trial_generator_block(seed, first, count,
+                                      deterministic_signal)
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Detectors read only the samples their windows score
+
+#: How far past sample n each pipeline's output at n reads.
+REACH = {"FIR_NUL_NC": 1, "IIR_BW0": 0, "IIR_BW1": 0, "IIR_BW0_NC": None,
+         "IIR_BW1_NC": None}
+
+
+def test_pipelines_declare_their_reach(detectors):
+    """The two-pass pipelines read to the end of the row: no bound."""
+    assert {tag: det.reach for tag, det in detectors.items()} == REACH
+
+
+@pytest.mark.parametrize("tag", [t for t in DETECTOR_TAGS
+                                 if REACH[t] is not None])
+def test_prefix_output_equals_full_row_output(detectors, tag):
+    """With reach r, the first m input samples give the first m - r
+    output samples of the full rows, bit for bit."""
+    det = detectors[tag]
+    r = det.reach
+    x = np.concatenate([detector._simulate_block(1, 0, 4, kind)
+                        for kind in (True, False)])
+    full = det(x)
+    for m in (3, 4, 50, TRUE_WINDOW[1] + 1 + r, FALSE_WINDOW[1] + 1 + r,
+              DETECT_N - 1, DETECT_N):
+        assert np.array_equal(det(x[..., :m])[..., :m - r],
+                              full[..., :m - r]), m
+
+
+@pytest.mark.parametrize("deterministic_signal", [True, False])
+@pytest.mark.parametrize("tag", DETECTOR_TAGS)
+def test_block_statistics_equal_full_row_scoring(detectors, tag,
+                                                 deterministic_signal):
+    """Scoring as every detector was scored before reaches were declared:
+    one call on all stacked full rows, then each row's window maximum."""
+    det = detectors[tag]
+    got = block_statistics(det, 5, 3, BLOCK, deterministic_signal)
+    x = detector._simulate_block(5, 3, BLOCK, deterministic_signal)
+    e = det(x)
+    want_true = e[:BLOCK, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1].max(axis=-1)
+    want_false = e[BLOCK:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1].max(axis=-1)
+    assert np.array_equal(got[0], want_true)
+    assert np.array_equal(got[1], want_false)
+
+
+def test_only_pipelines_with_a_reach_get_cut_rows(detectors):
+    """A wrapper made with functools.wraps keeps the pipeline's reach and
+    gets the signal and interference rows cut at their windows' ends; a
+    plain callable gets the stacked full rows in one call."""
+    pipeline = detectors["IIR_BW1"]
+    shapes = []
+
+    @functools.wraps(pipeline)
+    def wrapped(x):
+        shapes.append(x.shape)
+        return pipeline(x)
+
+    plain = lambda x: shapes.append(x.shape) or pipeline(x)
+    cut = block_statistics(wrapped, 0, 0, BLOCK)
+    assert shapes == [(BLOCK, TRUE_WINDOW[1] + 1),
+                      (BLOCK, FALSE_WINDOW[1] + 1)]
+    shapes.clear()
+    whole = block_statistics(plain, 0, 0, BLOCK)
+    assert shapes == [(2 * BLOCK, DETECT_N)]
+    assert all(np.array_equal(a, b) for a, b in zip(cut, whole))
 
 
 @pytest.mark.parametrize("seed", [None, True, -1, 2.0, "3"])
