@@ -9,7 +9,7 @@ following a constant-rate circular orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class OrbitError:
     eps_theta: float
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
+    """One constraint of a design, checked two ways; immutable."""
     omega_d: float
     k_omega: float
     k_t: int
@@ -62,11 +62,27 @@ class ConstraintCheck:
     fd_ok: bool
 
 
+def _horner(rows, z: np.ndarray) -> np.ndarray:
+    """Each coefficient row (descending powers) at every point of the 1-D
+    z, bit for bit ``np.polyval``: one in-place pass over complex rows."""
+    width = max(map(len, rows))
+    cols = np.zeros((width, len(rows), 1), dtype=complex)
+    for i, row in enumerate(rows):
+        cols[width - len(row):, i, 0] = row
+    vals = cols[0].repeat(len(z), axis=1)
+    for col in cols[1:]:
+        vals *= z
+        vals += col
+    return vals
+
+
 def frequency_response(b: np.ndarray, a: np.ndarray,
                        omegas: np.ndarray) -> np.ndarray:
-    """H(e^{iw}) = B(e^{iw}) / A(e^{iw}) for descending-power b, a."""
-    z = np.exp(1j * np.asarray(omegas, dtype=float))
-    return np.polyval(b, z) / np.polyval(a, z)
+    """H(e^{iw}) = B(e^{iw}) / A(e^{iw}) for descending-power b, a, in
+    the shape of omegas; b and a are evaluated in one Horner pass."""
+    w = np.asarray(omegas, dtype=float)
+    num, den = _horner((b, a), np.exp(1j * w.ravel()))
+    return (num / den).reshape(w.shape)[()]
 
 
 def ideal_response(k_t: int, q: float, t_s: float,
@@ -123,10 +139,7 @@ def _fd_samples(design: FilterbankDesign,
     """
     z = np.exp(1j * (omegas[:, None] + FD_STEP * _FD_OFFSETS)).ravel()
     coeffs = np.vstack(design.b + (design.a,))
-    # One Horner pass evaluates every numerator and the denominator.
-    vals = np.zeros((len(coeffs), len(z)), dtype=complex)
-    for col in coeffs.T:
-        vals = vals * z + col[:, None]
+    vals = _horner(coeffs, z)  # every numerator and the denominator
     a_val = vals[-1]
     h = vals[:-1] / a_val
     sums = np.sum(np.abs(coeffs), axis=1)

@@ -505,16 +505,16 @@ def transfer_coefficients(c: np.ndarray,
         a, resid_a, factors = _pole_tables(
             np.asarray(poles, dtype=np.clongdouble))
     cols = np.asarray(c, dtype=np.clongdouble).reshape(K, -1).T
-    # terms[k] is [c_k, 0] multiplied by each (z - p_j), j != k, in
-    # increasing j, for all outputs at once.  Expanding the cofactor first
-    # and scaling it by c_k would round differently.  Step s multiplies
-    # every term by its s-th factor (row s of the factor table).
-    terms = np.zeros((K, len(cols), K + 1), dtype=np.clongdouble)
-    terms[:, :, 0] = cols.T
+    # terms[:, :, k] is [c_k, 0] times each (z - p_j), j != k, in
+    # increasing j, for all outputs at once (expanding the cofactor first
+    # and scaling it by c_k would round differently).  Step s multiplies
+    # every term by its factor in row s of the table: one contiguous slice.
+    terms = np.zeros((K + 1, len(cols), K), dtype=np.clongdouble)
+    terms[0] = cols
     for step, factor in enumerate(factors):
-        terms[:, :, 1:step + 2] -= factor[:, None, None] \
-            * terms[:, :, :step + 1]
-    b = terms.sum(axis=0)  # summed in k order
+        terms[1:step + 2] -= factor * terms[:step + 1]
+    # Summed in k order: axis 0 of the transposed copy.
+    b = np.ascontiguousarray(terms.transpose(2, 1, 0)).sum(axis=0)
     resid = max(resid_a, float(np.max(np.abs(b.imag))))
     if resid > TOL_CPX:
         raise NumericalError("transfer coefficients have imaginary residue "

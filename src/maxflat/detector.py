@@ -84,16 +84,21 @@ def tk_energy_threepoint(x: np.ndarray, causal: bool, t_s: float) -> np.ndarray:
 
     Causal: E[n] = (x[n-1]^2 - x[n-2] x[n]) / T_s^2.
     Non-causal: E[n] = (x[n]^2 - x[n-1] x[n+1]) / T_s^2.
-    Edge samples (with missing neighbours) are zero.
+    Edge samples (with missing neighbours) are zero: one pass over the
+    row-major buffer computes all rows as one signal, then zeroes them.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape[-1] < 3:
         raise ValueError("need at least 3 samples")
-    e = np.zeros_like(x)
-    energy = e[..., 2:] if causal else e[..., 1:-1]
-    np.multiply(x[..., :-2], x[..., 2:], out=energy)
-    np.subtract(np.square(x[..., 1:-1]), energy, out=energy)
+    e = np.empty_like(x)
+    flat, out = x.reshape(-1), e.reshape(-1)
+    energy = out[2:] if causal else out[1:-1]
+    np.square(flat[1:-1], out=energy)
+    energy -= flat[:-2] * flat[2:]
     energy /= t_s ** 2
+    e[..., :2 if causal else 1] = 0.0
+    if not causal:
+        e[..., -1] = 0.0
     return e
 
 
@@ -103,7 +108,9 @@ def tk_energy_derivatives(y0: np.ndarray, y1: np.ndarray,
     y0, y1, y2 = map(np.asarray, (y0, y1, y2))
     if not y0.shape == y1.shape == y2.shape:
         raise ValueError("derivative sequences must have equal lengths")
-    return y1 ** 2 - y0 * y2
+    e = np.square(y1, dtype=np.result_type(y0, y1, y2))
+    e -= y0 * y2
+    return e
 
 
 def _bilinear_allpole(s_poles: np.ndarray, t_s: float) -> Tuple[np.ndarray,
@@ -191,9 +198,10 @@ def build_detector(tag: str) -> Callable[[np.ndarray], np.ndarray]:
         b, a = bw0_reference(causal=False)
 
         def detect(x: np.ndarray) -> np.ndarray:
-            y = run_filter(b, a, x)
-            y = run_filter(b, a, y[..., ::-1])[..., ::-1]
-            return tk_energy_threepoint(y, causal=False, t_s=t_s)
+            # Non-causal TK is symmetric in time: the energy of the
+            # reversed rows, reversed, without a copy of them.
+            y = run_filter(b, a, run_filter(b, a, x)[..., ::-1])
+            return tk_energy_threepoint(y, causal=False, t_s=t_s)[..., ::-1]
         detect.reach = None
     elif tag == "IIR_BW1_NC":
         fwd, bwd = bw1_nc_smoother()
@@ -340,8 +348,10 @@ def _simulate_block(seed: int, first: int, count: int,
                                           f_s=DETECT_FS))
         if not deterministic_signal:
             pulse[i] = rng_sig.normal(0.0, pulse_scale, n_pulse)
-        x[i] = rng_int1.normal(0.0, int_scale, DETECT_N)
-        x[count + i] = rng_int2.normal(0.0, int_scale, DETECT_N)
+        rng_int1.standard_normal(out=x[i])
+        rng_int2.standard_normal(out=x[count + i])
+    # normal(0, s) draws s times the standard normal, the same numbers.
+    x *= int_scale
 
     b, a = discretize_process(
         scenario_params("detect", "interference", f_s=DETECT_FS),
@@ -410,10 +420,12 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
 
 def roc_from_statistics(stat_true: np.ndarray,
                         stat_false: np.ndarray) -> RocCurve:
-    """Empirical ROC over the pooled sorted statistics; AUC by trapezoid."""
-    thresholds = np.concatenate([[-np.inf],
-                                 np.unique(np.concatenate([stat_true,
-                                                           stat_false]))])
+    """Empirical ROC over the pooled sorted statistics; AUC by trapezoid.
+    The thresholds, -inf and the distinct statistics, are np.unique's
+    (which imports numpy.ma), except that NaNs are not merged into one."""
+    pooled = np.sort(np.concatenate([stat_true, stat_false]))
+    thresholds = np.concatenate([[-np.inf], pooled[:1],
+                                 pooled[1:][pooled[1:] != pooled[:-1]]])
     st = np.sort(stat_true)
     sf = np.sort(stat_false)
     # P(statistic > threshold) via binary search on the sorted samples.
@@ -442,19 +454,12 @@ def run_detection_mc(detector: Callable[[np.ndarray], np.ndarray],
     an AUC below 0.5, not at chance: FIR_NUL_NC measures 0.188 (seed 0,
     2000 trials).
 
-    Trials run in blocks of BLOCK through ``block_statistics``: each trial
-    keeps its own random streams, so the statistics do not depend on the
-    block size, while filtering and scoring are done on (rows, N) arrays
-    once per block instead of once per instance.  The block stays small
-    because its arrays are what a run holds in memory beyond the
-    detector.  The simulated blocks are memoized (see MEMO_BLOCKS), so a
-    second detector run on the same seed, signal kind and at most
-    MEMO_BLOCKS * BLOCK trials pays only for its own filtering and
-    scoring.  A first or longer run also simulates: it hashes the seeds
-    of a block's streams in one pass, builds a Generator from each and
-    draws the trials' noise.  A pipeline from ``build_detector`` with a
-    bounded reach filters only the samples its windows score.  seed and
-    trials must be integers, trials at least 1.
+    Trials run in blocks of BLOCK through ``block_statistics``, whose
+    statistics do not depend on the block size.  The simulated blocks are
+    memoized (see MEMO_BLOCKS), so a second detector run on the same seed,
+    signal kind and at most MEMO_BLOCKS * BLOCK trials pays only for its
+    own filtering and scoring.  seed and trials must be integers, trials
+    at least 1.
     """
     trials = check_nonnegative_int(trials, "trials")
     if trials < 1:

@@ -160,8 +160,10 @@ def oscillator_response(params: Sequence[ProcessParams], t_s: float,
     steps = np.arange(float(m))
     powers = (np.exp(mu * m * steps)[:, :, None]
               * np.exp(mu * steps)[:, None, :]).reshape(len(w), -1)
-    k = np.arange(n_samples)
-    return (powers[:, :n_samples] * partial[:, np.minimum(k, n_in - 1)]).real
+    y = powers[:, :n_samples]
+    y[:, :n_in] *= partial
+    y[:, n_in:] *= partial[:, -1:]
+    return y.real
 
 
 def impulse_energy_closed_form(params: ProcessParams) -> float:

@@ -160,6 +160,6 @@ def run_noncausal(forward: FilterbankDesign, backward: FilterbankDesign,
     backward pass (filter the reversed input, reverse the result), along
     the last axis of x."""
     x = np.asarray(x, dtype=float)
-    y_f = run_filter(forward.b[k_t], forward.a, x)
-    y_b = run_filter(backward.b[k_t], backward.a, x[..., ::-1])[..., ::-1]
-    return y_f + y_b
+    y = run_filter(forward.b[k_t], forward.a, x)
+    y += run_filter(backward.b[k_t], backward.a, x[..., ::-1])[..., ::-1]
+    return y

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from maxflat.analyze import (COEFF_EPS, FD_MAX_ORDER, FD_RTOL, FD_STEP,
-                             NULL_RADIUS_TOL, design_response,
+                             NULL_RADIUS_TOL, ConstraintCheck,
+                             design_response,
                              frequency_response, ideal_response,
                              measured_group_delay, noncausal_response,
                              orbit_steady_state, verify_constraints)
@@ -25,6 +26,56 @@ def test_frequency_response_examples():
     h = frequency_response(np.array([0.5, 0.0]), np.array([1.0, -0.5]), w)
     z = np.exp(1j * w)
     assert np.allclose(h, 0.5 * z / (z - 0.5), atol=1e-12)
+
+
+def _response_cases(bw1_design, tracker_designs):
+    """(name, b, a) of every filter whose response a workload evaluates."""
+    from maxflat.detector import bw0_reference, bw1_nc_smoother
+
+    cases = [(f"BW1 output {kt}", b, bw1_design.a)
+             for kt, b in enumerate(bw1_design.b)]
+    cases += [(f"tracker {tag} output {kt}", b, d.a)
+              for tag, d in tracker_designs.items()
+              for kt, b in enumerate(d.b)]
+    cases += [(f"bw0 causal={causal}", *bw0_reference(causal))
+              for causal in (True, False)]
+    cases += [(f"two-sided {half}", d.b[0], d.a)
+              for half, d in zip(("forward", "backward"), bw1_nc_smoother())]
+    cases.append(("b shorter than a", np.array([0.25, -0.5]), bw1_design.a))
+    return cases
+
+
+@pytest.mark.parametrize("grid", [None, 1, 2, 3, 255, 256, 2048])
+def test_frequency_response_equals_polyval(bw1_design, tracker_designs,
+                                           grid):
+    """One Horner pass over b and a is np.polyval(b, z) / np.polyval(a, z)
+    bit for bit.  NumPy's complex multiply may round differently with the
+    length of the array (vector loops and their remainders), so every
+    grid length the package uses is checked, and a scalar omega."""
+    omegas = 0.7 if grid is None else np.linspace(0.0, np.pi, grid)
+    z = np.exp(1j * np.asarray(omegas))
+    for name, b, a in _response_cases(bw1_design, tracker_designs):
+        got = frequency_response(b, a, omegas)
+        want = np.polyval(b, z) / np.polyval(a, z)
+        assert np.shape(got) == np.shape(want), name
+        assert np.array_equal(np.atleast_1d(got).view(float),
+                              np.atleast_1d(want).view(float)), name
+
+
+def test_constraint_check_is_an_immutable_record(bw1_spec, bw1_design):
+    """The record keeps its field names, their order and its values, and
+    a field cannot be assigned."""
+    fields = ("omega_d", "k_omega", "k_t", "target", "analytic",
+              "fd_estimate", "analytic_ok", "fd_ok")
+    assert ConstraintCheck._fields == fields
+    values = (0.3, 1, 2, 1.5 + 0j, 1.5 - 1e-9j, None, True, False)
+    check = ConstraintCheck(*values)
+    assert tuple(getattr(check, name) for name in fields) == values
+    for check in verify_constraints(bw1_spec, bw1_design):
+        assert tuple(getattr(check, name) for name in fields) == \
+            tuple(check)
+        with pytest.raises(AttributeError):
+            check.analytic_ok = False
 
 
 def test_ideal_response_is_delayed_differentiator():

@@ -68,19 +68,29 @@ def test_tk_energy_from_derivative_outputs():
 
 @pytest.mark.parametrize("causal", [True, False])
 def test_tk_energy_equals_reference_expression(rng, causal):
-    """The in-place evaluation is bit for bit the plain expression, also
-    on read-only and reversed (negative-stride) rows."""
+    """The one pass over the row-major buffer is bit for bit the plain
+    expression along the last axis, with zero edge samples, for 1-D, 2-D
+    and 3-D inputs, a single row, rows of 3 samples, and read-only,
+    sliced and reversed (negative-stride) views; the input is unchanged."""
     t_s = 1.0 / DETECT_FS
     x = rng.normal(size=(4, 100))
     x.flags.writeable = False
-    for rows in (x, x[:, ::-1]):
+    cube = rng.normal(size=(2, 3, 50))
+    inputs = (x, x[:, ::-1], x[1:3, 10:60], x[::2, ::3], x[:1], x[2],
+              x[:, :3], x[0, :3], cube, cube[:, ::-1, 5:-5])
+    for rows in inputs:
+        before = rows.copy()
         ref = np.zeros_like(rows)
-        energy = (rows[:, 1:-1] ** 2 - rows[:, :-2] * rows[:, 2:]) / t_s ** 2
+        energy = (rows[..., 1:-1] ** 2
+                  - rows[..., :-2] * rows[..., 2:]) / t_s ** 2
         if causal:
-            ref[:, 2:] = energy
+            ref[..., 2:] = energy
         else:
-            ref[:, 1:-1] = energy
-        assert np.array_equal(tk_energy_threepoint(rows, causal, t_s), ref)
+            ref[..., 1:-1] = energy
+        got = tk_energy_threepoint(rows, causal, t_s)
+        assert got.shape == rows.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(rows, before)
 
 
 def test_tk_energy_input_validation():
@@ -187,6 +197,39 @@ def test_roc_auc_of_identical_distributions_is_half():
 def test_roc_auc_of_separated_distributions_is_one():
     roc = roc_from_statistics(np.arange(100) + 1000.0, np.arange(100) * 1.0)
     assert roc.auc == pytest.approx(1.0)
+
+
+def _roc_with_unique(stat_true, stat_false):
+    """(p_fa, p_d, auc) with the thresholds built by np.unique, as they
+    were before the distinct-value mask."""
+    thresholds = np.concatenate([[-np.inf],
+                                 np.unique(np.concatenate([stat_true,
+                                                           stat_false]))])
+    st, sf = np.sort(stat_true), np.sort(stat_false)
+    p_d = 1.0 - np.searchsorted(st, thresholds, side="right") / len(st)
+    p_fa = 1.0 - np.searchsorted(sf, thresholds, side="right") / len(sf)
+    order = np.lexsort((p_d, p_fa))
+    p_fa, p_d = p_fa[order], p_d[order]
+    return p_fa, p_d, float(np.trapezoid(p_d, p_fa))
+
+
+def test_roc_thresholds_equal_those_of_unique():
+    """Distinct values, ties within and across the two sides, -inf and
+    signed zeros, and single statistics give the ROC of np.unique's
+    thresholds, bit for bit."""
+    rng = np.random.default_rng(7)
+    cases = [(rng.normal(1.0, 1.0, 300), rng.normal(size=500)),
+             (np.round(rng.normal(size=200), 1),
+              np.round(rng.normal(size=200), 1)),
+             (np.array([2.0, 2.0, -np.inf]), np.array([-np.inf, 2.0, 1.0])),
+             (np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0])),
+             (np.array([3.0]), np.array([3.0]))]
+    for stat_true, stat_false in cases:
+        roc = roc_from_statistics(stat_true, stat_false)
+        p_fa, p_d, auc = _roc_with_unique(stat_true, stat_false)
+        assert np.array_equal(roc.p_fa, p_fa)
+        assert np.array_equal(roc.p_d, p_d)
+        assert roc.auc == auc
 
 
 def _single_trial(det, seed, trial, deterministic_signal=True):

@@ -130,6 +130,36 @@ def test_oscillator_response_matches_state_recursion(n_in):
         assert np.max(np.abs(row - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n_in", [1, 51, 1000])
+def test_oscillator_response_equals_gathered_expression(n_in):
+    """Scaling the samples past the input by the last partial sum through
+    broadcasting gives, bit for bit, the product with the gathered
+    (rows, n) copy of the partial sums that the closed form used before,
+    for a pulse of one sample, of 51 and as long as the output."""
+    from maxflat.procsim import _zoh
+
+    t_s, n = 0.001, 1000
+    params = [scenario_params("detect", "signal", known_freq=False,
+                              rng=np.random.default_rng(seed))
+              for seed in range(5)] + PARAM_SETS
+    u = np.random.default_rng(6).normal(0.0, 30.0, (len(params), n_in))
+    s = np.array([p.sigma_c for p in params])
+    w = np.array([p.omega_c for p in params])
+    b0 = np.array([p.b0 for p in params])
+    _, (h0, h1) = _zoh(s, w, t_s)
+    mu = ((s + 1j * w) * t_s)[:, None]
+    beta = (b0 * (h0 - 1j * (h1 - s * h0) / w))[:, None]
+    partial = beta * np.cumsum(u * np.exp(-mu * np.arange(float(n_in))),
+                               axis=-1)
+    m = int(np.ceil(np.sqrt(n)))
+    steps = np.arange(float(m))
+    powers = (np.exp(mu * m * steps)[:, :, None]
+              * np.exp(mu * steps)[:, None, :]).reshape(len(w), -1)
+    k = np.arange(n)
+    want = (powers[:, :n] * partial[:, np.minimum(k, n_in - 1)]).real
+    assert np.array_equal(oscillator_response(params, t_s, u, n), want)
+
+
 def test_oscillator_response_input_longer_than_output_rejected():
     with pytest.raises(ValueError, match="n_samples"):
         oscillator_response(PARAM_SETS[:1], 0.001, np.ones((1, 5)), 4)
