@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import maxflat
 from maxflat import cli, detector, tracker
@@ -80,13 +83,14 @@ def _csv_matrices():
         "one-dimensional": np.array(special),
         "exact chunk": rng.normal(size=(cli.CSV_CHUNK_ROWS, 2)),
         "no rows": np.empty((0, 4)),
+        "no columns": np.empty((3, 0)),
     }
 
 
 @pytest.mark.parametrize("case", list(_csv_matrices()))
 def test_write_csv_matches_per_value_writer(tmp_path, case):
-    """Chunked '%' formatting writes the same bytes as format(v, '.17g')
-    per value, specials and integers included."""
+    """The chunked writer writes the same bytes as format(v, '.17g') per
+    value, specials and integers included."""
     data = _csv_matrices()[case]
     header = [f"c{j}" for j in range(np.atleast_2d(data).shape[1])]
     cli._write_csv(str(tmp_path / "new.csv"), header, data)
@@ -94,6 +98,87 @@ def test_write_csv_matches_per_value_writer(tmp_path, case):
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert new.count(b"\n") == 1 + np.atleast_2d(data).shape[0]
+
+
+def _exactness_sweep():
+    """About 1.0e6 numbers that probe each step of the vectorized writer:
+    the decade estimate next to powers of ten, the exact product, rounding
+    with exact ties, and the edges of fixed notation."""
+    rng = np.random.default_rng(2021)
+    # Decimals of 1 to 17 significant digits over [1e-6, 1e18], each the
+    # nearest float to m * 10**p, and both float neighbours of each.
+    decimals = []
+    for d in range(1, 18):
+        m = rng.integers(10 ** (d - 1), 10 ** d, size=15000)
+        p = rng.integers(-6 - d + 1, 19 - d, size=15000)
+        decimals.append(np.array([f"{mm}e{pp}" for mm, pp in
+                                  zip(m.tolist(), p.tolist())], dtype=float))
+    decimals = np.concatenate(decimals)
+    # x.5 at the 17th digit: 1 + m * 2**-17 for odd m has 18 significant
+    # digits, the last a 5.
+    ties = 1.0 + (2 * rng.integers(0, 2 ** 16, size=20_000) + 1) * 2.0 ** -17
+    powers = np.array([float(10 ** k) if k >= 0 else 1.0 / 10 ** -k
+                       for k in range(-6, 19)])
+    near_powers = [powers]
+    below = above = powers
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        near_powers += [below, above]
+    integers = rng.integers(0, 2 ** 53, size=100_000, endpoint=True)
+    integers[:54] = 2 ** np.arange(54) - 1
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308]
+    subnormals = rng.integers(1, 2 ** 52, size=1000).view(np.float64)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    values = np.concatenate(
+        [decimals, np.nextafter(decimals, 0.0),
+         np.nextafter(decimals, np.inf), ties, ties * 1e-3, -ties,
+         *near_powers, -powers, integers.astype(float), special,
+         subnormals, bits.view(np.float64)])
+    return values[:values.size // 16 * 16].reshape(-1, 16)
+
+
+def test_write_csv_exactness_sweep(tmp_path):
+    """Over about 1.0e6 numbers chosen to hit every branch of the exact
+    digit computation, the writer writes the oracle's bytes."""
+    values = _exactness_sweep()
+    assert values.size > 1_000_000
+    rng = np.random.default_rng(7)
+    cases = {
+        "sweep": values,
+        "float32": rng.normal(size=(3000, 3)).astype(np.float32)
+        * np.float32(10.0) ** rng.integers(-8, 20, size=(3000, 3)),
+        "int64": rng.integers(-2 ** 63, 2 ** 63, size=(3000, 3),
+                              dtype=np.int64),
+        "one-dimensional": values[:40].ravel(),
+        "Fortran-ordered": np.asfortranarray(values[:3000, :5]),
+        "strided": values[:6000:2, ::3],
+    }
+    for name, data in cases.items():
+        header = [f"c{j}" for j in range(np.atleast_2d(data).shape[1])]
+        cli._write_csv(str(tmp_path / "new.csv"), header, data)
+        _write_csv_per_value(str(tmp_path / "ref.csv"), header, data)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes(), name
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(
+           st.lists(st.floats(), min_size=width, max_size=width),
+           min_size=1, max_size=12)),
+       chunk_rows=st.integers(1, 5))
+def test_write_csv_matches_per_value_writer_on_drawn_rows(rows, chunk_rows):
+    """Any rows of floats, nan and inf included, in chunks of 1 to 5 rows
+    so that most runs cross chunk boundaries, write the oracle's bytes."""
+    header = [f"c{j}" for j in range(len(rows[0]))]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows):
+        new, ref = os.path.join(tmp, "new.csv"), os.path.join(tmp, "ref.csv")
+        cli._write_csv(new, header, np.array(rows))
+        _write_csv_per_value(ref, header, np.array(rows))
+        with open(new, "rb") as fh_new, open(ref, "rb") as fh_ref:
+            assert fh_new.read() == fh_ref.read()
 
 
 def test_spec_config_round_trip():
