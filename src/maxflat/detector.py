@@ -84,21 +84,45 @@ def tk_energy_threepoint(x: np.ndarray, causal: bool, t_s: float) -> np.ndarray:
 
     Causal: E[n] = (x[n-1]^2 - x[n-2] x[n]) / T_s^2.
     Non-causal: E[n] = (x[n]^2 - x[n-1] x[n+1]) / T_s^2.
-    Edge samples (with missing neighbours) are zero: one pass over the
-    row-major buffer computes all rows as one signal, then zeroes them.
+    Edge samples (with missing neighbours) are zero.
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.shape[-1] < 3:
+    x, lo, hi = _rows_and_window(x, None)
+    return _tk_window(x, 0, lo, hi, causal, t_s)
+
+
+def _rows_and_window(x: np.ndarray, window) -> Tuple[np.ndarray, int, int]:
+    """x as a float array, and the first and last sample of the window
+    (lo, hi) along its last axis: all of the row when window is None."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    if n < 3:
         raise ValueError("need at least 3 samples")
-    e = np.empty_like(x)
-    flat, out = x.reshape(-1), e.reshape(-1)
-    energy = out[2:] if causal else out[1:-1]
-    np.square(flat[1:-1], out=energy)
-    energy -= flat[:-2] * flat[2:]
-    energy /= t_s ** 2
-    e[..., :2 if causal else 1] = 0.0
-    if not causal:
-        e[..., -1] = 0.0
+    lo, hi = (0, n - 1) if window is None else window
+    if not 0 <= lo <= hi < n:
+        raise ValueError(f"window {window} does not lie within the {n} "
+                         "samples of a row")
+    return x, lo, hi
+
+
+def _tk_window(y: np.ndarray, start: int, lo: int, hi: int, causal: bool,
+               t_s: float) -> np.ndarray:
+    """The energies of samples lo, ..., hi that ``tk_energy_threepoint``
+    gives on the full rows, bit for bit, from y, whose column j holds
+    sample start + j of the rows.  y must hold every sample of the rows
+    that those energies read: an energy whose centre sample has a
+    neighbour outside y is taken as a row edge, which is zero."""
+    # The energy at n is centred on sample n - 1 (causal) or n, so the
+    # centre in column j gives output column j + skip.  first and last
+    # are the columns of the first and last centres with both neighbours.
+    skip = start - lo + (1 if causal else 0)
+    first = max(-skip, 1)
+    last = min(hi - lo - skip, y.shape[-1] - 2)
+    e = np.zeros(y.shape[:-1] + (hi + 1 - lo,))
+    if first <= last:
+        out = e[..., first + skip:last + skip + 1]
+        np.square(y[..., first:last + 1], out=out)
+        out -= y[..., first - 1:last] * y[..., first + 1:last + 2]
+        out /= t_s ** 2
     return e
 
 
@@ -160,59 +184,74 @@ def bw1_nc_smoother() -> Tuple[FilterbankDesign, FilterbankDesign]:
         k_t=1, group_delay=0.0, causal=False))
 
 
-def build_detector(tag: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Map a detector tag to a callable x -> TK energy sequence.
+def build_detector(tag: str) -> Callable[..., np.ndarray]:
+    """Map a detector tag to a callable (x, window=None) -> TK energy.
 
     The callable works along the last axis, so a (rows, N) array gives
-    the TK energy of each row, equal to one call per row.  Every pipeline
-    is built at DETECT_FS, the rate of the scenario that
-    ``block_statistics`` simulates.
+    the TK energy of each row, equal to one call per row.  Given a
+    window (lo, hi), inclusive sample indices of the rows, it returns
+    the energy of samples lo, ..., hi only, bit for bit that of the full
+    rows, and computes only the samples that energy reads:
 
-    Its attribute ``reach`` says how far past sample n its output at n
-    reads: 0 for IIR_BW0 and IIR_BW1 (causal filters, causal TK), 1 for
-    FIR_NUL_NC (non-causal TK), None, for no bound, for IIR_BW0_NC and
-    IIR_BW1_NC, whose backward pass reads to the end of the row.  With
-    reach r, each output sample n < m - r of the first m input samples
-    is the one of the full row, bit for bit: the filter kernel and the
-    element-wise TK arithmetic compute it with the same operations."""
+    - IIR_BW0 and IIR_BW1 filter up to hi and form TK on the window;
+    - FIR_NUL_NC forms TK on the window;
+    - IIR_BW1_NC runs its forward pass up to hi + 1 and its backward
+      pass from the row end down to lo - 1;
+    - IIR_BW0_NC runs its forward pass over the whole row, and stops its
+      time-reversed second pass at lo - 1.
+
+    The filter kernel and the element-wise TK arithmetic compute each
+    sample with the same operations, however far they run.  Each design
+    is built once, here.  Every pipeline is built at DETECT_FS, the rate
+    of the scenario that ``block_statistics`` simulates, and has the
+    attribute ``takes_window`` (True), which ``functools.wraps`` copies
+    to a wrapper."""
     t_s = 1.0 / DETECT_FS
     if tag == "FIR_NUL_NC":
-        def detect(x: np.ndarray) -> np.ndarray:
-            return tk_energy_threepoint(x, causal=False, t_s=t_s)
-        detect.reach = 1
+        def detect(x: np.ndarray, window=None) -> np.ndarray:
+            x, lo, hi = _rows_and_window(x, window)
+            return _tk_window(x, 0, lo, hi, causal=False, t_s=t_s)
     elif tag == "IIR_BW0":
         b, a = bw0_reference(causal=True)
 
-        def detect(x: np.ndarray) -> np.ndarray:
-            return tk_energy_threepoint(run_filter(b, a, x), causal=True,
-                                        t_s=t_s)
-        detect.reach = 0
+        def detect(x: np.ndarray, window=None) -> np.ndarray:
+            x, lo, hi = _rows_and_window(x, window)
+            y = run_filter(b, a, x[..., :hi + 1])
+            return _tk_window(y, 0, lo, hi, causal=True, t_s=t_s)
     elif tag == "IIR_BW1":
         d = bw1_filterbank()
 
-        def detect(x: np.ndarray) -> np.ndarray:
-            y = [run_filter(d.b[kt], d.a, x) for kt in range(3)]
+        def detect(x: np.ndarray, window=None) -> np.ndarray:
+            x, lo, hi = _rows_and_window(x, window)
+            y = [run_filter(d.b[kt], d.a, x[..., :hi + 1])[..., lo:]
+                 for kt in range(3)]
             return tk_energy_derivatives(*y)
-        detect.reach = 0
     elif tag == "IIR_BW0_NC":
         b, a = bw0_reference(causal=False)
 
-        def detect(x: np.ndarray) -> np.ndarray:
+        def detect(x: np.ndarray, window=None) -> np.ndarray:
+            x, lo, hi = _rows_and_window(x, window)
+            n = x.shape[-1]
             # Non-causal TK is symmetric in time: the energy of the
-            # reversed rows, reversed, without a copy of them.
-            y = run_filter(b, a, run_filter(b, a, x)[..., ::-1])
-            return tk_energy_threepoint(y, causal=False, t_s=t_s)[..., ::-1]
-        detect.reach = None
+            # reversed rows, reversed, without a copy of them.  Column k
+            # of y is sample n - 1 - k.
+            u = run_filter(b, a, x)[..., max(lo - 1, 0):]
+            y = run_filter(b, a, u[..., ::-1])
+            return _tk_window(y, 0, n - 1 - hi, n - 1 - lo, causal=False,
+                              t_s=t_s)[..., ::-1]
     elif tag == "IIR_BW1_NC":
         fwd, bwd = bw1_nc_smoother()
 
-        def detect(x: np.ndarray) -> np.ndarray:
-            y = run_noncausal(fwd, bwd, x, k_t=0)
-            return tk_energy_threepoint(y, causal=False, t_s=t_s)
-        detect.reach = None
+        def detect(x: np.ndarray, window=None) -> np.ndarray:
+            x, lo, hi = _rows_and_window(x, window)
+            start = max(lo - 1, 0)
+            y = run_noncausal(fwd, bwd, x, k_t=0,
+                              span=(start, min(hi + 1, x.shape[-1] - 1)))
+            return _tk_window(y, start, lo, hi, causal=False, t_s=t_s)
     else:
         raise ValueError(f"unknown detector tag {tag!r}; supported tags: "
                          + ", ".join(DETECTOR_TAGS))
+    detect.takes_window = True
     return detect
 
 
@@ -363,7 +402,7 @@ def _simulate_block(seed: int, first: int, count: int,
     return x
 
 
-def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
+def block_statistics(detector: Callable[..., np.ndarray],
                      seed: int, first: int, count: int,
                      deterministic_signal: bool = True
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -386,12 +425,12 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
     [PULSE_SAMPLE, PULSE_SAMPLE + 50] for the stochastic signal, under
     white Normal(0, P / T_s) interference drive with P = P_INT (or 1).
 
-    A detector with a bounded ``reach`` r (see ``build_detector``) runs
-    twice: on the signal rows up to the end of TRUE_WINDOW plus r, and on
-    the interference-only rows up to the end of FALSE_WINDOW plus r.  Its
-    window samples are those of the full rows, bit for bit.  Any other
-    callable runs once on the stacked (signal + interference;
-    interference-only) rows of DETECT_N samples.
+    A pipeline from ``build_detector`` (a callable whose ``takes_window``
+    is true) runs twice, on the signal rows with TRUE_WINDOW and on the
+    interference-only rows with FALSE_WINDOW, and computes only the
+    energies those windows score.  Any other callable runs once on the
+    stacked (signal + interference; interference-only) rows of DETECT_N
+    samples.
 
     The stacked rows come from a memo of MEMO_BLOCKS blocks keyed by
     (seed, first, count, signal kind), so detectors scored on the same
@@ -406,16 +445,14 @@ def block_statistics(detector: Callable[[np.ndarray], np.ndarray],
     if count < 1:
         raise ValueError("count must be >= 1")
     x = _simulate_block(seed, first, count, bool(deterministic_signal))
-    reach = getattr(detector, "reach", None)
-    if reach is None:
-        e = detector(x)
-        e_true, e_false = e[:count], e[count:]
+    if getattr(detector, "takes_window", False):
+        e_true = detector(x[:count], TRUE_WINDOW)
+        e_false = detector(x[count:], FALSE_WINDOW)
     else:
-        e_true = detector(x[:count, :TRUE_WINDOW[1] + 1 + reach])
-        e_false = detector(x[count:, :FALSE_WINDOW[1] + 1 + reach])
-    stat_true = e_true[:, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1].max(axis=-1)
-    stat_false = e_false[:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1].max(axis=-1)
-    return stat_true, stat_false
+        e = detector(x)
+        e_true = e[:count, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1]
+        e_false = e[count:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1]
+    return e_true.max(axis=-1), e_false.max(axis=-1)
 
 
 def roc_from_statistics(stat_true: np.ndarray,
@@ -439,7 +476,7 @@ def roc_from_statistics(stat_true: np.ndarray,
     return RocCurve(p_fa=p_fa, p_d=p_d, auc=auc)
 
 
-def run_detection_mc(detector: Callable[[np.ndarray], np.ndarray],
+def run_detection_mc(detector: Callable[..., np.ndarray],
                      trials: int, seed: int,
                      deterministic_signal: bool = True) -> RocCurve:
     """Monte-Carlo ROC of a detector over paired instances.

@@ -155,11 +155,16 @@ def run_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def run_noncausal(forward: FilterbankDesign, backward: FilterbankDesign,
-                  x: np.ndarray, k_t: int = 0) -> np.ndarray:
+                  x: np.ndarray, k_t: int = 0, span=None) -> np.ndarray:
     """Apply a split non-causal design: forward pass plus a time-reversed
     backward pass (filter the reversed input, reverse the result), along
-    the last axis of x."""
+    the last axis of x.  With span = (first, last), it returns output
+    samples first, ..., last only, bit for bit those of the whole row: the
+    forward pass runs up to last, and the backward pass from the row end
+    down to first."""
     x = np.asarray(x, dtype=float)
-    y = run_filter(forward.b[k_t], forward.a, x)
-    y += run_filter(backward.b[k_t], backward.a, x[..., ::-1])[..., ::-1]
+    first, last = (0, x.shape[-1] - 1) if span is None else span
+    y = run_filter(forward.b[k_t], forward.a, x[..., :last + 1])[..., first:]
+    back = run_filter(backward.b[k_t], backward.a, x[..., first:][..., ::-1])
+    y += back[..., ::-1][..., :last + 1 - first]
     return y

@@ -42,11 +42,12 @@ P_INT_TRACK = 1.0e2
 #: per round, simulate each instance once; a loop that cycles through more
 #: than two (scenario, seed, n_samples) keys reuses none of them.
 MEMO_SCENARIOS = 2
-#: Scenario-independent draws kept for the last (seed, n_samples): 32 B per
-#: sample, 3.2 MB at 1e5 samples (tracemalloc).  They save a draw only when
-#: both scenarios run on one (seed, n_samples), as in every track-long
-#: round of the benchmark and in no ``track-sim`` process.
-MEMO_DRAWS = 1
+#: Scenario-independent draws of one (seed, n_samples), 32 B per sample,
+#: 3.2 MB at 1e5 samples (tracemalloc), and the scenarios that have taken
+#: them (``_take_draws``).  LoG and HiG of one seed draw once, as in every
+#: track-long round of the benchmark; the entry is dropped when the second
+#: scenario takes it, or when another (seed, n_samples) is drawn.
+_draw_memo: Dict[Tuple[int, int], tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,6 @@ class TrackingRun:
     rms_error: float
 
 
-@functools.lru_cache(maxsize=MEMO_DRAWS, typed=True)
 def _draw_noise(seed: int, n_samples: int
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only origin (2,), white signal drives (2, N) of power
@@ -193,18 +193,36 @@ def _draw_noise(seed: int, n_samples: int
     return out
 
 
+def _take_draws(scenario: str, seed: int, n_samples: int
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_draw_noise(seed, n_samples)`` for one scenario, drawn once for
+    LoG and HiG.  The draws stay in ``_draw_memo`` until the other
+    scenario takes them too and are dropped then: each scenario's
+    instance is in ``_simulate_scenario``'s memo, and one that it has
+    dropped is drawn again."""
+    key = (seed, n_samples)
+    draws, takers = _draw_memo.pop(key, (None, frozenset()))
+    if draws is None:
+        draws = _draw_noise(seed, n_samples)
+    takers = takers | {scenario}
+    _draw_memo.clear()
+    if len(takers) < 2:
+        _draw_memo[key] = draws, takers
+    return draws
+
+
 @functools.lru_cache(maxsize=MEMO_SCENARIOS, typed=True)
 def _simulate_scenario(scenario: str, seed: int, n_samples: int
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only truth and measurement of one scenario instance, (2, N)
     arrays with rows x then y: the seed's drives filtered through the
     scenario's signal process, plus the origin, and that truth plus the
-    interference (``_draw_noise``)."""
+    interference (``_take_draws``)."""
     gain = "lo" if scenario == "LoG" else "hi"
     sig_proc = discretize_process(
         scenario_params("track", "signal", gain=gain, f_s=TRACK_FS),
         1.0 / TRACK_FS)
-    origin, drives, interference = _draw_noise(seed, n_samples)
+    origin, drives, interference = _take_draws(scenario, seed, n_samples)
     truth = run_filter(*sig_proc.transfer(), drives)
     truth += origin[:, None]
     meas = truth + interference
@@ -223,14 +241,16 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
     interference waveform of power P_int = 1e2 (alpha_lambda = 1).  The
     reported RMS position error compares the estimates against the truth
     delayed by round(q) samples, not the lag-q truth (ROADMAP item 4),
-    after a settling window of 10 q samples, so n_samples must exceed that
-    window; a shorter run raises ValueError.
+    after a settling window of 10 q samples.  So the design's delay q must
+    be non-negative, and n_samples must exceed that window; otherwise
+    ValueError.
 
     The simulated truth and measurement do not depend on the tracker.  They
     come from a memo of MEMO_SCENARIOS instances keyed by (scenario, seed,
     n_samples), so trackers run on the same draws simulate them once and
-    each pays only for its own filtering and scoring; the two scenarios of
-    one (seed, n_samples) draw their noise once (MEMO_DRAWS).  The returned
+    each pays only for its own filtering and scoring.  The two scenarios
+    of one (seed, n_samples) draw their noise once: the draws are kept
+    until the second scenario has taken them, and no longer.  The returned
     truth and measurement arrays are read-only.  Only the smoother output
     is filtered, over both axes in one call, so a run returns the position
     estimates and not the derivative tracks.  seed and n_samples must be
@@ -241,6 +261,11 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
         raise ValueError('scenario must be "LoG" or "HiG"')
     seed = check_nonnegative_int(seed, "seed")
     n_samples = check_nonnegative_int(n_samples, "n_samples")
+    if design.q < 0:
+        raise ValueError(f"the tracker's delay must be q >= 0, not "
+                         f"q = {design.q:.4g}: the RMS error is taken "
+                         f"against the truth delayed by round(q) samples, "
+                         f"after a settling window of 10 q samples")
     settle = int(np.ceil(10.0 * design.q))
     if n_samples <= settle:
         raise ValueError(f"need at least {settle + 1} samples for this "

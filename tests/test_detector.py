@@ -469,32 +469,40 @@ def test_simulated_block_equals_per_trial_generators(
 
 
 # ---------------------------------------------------------------------------
-# Detectors read only the samples their windows score
+# Detectors compute only the samples their windows score
 
-#: How far past sample n each pipeline's output at n reads.
-REACH = {"FIR_NUL_NC": 1, "IIR_BW0": 0, "IIR_BW1": 0, "IIR_BW0_NC": None,
-         "IIR_BW1_NC": None}
-
-
-def test_pipelines_declare_their_reach(detectors):
-    """The two-pass pipelines read to the end of the row: no bound."""
-    assert {tag: det.reach for tag, det in detectors.items()} == REACH
+#: Windows at both row edges, the scored windows and single samples.
+WINDOWS = [(lo, hi) for lo in (0, 1, 2) for hi in (DETECT_N - 2, DETECT_N - 1)
+           ] + [TRUE_WINDOW, FALSE_WINDOW, (0, 0), (1, 1), (2, 2),
+                (500, 500), (DETECT_N - 2, DETECT_N - 2),
+                (DETECT_N - 1, DETECT_N - 1)]
 
 
-@pytest.mark.parametrize("tag", [t for t in DETECTOR_TAGS
-                                 if REACH[t] is not None])
-def test_prefix_output_equals_full_row_output(detectors, tag):
-    """With reach r, the first m input samples give the first m - r
-    output samples of the full rows, bit for bit."""
+@pytest.mark.parametrize("deterministic_signal", [True, False])
+@pytest.mark.parametrize("tag", DETECTOR_TAGS)
+def test_window_energy_equals_full_row_energy(detectors, tag,
+                                              deterministic_signal):
+    """A windowed call gives the full rows' energy on its window, bit for
+    bit: the signal and the interference-only rows of a one-trial block
+    and of a partial last block (trials 32-36), and a single 1-D row."""
     det = detectors[tag]
-    r = det.reach
-    x = np.concatenate([detector._simulate_block(1, 0, 4, kind)
-                        for kind in (True, False)])
-    full = det(x)
-    for m in (3, 4, 50, TRUE_WINDOW[1] + 1 + r, FALSE_WINDOW[1] + 1 + r,
-              DETECT_N - 1, DETECT_N):
-        assert np.array_equal(det(x[..., :m])[..., :m - r],
-                              full[..., :m - r]), m
+    for first, count in ((36, 1), (2 * BLOCK, 5)):
+        x = detector._simulate_block(2, first, count, deterministic_signal)
+        for rows in (x[:count], x[count:], x[0]):
+            full = det(rows)
+            assert full.shape == rows.shape
+            for lo, hi in WINDOWS:
+                got = det(rows, (lo, hi))
+                assert got.shape == rows.shape[:-1] + (hi + 1 - lo,)
+                assert np.array_equal(got, full[..., lo:hi + 1]), (lo, hi)
+
+
+@pytest.mark.parametrize("window", [(-1, 5), (5, 4), (0, DETECT_N)])
+def test_window_must_lie_within_the_row(detectors, window):
+    x = detector._simulate_block(0, 0, 1, True)
+    for det in detectors.values():
+        with pytest.raises(ValueError, match="does not lie within"):
+            det(x, window)
 
 
 @pytest.mark.parametrize("deterministic_signal", [True, False])
@@ -513,26 +521,37 @@ def test_block_statistics_equal_full_row_scoring(detectors, tag,
     assert np.array_equal(got[1], want_false)
 
 
-def test_only_pipelines_with_a_reach_get_cut_rows(detectors):
-    """A wrapper made with functools.wraps keeps the pipeline's reach and
-    gets the signal and interference rows cut at their windows' ends; a
-    plain callable gets the stacked full rows in one call."""
-    pipeline = detectors["IIR_BW1"]
-    shapes = []
+@pytest.mark.parametrize("count", [1, 5, BLOCK])
+def test_wrapper_is_called_for_every_scoring_call(detectors, count):
+    """A functools.wraps wrapper, such as the benchmark's tracer, gets
+    every scoring call: the signal rows with TRUE_WINDOW, then the
+    interference-only rows with FALSE_WINDOW."""
+    pipeline = detectors["IIR_BW1_NC"]
+    calls = []
 
     @functools.wraps(pipeline)
-    def wrapped(x):
-        shapes.append(x.shape)
-        return pipeline(x)
+    def wrapped(*args):
+        calls.append((args[0].shape,) + args[1:])
+        return pipeline(*args)
 
+    got = block_statistics(wrapped, 0, 0, count)
+    assert calls == [((count, DETECT_N), TRUE_WINDOW),
+                     ((count, DETECT_N), FALSE_WINDOW)]
+    want = block_statistics(pipeline, 0, 0, count)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("count", [1, 5, BLOCK])
+def test_plain_callable_gets_the_stacked_full_rows(detectors, count):
+    """A callable that does not take a window gets the stacked full rows
+    in one call and scores what the windowed pipeline scores."""
+    pipeline = detectors["IIR_BW0_NC"]
+    shapes = []
     plain = lambda x: shapes.append(x.shape) or pipeline(x)
-    cut = block_statistics(wrapped, 0, 0, BLOCK)
-    assert shapes == [(BLOCK, TRUE_WINDOW[1] + 1),
-                      (BLOCK, FALSE_WINDOW[1] + 1)]
-    shapes.clear()
-    whole = block_statistics(plain, 0, 0, BLOCK)
-    assert shapes == [(2 * BLOCK, DETECT_N)]
-    assert all(np.array_equal(a, b) for a, b in zip(cut, whole))
+    got = block_statistics(plain, 0, 0, count)
+    assert shapes == [(2 * count, DETECT_N)]
+    want = block_statistics(pipeline, 0, 0, count)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("seed", [None, True, -1, 2.0, "3"])

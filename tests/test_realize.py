@@ -166,6 +166,22 @@ def test_run_noncausal_matches_two_sided_convolution():
     assert np.max(np.abs(y - y_ref)) < 1e-10 * max(1.0, np.max(np.abs(y)))
 
 
+@pytest.mark.parametrize("span", [(0, 0), (0, 398), (0, 399), (1, 399),
+                                  (150, 260), (399, 399)])
+def test_run_noncausal_span_equals_full_output(span):
+    """A span of the output is that span of the whole rows' output, bit
+    for bit."""
+    from maxflat.design import noncausal_design
+    spec = DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=4, k_w_nb=2,
+                      k_t=1, group_delay=0.0, causal=False)
+    fwd, bwd = noncausal_design(spec)
+    x = np.random.default_rng(8).normal(size=(3, 400))
+    first, last = span
+    full = run_noncausal(fwd, bwd, x)[..., first:last + 1]
+    assert np.array_equal(run_noncausal(fwd, bwd, x, span=span), full)
+    assert np.array_equal(run_noncausal(fwd, bwd, x[1], span=span), full[1])
+
+
 def test_run_filter_rows_equal_one_dimensional_calls(bw1_design, rng):
     """A 2-D input is filtered along its last axis, row by row."""
     x = rng.normal(size=(3, 1000))

@@ -1,10 +1,13 @@
 """2-D target tracking: axis handling, orbit errors, Monte-Carlo scenarios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from maxflat import tracker
 from maxflat.analyze import NULL_RADIUS_TOL, OrbitError, orbit_steady_state
+from maxflat.design import design_filterbank
 from maxflat.procsim import (InputSpec, discretize_process,
                              generate_waveform, scenario_params)
 from maxflat.realize import run_filter
@@ -135,6 +138,17 @@ def test_tracking_mc_rejects_runs_inside_the_settling_window(
     assert np.isfinite(run.rms_error)
 
 
+@pytest.mark.parametrize("q", [-0.3, -2.0])
+def test_tracking_mc_rejects_a_negative_delay(q):
+    """q = -0.3 took the RMS error over the last 3 samples only (a
+    settling window of ceil(10 q) = -3 samples), and q = -2 failed to
+    broadcast the estimate against the truth."""
+    design = design_filterbank(replace(tracker_spec("A"), group_delay=q))
+    assert design.q == q
+    with pytest.raises(ValueError, match="q >= 0"):
+        run_tracking_mc("LoG", design, seed=1, n_samples=1000)
+
+
 def _per_axis_track(design, meas_x, meas_y):
     """Oracle: one run_filter call per axis and output, stacked into
     (N, K_t) columns."""
@@ -260,23 +274,32 @@ def test_memoized_scenario_equals_explicit_draws(tracker_designs, scenario):
 
 
 def _clear_memos():
-    tracker._draw_noise.cache_clear()
+    tracker._draw_memo.clear()
     tracker._simulate_scenario.cache_clear()
 
 
-def test_warm_memo_run_equals_cold_memo_run(tracker_designs):
+def _count_draws(monkeypatch):
+    """The (seed, n_samples) of every noise draw from now on."""
+    draws = []
+    draw_noise = tracker._draw_noise
+    monkeypatch.setattr(tracker, "_draw_noise", lambda seed, n: (
+        draws.append((seed, n)) or draw_noise(seed, n)))
+    return draws
+
+
+def test_warm_memo_run_equals_cold_memo_run(monkeypatch, tracker_designs):
     """In the benchmark's loop order (each tracker on LoG, then HiG) the
     four trackers simulate the two scenarios once, the two scenarios
     draw their noise once, and every run equals the run made with both
     memos cleared before it."""
     _clear_memos()
+    draws = _count_draws(monkeypatch)
     warm = {(tag, scenario): run_tracking_mc(scenario, d, 11, 3000)
             for tag, d in tracker_designs.items()
             for scenario in ("LoG", "HiG")}
     info = tracker._simulate_scenario.cache_info()
     assert (info.misses, info.hits) == (2, 6)
-    info = tracker._draw_noise.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert draws == [(11, 3000)]
     for (tag, scenario), run in warm.items():
         _clear_memos()
         cold = run_tracking_mc(scenario, tracker_designs[tag], 11, 3000)
@@ -290,12 +313,33 @@ def test_memo_is_read_only_and_bounded(tracker_designs):
         run = run_tracking_mc("LoG", d, seed, 1000)
         assert tracker._simulate_scenario.cache_info().currsize \
             <= MEMO_SCENARIOS
-        assert tracker._draw_noise.cache_info().currsize <= 1
+        assert len(tracker._draw_memo) <= 1
     for a in (run.truth_x, run.truth_y, run.meas_x, run.meas_y,
               *tracker._draw_noise(seed, 1000)):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+def test_draws_are_dropped_once_both_scenarios_are_built(monkeypatch,
+                                                         tracker_designs):
+    """The noise draws of a (seed, n_samples) stay memoized while only one
+    scenario has been simulated from them, so a single-scenario caller
+    draws once, and are dropped once both have; both runs equal fresh
+    simulations."""
+    d = tracker_designs["C"]
+    _clear_memos()
+    draws = _count_draws(monkeypatch)
+    log = run_tracking_mc("LoG", d, 5, 2000)
+    tracker._simulate_scenario.cache_clear()
+    assert run_tracking_mc("LoG", d, 5, 2000).rms_error == log.rms_error
+    assert list(tracker._draw_memo) == [(5, 2000)]
+    hig = run_tracking_mc("HiG", d, 5, 2000)
+    assert tracker._draw_memo == {}
+    assert draws == [(5, 2000)]
+    for run, scenario in ((log, "LoG"), (hig, "HiG")):
+        _clear_memos()
+        _assert_runs_equal(run, run_tracking_mc(scenario, d, 5, 2000), d)
 
 
 @pytest.mark.parametrize("seed", [None, True, -1, 2.0, "3"])
