@@ -35,7 +35,7 @@ from .design import DesignSpec, FilterbankDesign, design_filterbank, \
     noncausal_design
 from .procsim import check_nonnegative_int, discretize_process, \
     oscillator_response, scenario_params
-from .realize import run_filter, run_noncausal
+from .realize import run_bank, run_filter, run_noncausal
 
 #: Sampling rate of the detection study (Hz).
 DETECT_FS = 1000.0
@@ -193,19 +193,23 @@ def build_detector(tag: str) -> Callable[..., np.ndarray]:
     the energy of samples lo, ..., hi only, bit for bit that of the full
     rows, and computes only the samples that energy reads:
 
-    - IIR_BW0 and IIR_BW1 filter up to hi and form TK on the window;
+    - IIR_BW0 filters up to hi and forms TK on the window;
+    - IIR_BW1 runs its bank's shared all-pole recursion up to hi, and
+      forms its three numerators and TK on the window
+      (``realize.run_bank``);
     - FIR_NUL_NC forms TK on the window;
     - IIR_BW1_NC runs its forward pass up to hi + 1 and its backward
       pass from the row end down to lo - 1;
     - IIR_BW0_NC runs its forward pass over the whole row, and stops its
       time-reversed second pass at lo - 1.
 
-    The filter kernel and the element-wise TK arithmetic compute each
-    sample with the same operations, however far they run.  Each design
-    is built once, here.  Every pipeline is built at DETECT_FS, the rate
-    of the scenario that ``block_statistics`` simulates, and has the
-    attribute ``takes_window`` (True), which ``functools.wraps`` copies
-    to a wrapper."""
+    The filter kernel, ``run_bank``'s numerator product and the
+    element-wise TK arithmetic compute each sample with the same
+    operations, however far they run.  Each design is built once, here.
+    Every pipeline is built at DETECT_FS, the rate of the scenario that
+    ``block_statistics`` simulates, and has the attribute
+    ``takes_window`` (True), which ``functools.wraps`` copies to a
+    wrapper."""
     t_s = 1.0 / DETECT_FS
     if tag == "FIR_NUL_NC":
         def detect(x: np.ndarray, window=None) -> np.ndarray:
@@ -223,9 +227,7 @@ def build_detector(tag: str) -> Callable[..., np.ndarray]:
 
         def detect(x: np.ndarray, window=None) -> np.ndarray:
             x, lo, hi = _rows_and_window(x, window)
-            y = [run_filter(d.b[kt], d.a, x[..., :hi + 1])[..., lo:]
-                 for kt in range(3)]
-            return tk_energy_derivatives(*y)
+            return tk_energy_derivatives(*run_bank(d, x[..., :hi + 1], lo))
     elif tag == "IIR_BW0_NC":
         b, a = bw0_reference(causal=False)
 
@@ -364,6 +366,17 @@ def _generator_from_state():
     return lambda state: Generator(PCG64(SeedState(state)))
 
 
+@functools.cache
+def _interference_transfer() -> Tuple[np.ndarray, np.ndarray]:
+    """(b, a) of the detection study's interference process at DETECT_FS,
+    built once and read-only, because every simulated block shares it."""
+    b, a = discretize_process(
+        scenario_params("detect", "interference", f_s=DETECT_FS),
+        1.0 / DETECT_FS).transfer()
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 @functools.lru_cache(maxsize=MEMO_BLOCKS, typed=True)
 def _simulate_block(seed: int, first: int, count: int,
                     deterministic_signal: bool) -> np.ndarray:
@@ -392,10 +405,7 @@ def _simulate_block(seed: int, first: int, count: int,
     # normal(0, s) draws s times the standard normal, the same numbers.
     x *= int_scale
 
-    b, a = discretize_process(
-        scenario_params("detect", "interference", f_s=DETECT_FS),
-        t_s).transfer()
-    x = run_filter(b, a, x)
+    x = run_filter(*_interference_transfer(), x)
     x[:count, PULSE_SAMPLE:] += oscillator_response(
         sig_params, t_s, pulse, DETECT_N - PULSE_SAMPLE)
     x.flags.writeable = False

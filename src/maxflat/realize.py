@@ -9,8 +9,12 @@ outputs themselves).  All obey the recursion
     w[n] = G w[n-1] + H x[n],      y[n] = C w[n],
 
 i.e. the output taps the state *after* the update.  ``run_lss`` runs a form
-from rest; ``run_filter``, the package's one direct-form filtering engine,
-calls the compiled kernel of SciPy's ``lfilter`` without ``scipy.signal``.
+from rest.  ``run_filter`` runs one difference equation: it calls the
+compiled kernel of SciPy's ``lfilter`` without ``scipy.signal``.
+``run_bank`` runs every output of a bank through one all-pole
+``run_filter`` pass over the shared denominator and forms the numerators
+in one matrix product.  ``run_noncausal`` runs one output of a two-sided
+design.
 """
 
 from __future__ import annotations
@@ -161,10 +165,57 @@ def run_noncausal(forward: FilterbankDesign, backward: FilterbankDesign,
     the last axis of x.  With span = (first, last), it returns output
     samples first, ..., last only, bit for bit those of the whole row: the
     forward pass runs up to last, and the backward pass from the row end
-    down to first."""
+    down to first.  A span must satisfy 0 <= first <= last < n, for rows
+    of n samples; otherwise ValueError."""
     x = np.asarray(x, dtype=float)
-    first, last = (0, x.shape[-1] - 1) if span is None else span
+    n = x.shape[-1]
+    first, last = (0, n - 1) if span is None else span
+    if span is not None and not 0 <= first <= last < n:
+        raise ValueError(f"span {span} does not lie within the {n} "
+                         "samples of a row")
     y = run_filter(forward.b[k_t], forward.a, x[..., :last + 1])[..., first:]
     back = run_filter(backward.b[k_t], backward.a, x[..., first:][..., ::-1])
     y += back[..., ::-1][..., :last + 1 - first]
     return y
+
+
+def run_bank(design: FilterbankDesign, x: np.ndarray,
+             first: int = 0) -> np.ndarray:
+    """Every output of a bank, over samples first, ..., n - 1 along the
+    last axis of x: a (K_t,) + x.shape[:-1] + (n - first,) array.
+
+    The outputs share the denominator a, so one all-pole pass
+    w = ``run_filter([1], a, x)`` serves them all.  Output k_t is then
+    sum_j b[k_t][j] w[n - j], with w zero before n = 0, formed for every
+    output in one matrix product of the taps and a stack of delayed w, one
+    row per tap and one column per output sample.  A spare zero column,
+    and a spare zero row for a one-output bank, give the product at least
+    two rows and two columns, so NumPy hands it to BLAS gemm,
+    which forms each sample with the same operations wherever it lies: the
+    samples are bit for bit those of the whole rows, however far x runs
+    and wherever first lies (verified with NumPy 2.4.6 and its OpenBLAS).
+    A single row or column would take the gemv path, which rounds
+    differently.  Trailing zero taps (b[k_t][K] of a causal bank) are
+    skipped.  first must satisfy 0 <= first < n; otherwise ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    if not 0 <= first < n:
+        raise ValueError(f"first sample {first} does not lie within the "
+                         f"{n} samples of a row")
+    b = np.asarray(design.b, dtype=float)
+    kt, m = len(b), n - first
+    n_taps = len(np.trim_zeros(b.any(axis=0), "b"))
+    taps = np.zeros((max(kt, 2), n_taps))
+    taps[:kt] = b[:, :n_taps]
+    w = run_filter([1.0], design.a, x)
+    cols = m * (x.size // n)
+    stack = np.empty((n_taps, cols + 1))
+    stack[:, cols] = 0.0
+    delayed = stack[:, :cols].reshape((n_taps,) + x.shape[:-1] + (m,))
+    for j in range(n_taps):
+        lead = min(max(j - first, 0), m)   # output samples before w[0]
+        delayed[j, ..., :lead] = 0.0
+        delayed[j, ..., lead:] = w[..., first + lead - j:n - j]
+    y = (taps @ stack)[:kt, :cols]
+    return y.reshape((kt,) + x.shape[:-1] + (m,))

@@ -468,6 +468,19 @@ def test_simulated_block_equals_per_trial_generators(
     assert np.array_equal(got, want)
 
 
+def test_interference_transfer_is_built_once_read_only():
+    """Every block filters its interference with one (b, a), built on the
+    first simulation: a fresh build's arrays, which no caller can change."""
+    b, a = detector._interference_transfer()
+    want_b, want_a = discretize_process(
+        scenario_params("detect", "interference", f_s=DETECT_FS),
+        1.0 / DETECT_FS).transfer()
+    assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
+    assert not b.flags.writeable and not a.flags.writeable
+    again = detector._interference_transfer()
+    assert again[0] is b and again[1] is a
+
+
 # ---------------------------------------------------------------------------
 # Detectors compute only the samples their windows score
 
@@ -588,3 +601,58 @@ def test_numpy_integer_trial_count_is_one_memo_key(detectors):
 def test_numpy_integer_seed_is_the_same_seed(detectors):
     det = detectors["FIR_NUL_NC"]
     assert _single_trial(det, np.uint64(9), 3) == _single_trial(det, 9, 3)
+
+
+# ---------------------------------------------------------------------------
+# IIR_BW1's shared-pole bank against one recursion per output
+
+
+def _bw1_per_output_pipeline():
+    """IIR_BW1 with each of its three outputs filtered by its own
+    recursion up to the window end, then TK on the window."""
+    d = detector.bw1_filterbank()
+
+    def detect(x, window=None):
+        x, lo, hi = detector._rows_and_window(x, window)
+        return tk_energy_derivatives(*(
+            run_filter(b, d.a, x[..., :hi + 1])[..., lo:] for b in d.b))
+    detect.takes_window = True
+    return detect
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bw1_statistics_and_roc_equal_per_output_pipeline(detectors, seed):
+    """The benchmark's detect-mc rounds 0-2 of seeds 0-19 (200 trials,
+    both signal kinds): each statistic agrees with the per-output
+    pipeline's within 1e-9 of the largest statistic of its run, and the
+    ROC curves and AUCs are identical.  Per statistic, the relative
+    difference reached 1.2e-9, because E = y1^2 - y0 y2 cancels."""
+    trials = 200
+    shared, per_output = detectors["IIR_BW1"], _bw1_per_output_pipeline()
+    for r in range(3):
+        seed_r = int(np.random.SeedSequence(
+            seed, spawn_key=(r,)).generate_state(1)[0])
+        for deterministic_signal in (True, False):
+            stats = [[np.concatenate(s) for s in zip(*(
+                block_statistics(det, seed_r, first,
+                                 min(BLOCK, trials - first),
+                                 deterministic_signal)
+                for first in range(0, trials, BLOCK)))]
+                for det in (shared, per_output)]
+            for got, want in zip(*stats):
+                assert np.all(np.abs(got - want)
+                              <= 1e-9 * np.max(np.abs(want)))
+            got, want = (roc_from_statistics(*s) for s in stats)
+            assert got.auc == want.auc, (r, deterministic_signal)
+            assert np.array_equal(got.p_fa, want.p_fa)
+            assert np.array_equal(got.p_d, want.p_d)
+
+
+@pytest.mark.parametrize("deterministic_signal, auc",
+                         [(True, 0.58725225), (False, 0.8194520000000001)])
+def test_bw1_auc_of_seed_0(detectors, deterministic_signal, auc):
+    """IIR_BW1's seed-0, 2,000-trial AUCs, exactly as one recursion per
+    output gave them."""
+    roc = run_detection_mc(detectors["IIR_BW1"], 2000, 0,
+                           deterministic_signal)
+    assert roc.auc == auc
