@@ -33,8 +33,8 @@ import numpy as np
 from .butter import butterworth_s_poles
 from .design import DesignSpec, FilterbankDesign, design_filterbank, \
     noncausal_design
-from .procsim import check_nonnegative_int, discretize_process, \
-    oscillator_response, scenario_params
+from .procsim import SIGNAL_F_C, check_nonnegative_int, \
+    detect_signal_response, discretize_process, scenario_params
 from .realize import run_bank, run_filter, run_noncausal
 
 #: Sampling rate of the detection study (Hz).
@@ -297,52 +297,52 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _seed_state(entropy: list) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of the SeedSequence whose assembled
-    entropy is the list of words, for at least _POOL words.  A word is an
-    int or a uint32 array with one element per stream, and the result has
-    one row of 4 words per stream.  The first _POOL words are mixed with
-    each other one pool word at a time, so they must be ints; every later
-    word mixes into the four pool words independently, so each array word
-    costs a few operations on (_POOL, streams) arrays."""
+#: The hash constants of the pool's 2 _POOL output words.
+_STATE_CONSTANTS = np.array(list(itertools.islice(
+    _hash_constants(_INIT_B, _MULT_B), 2 * _POOL)), dtype=np.uint32)[:, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_pool(seed: int, spawn_words: int):
+    """SeedSequence's (_POOL, 1) uint32 pool after seed's words, zero-padded
+    to _POOL, which mix with each other and then, past _POOL, into each pool
+    word alone; and the hash constants of spawn_words more words."""
+    words = _uint32_words(seed)
+    words += [0] * (_POOL - len(words))
     constants = _hash_constants(_INIT_A, _MULT_A)
     pool = [_hashmix(word, next(constants), _MULT_A)
-            for word in entropy[:_POOL]]
+            for word in words[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(
                     pool[src], next(constants), _MULT_A))
+    later = np.array([[next(constants) for _ in range(_POOL)] for _ in range(
+        len(words) - _POOL + spawn_words)], dtype=np.uint32)[:, :, None]
     pool = np.array(pool, dtype=np.uint32)[:, None]
-    for word in entropy[_POOL:]:
-        const = np.array([next(constants) for _ in range(_POOL)],
-                         dtype=np.uint32)[:, None]
+    for word, const in zip(words[_POOL:], later):
         pool = _mix(pool, _hashmix(word, const, _MULT_A))
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    const = np.array([next(constants) for _ in range(2 * _POOL)],
-                     dtype=np.uint32)[:, None]
-    state = _hashmix(np.tile(pool, (2, 1)), const, _MULT_B)
-    # Word pairs, low word first, make the uint64 words, as in NumPy.
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(
-        np.uint64)
+    return pool, later[len(words) - _POOL:]
 
 
 def _trial_seed_states(seed: int, first: int, count: int) -> np.ndarray:
     """Row 3 i + j is ``SeedSequence(seed, spawn_key=(first + i, j))
     .generate_state(4, np.uint64)``, the seed of a PCG64 stream, for
-    i < count and j = 0, 1, 2.  A spawned SeedSequence pads the seed's
-    words with zeros to the pool size and appends the words of t and j;
-    trials are grouped by the number of words of t."""
-    seed_words = _uint32_words(seed)
-    seed_words += [0] * (_POOL - len(seed_words))
+    i < count and j = 0, 1, 2: the words of t and j mixed, in one array
+    pass per number of words of t, into the seed's memoized pool."""
     states = []
-    for _, group in itertools.groupby(
+    for width, group in itertools.groupby(
             (_uint32_words(t) for t in range(first, first + count)), len):
+        pool, constants = _seed_pool(seed, width + 1)
         trial_words = np.array(list(group), dtype=np.uint32)
-        spawn_words = list(np.repeat(trial_words, 3, axis=0).T)
-        j = np.tile(np.arange(3, dtype=np.uint32), len(trial_words))
-        states.append(_seed_state(seed_words + spawn_words + [j]))
-    return np.concatenate(states)
+        words = list(np.repeat(trial_words, 3, axis=0).T)
+        words.append(np.tile(np.arange(3, dtype=np.uint32), len(trial_words)))
+        for word, const in zip(words, constants):
+            pool = _mix(pool, _hashmix(word, const, _MULT_A))
+        states.append(_hashmix(np.tile(pool, (2, 1)), _STATE_CONSTANTS,
+                               _MULT_B).T.copy())
+    # Word pairs, low word first, make the uint64 words, as in NumPy.
+    return np.concatenate(states, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 @functools.cache
@@ -382,22 +382,24 @@ def _simulate_block(seed: int, first: int, count: int,
                     deterministic_signal: bool) -> np.ndarray:
     """The detector inputs of trials first, ..., first + count - 1: rows
     0 .. count - 1 are signal + interference, rows count .. 2 count - 1
-    interference only.  The array is read-only, because the memo hands
-    the same one to every detector."""
+    interference only.  A trial builds its three generators and draws:
+    the signal frequency f~, as ``scenario_params`` draws it, the
+    stochastic pulse and the two interference rows.  The oscillators of
+    the block's signals are formed once, as arrays, from the f~ of its
+    trials (``procsim.detect_signal_response``).  The array is read-only,
+    because the memo hands the same one to every detector."""
     t_s = 1.0 / DETECT_FS
     n_pulse = 1 if deterministic_signal else 51
     pulse_scale = np.sqrt(P_SIG / t_s)
     int_scale = np.sqrt((P_INT if deterministic_signal else 1.0) / t_s)
     pulse = np.full((count, n_pulse), pulse_scale)
+    f_tilde = np.empty(count)
     x = np.empty((2 * count, DETECT_N))
-    sig_params = []
     generator = _generator_from_state()
     states = _trial_seed_states(seed, first, count)
     for i in range(count):
         rng_sig, rng_int1, rng_int2 = map(generator, states[3 * i:3 * i + 3])
-        sig_params.append(scenario_params("detect", "signal",
-                                          known_freq=False, rng=rng_sig,
-                                          f_s=DETECT_FS))
+        f_tilde[i] = rng_sig.uniform(0.0, SIGNAL_F_C)
         if not deterministic_signal:
             pulse[i] = rng_sig.normal(0.0, pulse_scale, n_pulse)
         rng_int1.standard_normal(out=x[i])
@@ -406,8 +408,8 @@ def _simulate_block(seed: int, first: int, count: int,
     x *= int_scale
 
     x = run_filter(*_interference_transfer(), x)
-    x[:count, PULSE_SAMPLE:] += oscillator_response(
-        sig_params, t_s, pulse, DETECT_N - PULSE_SAMPLE)
+    x[:count, PULSE_SAMPLE:] += detect_signal_response(
+        f_tilde, t_s, pulse, DETECT_N - PULSE_SAMPLE)
     x.flags.writeable = False
     return x
 
@@ -425,13 +427,13 @@ def block_statistics(detector: Callable[..., np.ndarray],
     ``SeedSequence(seed, spawn_key=(t,))``; so a trial's draws do not
     depend on the block it runs in.  The PCG64 seeds of a block's 3 count
     streams are hashed in one array pass that repeats SeedSequence's
-    arithmetic, and each stream's Generator is built from its seed.  The
-    rest is done once per block too: the interference process is filtered
-    over all 2 * count rows in one call, and each signal is the
-    closed-form response of its trial's oscillator
-    (``procsim.oscillator_response``).  The inputs follow
-    ``procsim.generate_waveform``: a pulse of height sqrt(P_SIG / T_s) at
-    PULSE_SAMPLE, or Normal(0, P_SIG / T_s) over
+    arithmetic, with the seed's own words mixed once per seed, and each
+    stream's Generator is built from its seed.  The rest is done once per
+    block too: the interference process is filtered over all 2 * count
+    rows in one call, and each signal is the closed-form response of its
+    trial's oscillator (``procsim.detect_signal_response``).  The inputs
+    follow ``procsim.generate_waveform``: a pulse of height
+    sqrt(P_SIG / T_s) at PULSE_SAMPLE, or Normal(0, P_SIG / T_s) over
     [PULSE_SAMPLE, PULSE_SAMPLE + 50] for the stochastic signal, under
     white Normal(0, P / T_s) interference drive with P = P_INT (or 1).
 

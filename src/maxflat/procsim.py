@@ -39,16 +39,23 @@ class ProcessParams:
 
     @property
     def sigma_c(self) -> float:
-        return -1.0 / self.tau_c
+        return _rates(self.tau_c, self.lambda_c)[0]
 
     @property
     def omega_c(self) -> float:
-        return 2.0 * np.pi / self.lambda_c
+        return _rates(self.tau_c, self.lambda_c)[1]
 
     @property
     def b0(self) -> float:
-        s, w = self.sigma_c, self.omega_c
-        return float(np.sqrt(-4.0 * s * (s * s + w * w)))
+        return float(_rates(self.tau_c, self.lambda_c)[2])
+
+
+def _rates(tau_c, lambda_c):
+    """sigma_c, Omega_c and b0 of ``ProcessParams``, elementwise over
+    scalar or array tau_c and lambda_c."""
+    s = -1.0 / tau_c
+    w = 2.0 * np.pi / lambda_c
+    return s, w, np.sqrt(-4.0 * s * (s * s + w * w))
 
 
 @dataclass(frozen=True)
@@ -112,16 +119,18 @@ def discretize_process(params: ProcessParams, t_s: float) -> DiscreteProcess:
     return DiscreteProcess(g=np.array(g), h=np.array(h), c=c, t_s=t_s)
 
 
-def _zoh(s, w, t_s: float):
+def _zoh(s, w, t_s: float, input_only: bool = False):
     """Entries of the exact zero-order-hold G (2 x 2) and H (2) over one
-    T_s, elementwise over scalar or array sigma_c and Omega_c."""
+    T_s, elementwise over scalar or array sigma_c and Omega_c; with
+    input_only, H alone, bit for bit the same."""
     e = np.exp(s * t_s)
     cw, sw = np.cos(w * t_s), np.sin(w * t_s)
     r2 = s * s + w * w
-    g = ((e * (cw - (s / w) * sw), (1.0 / w) * e * sw),
-         (-(r2 / w) * e * sw, e * (cw + (s / w) * sw)))
-    h = ((1.0 - e * (cw - (s / w) * sw)) / r2, (1.0 / w) * e * sw)
-    return g, h
+    g0 = (e * (cw - (s / w) * sw), (1.0 / w) * e * sw)
+    h = ((1.0 - g0[0]) / r2, g0[1])
+    if input_only:
+        return h
+    return (g0, (-(r2 / w) * e * sw, e * (cw + (s / w) * sw))), h
 
 
 def oscillator_response(params: Sequence[ProcessParams], t_s: float,
@@ -139,17 +148,41 @@ def oscillator_response(params: Sequence[ProcessParams], t_s: float,
     P_j = b0 beta sum_{m <= j} u[m] e^{-mu m}.  It agrees with the state
     recursion w[n] = G w[n-1] + H u[n], y[n] = C w[n] to about 1e-14 of
     each row's peak.
+
+    The processes' sigma_c, Omega_c and b0 are formed as arrays, by the
+    operations of ``ProcessParams``, for the array core
+    ``_oscillator_rows``, which computes H alone of (G, H).
     """
+    tau = np.array([p.tau_c for p in params])
+    lam = np.array([p.lambda_c for p in params])
+    return _oscillator_rows(*_rates(tau, lam), t_s, u, n_samples)
+
+
+def detect_signal_response(f_tilde: np.ndarray, t_s: float, u: np.ndarray,
+                           n_samples: int) -> np.ndarray:
+    """``oscillator_response`` of the detection study's signals at
+    frequencies f_tilde (cyc/smp, one per row of u), bit for bit: the
+    processes ``scenario_params("detect", "signal", f_s=1 / t_s)`` forms
+    for those frequencies, with their parameters formed as arrays."""
+    tau, lam = _detect_times(SIGNAL_F_C, np.asarray(f_tilde, dtype=float),
+                             t_s)
+    # tau is the same for every signal; as an array like lam, sigma_c goes
+    # through the array operations that oscillator_response gives it.
+    return _oscillator_rows(*_rates(np.full_like(lam, tau), lam), t_s, u,
+                            n_samples)
+
+
+def _oscillator_rows(s, w, b0, t_s: float, u: np.ndarray,
+                     n_samples: int) -> np.ndarray:
+    """The closed form of ``oscillator_response`` for processes with the
+    arrays sigma_c (s), Omega_c (w) and b0."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
     n_in = u.shape[-1]
     if not n_in <= n_samples:
         raise ValueError("require input length <= n_samples")
-    s = np.array([p.sigma_c for p in params])
-    w = np.array([p.omega_c for p in params])
-    b0 = np.array([p.b0 for p in params])
     if np.any(w == 0):
         raise NumericalError("degenerate oscillator: Omega_c = 0")
-    _, (h0, h1) = _zoh(s, w, t_s)
+    h0, h1 = _zoh(s, w, t_s, input_only=True)
     mu = ((s + 1j * w) * t_s)[:, None]
     beta = (b0 * (h0 - 1j * (h1 - s * h0) / w))[:, None]
     partial = beta * np.cumsum(u * np.exp(-mu * np.arange(float(n_in))),
@@ -209,6 +242,18 @@ def generate_waveform(process: DiscreteProcess, inp: InputSpec,
     return run_filter(b, a, x)
 
 
+#: Centre frequencies of the signal and the interference, in cyc/smp, in
+#: both studies.
+SIGNAL_F_C, INTERFERENCE_F_C = 0.05, 0.07
+
+
+def _detect_times(f_c, f_tilde, t_s: float):
+    """tau_c (alpha_tau = 4) and lambda_c of a detection-study process of
+    centre frequency f_c and frequency f_tilde, both in cyc/smp;
+    elementwise over an array f_tilde."""
+    return 4.0 * t_s / f_c, t_s / f_tilde
+
+
 def scenario_params(section: Literal["detect", "track"],
                     role: Literal["signal", "interference"],
                     known_freq: bool = True,
@@ -224,18 +269,16 @@ def scenario_params(section: Literal["detect", "track"],
     signal), 2 (high-gain signal), or 1 (interference).
     """
     t_s = 1.0 / f_s
+    f_c = SIGNAL_F_C if role == "signal" else INTERFERENCE_F_C
     if section == "detect":
-        f_c = 0.05 if role == "signal" else 0.07
-        tau = 4.0 * t_s / f_c
         f_tilde = f_c
         if role == "signal" and not known_freq:
             if rng is None:
                 raise ValueError("unknown-frequency draws need an rng")
             f_tilde = float(rng.uniform(0.0, f_c))
-        lam = t_s / f_tilde
+        tau, lam = _detect_times(f_c, f_tilde, t_s)
         return ProcessParams(tau_c=tau, lambda_c=lam)
     if section == "track":
-        f_c = 0.05 if role == "signal" else 0.07
         tau = 8.0 * t_s / f_c
         if role == "signal":
             alpha_lambda = 8.0 if gain == "lo" else 2.0

@@ -196,7 +196,8 @@ def run_bank(design: FilterbankDesign, x: np.ndarray,
     and wherever first lies (verified with NumPy 2.4.6 and its OpenBLAS).
     A single row or column would take the gemv path, which rounds
     differently.  Trailing zero taps (b[k_t][K] of a causal bank) are
-    skipped.  first must satisfy 0 <= first < n; otherwise ValueError.
+    skipped, so a bank whose numerators are all zero has no taps and gives
+    zeros.  first must satisfy 0 <= first < n; otherwise ValueError.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -205,7 +206,8 @@ def run_bank(design: FilterbankDesign, x: np.ndarray,
                          f"{n} samples of a row")
     b = np.asarray(design.b, dtype=float)
     kt, m = len(b), n - first
-    n_taps = len(np.trim_zeros(b.any(axis=0), "b"))
+    used = b.any(axis=0).nonzero()[0]
+    n_taps = int(used[-1]) + 1 if len(used) else 0
     taps = np.zeros((max(kt, 2), n_taps))
     taps[:kt] = b[:, :n_taps]
     w = run_filter([1.0], design.a, x)

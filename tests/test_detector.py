@@ -425,6 +425,28 @@ def test_trial_seed_states_equal_seed_sequence(seed, first, count):
     assert np.array_equal(got, want)
 
 
+def test_trial_seed_states_mix_each_seed_once():
+    """Interleaved seeds each get their own states, from a bounded memo
+    that mixes the words of a seed once per width of the trial indices,
+    here 1 and 2 words, and then hands them out again."""
+    detector._seed_pool.cache_clear()
+    for seed in (0, 2**128 + 7, 0, 2**128 + 7):
+        for first in (0, 2**32 - 2):
+            got = detector._trial_seed_states(seed, first, 4)
+            want = [np.random.SeedSequence(seed, spawn_key=(t, j))
+                    .generate_state(4, np.uint64)
+                    for t in range(first, first + 4) for j in range(3)]
+            assert np.array_equal(got, want), (seed, first)
+    info = detector._seed_pool.cache_info()
+    assert (info.misses, info.hits) == (4, 8)
+    for seed in range(2 * info.maxsize):
+        assert np.array_equal(
+            detector._trial_seed_states(seed, 0, 1),
+            [np.random.SeedSequence(seed, spawn_key=(0, j))
+             .generate_state(4, np.uint64) for j in range(3)])
+        assert detector._seed_pool.cache_info().currsize <= info.maxsize
+
+
 def _per_trial_generator_block(seed, first, count, deterministic_signal):
     """The detector inputs of a block as they were drawn before the
     streams' seeds were hashed in one pass: one default_rng per stream,
@@ -458,7 +480,8 @@ def _per_trial_generator_block(seed, first, count, deterministic_signal):
 
 @pytest.mark.parametrize("deterministic_signal", [True, False])
 @pytest.mark.parametrize("seed, first, count", [(0, 0, BLOCK),
-                                                (2**64 + 5, 2**32 - 2, 4)])
+                                                (2**64 + 5, 2**32 - 2, 4),
+                                                (2**128 + 7, 2**32 - 2, 4)])
 def test_simulated_block_equals_per_trial_generators(
         seed, first, count, deterministic_signal):
     detector._simulate_block.cache_clear()

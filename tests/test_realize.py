@@ -281,6 +281,26 @@ def test_run_bank_error_is_at_most_per_output_error(bw1_design):
     assert err_bank <= err_each < 1e-9
 
 
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["1-D", "2-D"])
+def test_run_bank_all_zero_and_one_output_banks(banks, rows):
+    """A bank whose numerators are all zero, which has no taps, gives
+    zeros; a one-output bank gives its output; both in the documented
+    (K_t,) + rows + (n - first,) shape."""
+    x = np.random.default_rng(12).normal(size=rows + (60,))
+    one = banks["NC forward"]
+    want = run_filter(one.b[0], one.a, x)
+    peak = np.max(np.abs(want), axis=-1, keepdims=True)
+    for first in (0, 1, 59):
+        shape = rows + (60 - first,)
+        got = run_bank(one, x, first)
+        assert got.shape == (1,) + shape
+        assert np.all(np.abs(got[0] - want[..., first:]) <= 1e-9 * peak)
+        for d in (banks["BW1"], one):
+            zero = replace(d, b=tuple(np.zeros_like(b) for b in d.b))
+            got = run_bank(zero, x, first)
+            assert got.shape == (d.n_outputs,) + shape and not got.any()
+
+
 @pytest.mark.parametrize("first", [-1, 300, 301])
 def test_run_bank_first_must_lie_within_the_row(bw1_design, first):
     x = np.zeros((2, 300))
