@@ -26,15 +26,15 @@ from .procsim import (DiscreteProcess, InputSpec, ProcessParams,
                       verify_normalization)
 from .detector import (RocCurve, build_detector, run_detection_mc,
                        tk_energy_derivatives, tk_energy_threepoint)
-from .tracker import (Track2D, orbit_check, orbit_simulation, run_track,
-                      run_tracking_mc, tracker_design, tracker_spec)
+from .tracker import (orbit_check, orbit_simulation, run_tracking_mc,
+                      tracker_design, tracker_spec)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "DesignSpec", "ConstraintBasis", "ConstraintSystem", "FilterbankDesign",
     "StateSpaceRealization", "OrbitError", "DiscreteProcess", "InputSpec",
-    "ProcessParams", "RocCurve", "Track2D", "NumericalError",
+    "ProcessParams", "RocCurve", "NumericalError",
     "butterworth_s_poles", "causal_z_poles", "full_z_poles",
     "alpha_table", "assemble_system", "basis_derivative_column",
     "constraint_basis", "dc_targets", "design_filterbank", "gram_matrix",
@@ -47,6 +47,6 @@ __all__ = [
     "verify_normalization",
     "build_detector", "run_detection_mc", "tk_energy_derivatives",
     "tk_energy_threepoint",
-    "orbit_check", "orbit_simulation", "run_track", "run_tracking_mc",
+    "orbit_check", "orbit_simulation", "run_tracking_mc",
     "tracker_design", "tracker_spec",
 ]

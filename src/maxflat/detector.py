@@ -207,9 +207,7 @@ def build_detector(tag: str) -> Callable[..., np.ndarray]:
     element-wise TK arithmetic compute each sample with the same
     operations, however far they run.  Each design is built once, here.
     Every pipeline is built at DETECT_FS, the rate of the scenario that
-    ``block_statistics`` simulates, and has the attribute
-    ``takes_window`` (True), which ``functools.wraps`` copies to a
-    wrapper."""
+    ``block_statistics`` simulates, which calls it with its windows."""
     t_s = 1.0 / DETECT_FS
     if tag == "FIR_NUL_NC":
         def detect(x: np.ndarray, window=None) -> np.ndarray:
@@ -253,7 +251,6 @@ def build_detector(tag: str) -> Callable[..., np.ndarray]:
     else:
         raise ValueError(f"unknown detector tag {tag!r}; supported tags: "
                          + ", ".join(DETECTOR_TAGS))
-    detect.takes_window = True
     return detect
 
 
@@ -383,9 +380,9 @@ def _simulate_block(seed: int, first: int, count: int,
     """The detector inputs of trials first, ..., first + count - 1: rows
     0 .. count - 1 are signal + interference, rows count .. 2 count - 1
     interference only.  A trial builds its three generators and draws:
-    the signal frequency f~, as ``scenario_params`` draws it, the
-    stochastic pulse and the two interference rows.  The oscillators of
-    the block's signals are formed once, as arrays, from the f~ of its
+    the signal frequency f~ ~ Uniform(0, SIGNAL_F_C), drawn here only,
+    the stochastic pulse and the two interference rows.  The oscillators
+    of the block's signals are formed once, as arrays, from the f~ of its
     trials (``procsim.detect_signal_response``).  The array is read-only,
     because the memo hands the same one to every detector."""
     t_s = 1.0 / DETECT_FS
@@ -437,12 +434,10 @@ def block_statistics(detector: Callable[..., np.ndarray],
     [PULSE_SAMPLE, PULSE_SAMPLE + 50] for the stochastic signal, under
     white Normal(0, P / T_s) interference drive with P = P_INT (or 1).
 
-    A pipeline from ``build_detector`` (a callable whose ``takes_window``
-    is true) runs twice, on the signal rows with TRUE_WINDOW and on the
-    interference-only rows with FALSE_WINDOW, and computes only the
-    energies those windows score.  Any other callable runs once on the
-    stacked (signal + interference; interference-only) rows of DETECT_N
-    samples.
+    The detector, a pipeline of ``build_detector`` or any callable
+    (rows, window) -> energies of samples window[0], ..., window[1], runs
+    twice: on the signal rows with TRUE_WINDOW and on the
+    interference-only rows with FALSE_WINDOW.
 
     The stacked rows come from a memo of MEMO_BLOCKS blocks keyed by
     (seed, first, count, signal kind), so detectors scored on the same
@@ -457,14 +452,8 @@ def block_statistics(detector: Callable[..., np.ndarray],
     if count < 1:
         raise ValueError("count must be >= 1")
     x = _simulate_block(seed, first, count, bool(deterministic_signal))
-    if getattr(detector, "takes_window", False):
-        e_true = detector(x[:count], TRUE_WINDOW)
-        e_false = detector(x[count:], FALSE_WINDOW)
-    else:
-        e = detector(x)
-        e_true = e[:count, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1]
-        e_false = e[count:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1]
-    return e_true.max(axis=-1), e_false.max(axis=-1)
+    return (detector(x[:count], TRUE_WINDOW).max(axis=-1),
+            detector(x[count:], FALSE_WINDOW).max(axis=-1))
 
 
 def roc_from_statistics(stat_true: np.ndarray,
@@ -491,7 +480,8 @@ def roc_from_statistics(stat_true: np.ndarray,
 def run_detection_mc(detector: Callable[..., np.ndarray],
                      trials: int, seed: int,
                      deterministic_signal: bool = True) -> RocCurve:
-    """Monte-Carlo ROC of a detector over paired instances.
+    """Monte-Carlo ROC of a detector, a callable (rows, window) such as a
+    pipeline of ``build_detector``, over paired instances.
 
     Per trial, the true statistic is the max TK energy over samples
     [400, 500] of a signal+interference instance; the false statistic is

@@ -16,7 +16,7 @@ the exact zero-order-hold closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -26,16 +26,16 @@ from .realize import run_filter
 
 @dataclass(frozen=True)
 class ProcessParams:
-    """Coherence duration tau_c and wave period lambda_c, both in seconds."""
+    """Coherence duration tau_c and wave period lambda_c, both in seconds,
+    each a positive finite number: otherwise ValueError."""
 
     tau_c: float
     lambda_c: float
 
     def __post_init__(self) -> None:
-        if self.tau_c <= 0:
-            raise ValueError("tau_c must be positive")
-        if self.lambda_c <= 0:
-            raise ValueError("lambda_c must be positive")
+        for name in ("tau_c", "lambda_c"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a positive finite number")
 
     @property
     def sigma_c(self) -> float:
@@ -111,10 +111,7 @@ def discretize_process(params: ProcessParams, t_s: float) -> DiscreteProcess:
     """Exact zero-order-hold (G, H) of the oscillator over one T_s."""
     if t_s <= 0:
         raise ValueError("T_s must be positive")
-    s, w = params.sigma_c, params.omega_c
-    if w == 0:
-        raise NumericalError("degenerate oscillator: Omega_c = 0")
-    g, h = _zoh(s, w, t_s)
+    g, h = _zoh(params.sigma_c, params.omega_c, t_s)
     c = np.array([params.b0, 0.0])
     return DiscreteProcess(g=np.array(g), h=np.array(h), c=c, t_s=t_s)
 
@@ -133,49 +130,26 @@ def _zoh(s, w, t_s: float, input_only: bool = False):
     return (g0, (-(r2 / w) * e * sw, e * (cw + (s / w) * sw))), h
 
 
-def oscillator_response(params: Sequence[ProcessParams], t_s: float,
+def oscillator_response(tau_c: np.ndarray, lambda_c: np.ndarray, t_s: float,
                         u: np.ndarray, n_samples: int) -> np.ndarray:
-    """Outputs of several discretized processes, row i driven from rest by
-    the input row u[i] over samples [0, L), returned over n_samples >= L.
+    """Outputs of the discretized processes of parameters tau_c[i] and
+    lambda_c[i] (1-D arrays), row i driven from rest by the input row u[i]
+    over samples [0, L), returned over n_samples >= L.
 
     Evaluated in closed form rather than by a recursion.  Over k samples
     the transition is G^k = exp(A k T_s)
     = e^{sigma k T_s} [cos(Omega k T_s) I + sin(Omega k T_s)/Omega (A - sigma I)],
     so the response to a unit input is C G^k H = b0 Re(beta e^{mu k}) with
     mu = (sigma + i Omega) T_s, beta = h_0 - i (h_1 - sigma h_0) / Omega
-    and H the exact ZOH input vector of ``discretize_process``.  Summing
-    over the input, y[k] = Re(e^{mu k} P_min(k, L-1)) with
-    P_j = b0 beta sum_{m <= j} u[m] e^{-mu m}.  It agrees with the state
-    recursion w[n] = G w[n-1] + H u[n], y[n] = C w[n] to about 1e-14 of
-    each row's peak.
-
-    The processes' sigma_c, Omega_c and b0 are formed as arrays, by the
-    operations of ``ProcessParams``, for the array core
-    ``_oscillator_rows``, which computes H alone of (G, H).
+    and H the exact ZOH input vector of ``discretize_process``, computed
+    without G.  Summing over the input, y[k] = Re(e^{mu k} P_min(k, L-1))
+    with P_j = b0 beta sum_{m <= j} u[m] e^{-mu m}.  It agrees with the
+    state recursion w[n] = G w[n-1] + H u[n], y[n] = C w[n] to about 1e-14
+    of each row's peak.  sigma_c, Omega_c and b0 are formed elementwise by
+    the operations of ``ProcessParams``, whose checks the arrays skip.
     """
-    tau = np.array([p.tau_c for p in params])
-    lam = np.array([p.lambda_c for p in params])
-    return _oscillator_rows(*_rates(tau, lam), t_s, u, n_samples)
-
-
-def detect_signal_response(f_tilde: np.ndarray, t_s: float, u: np.ndarray,
-                           n_samples: int) -> np.ndarray:
-    """``oscillator_response`` of the detection study's signals at
-    frequencies f_tilde (cyc/smp, one per row of u), bit for bit: the
-    processes ``scenario_params("detect", "signal", f_s=1 / t_s)`` forms
-    for those frequencies, with their parameters formed as arrays."""
-    tau, lam = _detect_times(SIGNAL_F_C, np.asarray(f_tilde, dtype=float),
-                             t_s)
-    # tau is the same for every signal; as an array like lam, sigma_c goes
-    # through the array operations that oscillator_response gives it.
-    return _oscillator_rows(*_rates(np.full_like(lam, tau), lam), t_s, u,
-                            n_samples)
-
-
-def _oscillator_rows(s, w, b0, t_s: float, u: np.ndarray,
-                     n_samples: int) -> np.ndarray:
-    """The closed form of ``oscillator_response`` for processes with the
-    arrays sigma_c (s), Omega_c (w) and b0."""
+    s, w, b0 = _rates(np.asarray(tau_c, dtype=float),
+                      np.asarray(lambda_c, dtype=float))
     u = np.atleast_2d(np.asarray(u, dtype=float))
     n_in = u.shape[-1]
     if not n_in <= n_samples:
@@ -197,6 +171,17 @@ def _oscillator_rows(s, w, b0, t_s: float, u: np.ndarray,
     y[:, :n_in] *= partial
     y[:, n_in:] *= partial[:, -1:]
     return y.real
+
+
+def detect_signal_response(f_tilde: np.ndarray, t_s: float, u: np.ndarray,
+                           n_samples: int) -> np.ndarray:
+    """``oscillator_response`` of the detection study's signals at
+    frequencies f_tilde (cyc/smp, one per row of u): alpha_tau = 4 about
+    the centre frequency SIGNAL_F_C, and lambda_c = T_s / f_tilde."""
+    tau, lam = _detect_times(SIGNAL_F_C, np.asarray(f_tilde, dtype=float),
+                             t_s)
+    return oscillator_response(np.full_like(lam, tau), lam, t_s, u,
+                               n_samples)
 
 
 def impulse_energy_closed_form(params: ProcessParams) -> float:
@@ -256,27 +241,22 @@ def _detect_times(f_c, f_tilde, t_s: float):
 
 def scenario_params(section: Literal["detect", "track"],
                     role: Literal["signal", "interference"],
-                    known_freq: bool = True,
-                    rng: Optional[np.random.Generator] = None,
                     gain: Literal["lo", "hi"] = "lo",
                     f_s: float = 1000.0) -> ProcessParams:
     """Process parameters for the detection and tracking studies.
 
     Detection (F_s = 1000 Hz): alpha_tau = 4; the signal centre frequency is
-    0.05 cyc/smp (drawn Uniform(0, 0.05) when unknown), the interference
-    centre frequency is 0.07 cyc/smp.  Tracking (T_s = 0.1 s): alpha_tau = 8
+    0.05 cyc/smp, the interference centre frequency 0.07 cyc/smp.  The
+    study's signals have an unknown frequency f~ ~ Uniform(0, 0.05),
+    which ``detector._simulate_block`` draws per trial for
+    ``detect_signal_response``.  Tracking (T_s = 0.1 s): alpha_tau = 8
     and lambda = alpha_lambda T_s / f_c with alpha_lambda = 8 (low-gain
     signal), 2 (high-gain signal), or 1 (interference).
     """
     t_s = 1.0 / f_s
     f_c = SIGNAL_F_C if role == "signal" else INTERFERENCE_F_C
     if section == "detect":
-        f_tilde = f_c
-        if role == "signal" and not known_freq:
-            if rng is None:
-                raise ValueError("unknown-frequency draws need an rng")
-            f_tilde = float(rng.uniform(0.0, f_c))
-        tau, lam = _detect_times(f_c, f_tilde, t_s)
+        tau, lam = _detect_times(f_c, f_c, t_s)
         return ProcessParams(tau_c=tau, lambda_c=lam)
     if section == "track":
         tau = 8.0 * t_s / f_c

@@ -50,16 +50,6 @@ MEMO_SCENARIOS = 2
 _draw_memo: Dict[Tuple[int, int], tuple] = {}
 
 
-@dataclass(frozen=True)
-class Track2D:
-    """Per-axis filterbank outputs: position plus derivative estimates."""
-
-    est_x: np.ndarray
-    est_y: np.ndarray
-    deriv_x: np.ndarray
-    deriv_y: np.ndarray
-
-
 def tracker_spec(tag: str) -> DesignSpec:
     if tag not in TRACKER_CONFIGS:
         raise ValueError(f"unknown tracker tag {tag!r}; supported tags: "
@@ -75,30 +65,18 @@ def tracker_design(tag: str) -> FilterbankDesign:
     return design_filterbank(tracker_spec(tag))
 
 
-def run_track(design: FilterbankDesign, meas_x: np.ndarray,
-              meas_y: np.ndarray) -> Track2D:
-    """Filter both axes, the rows of one (2, N) array, with the same bank;
-    out[k, axis] is output k of that axis, a lag-q estimate."""
-    if len(meas_x) != len(meas_y):
-        raise ValueError("axis measurement lengths differ")
-    meas = np.array([meas_x, meas_y], dtype=float)
-    out = np.empty((design.n_outputs,) + meas.shape)
-    for k, b in enumerate(design.b):
-        out[k] = run_filter(b, design.a, meas)
-    return Track2D(est_x=out[0, 0], est_y=out[0, 1],
-                   deriv_x=out[1:, 0].T, deriv_y=out[1:, 1].T)
-
-
-def orbit_simulation(design: FilterbankDesign, f_orb: float, r_orb: float,
-                     center: Tuple[float, float] = (0.0, 0.0)) -> OrbitError:
+def orbit_simulation(design: FilterbankDesign, f_orb: float,
+                     r_orb: float) -> OrbitError:
     """Measured steady-state orbit error after 10 revolutions.
 
-    The target moves on x = x0 + r cos(2 pi f_orb n), y = y0 + r sin(...).
-    The error is read from the final sample against the lag-adjusted truth
-    at n - q, expressed as a radial offset and an angular offset.  Only the
-    smoother output is filtered, over both axes at once.  f_orb must lie in
-    [0, 0.5) cycles/sample and r_orb must be positive and finite, as for
-    ``orbit_steady_state``; otherwise ValueError.
+    The target moves on x = r cos(2 pi f_orb n), y = r sin(...); the
+    smoother passes a constant centre unchanged, so the errors do not
+    depend on it.  The error is read from the final sample against the
+    lag-adjusted truth at n - q, expressed as a radial offset and an
+    angular offset.  Only the smoother output is filtered, over both axes
+    at once.  f_orb must lie in [0, 0.5) cycles/sample and r_orb must be
+    positive and finite, as for ``orbit_steady_state``; otherwise
+    ValueError.
     """
     check_orbit_rate(f_orb)
     check_orbit_radius(r_orb)
@@ -111,12 +89,9 @@ def orbit_simulation(design: FilterbankDesign, f_orb: float, r_orb: float,
     n_samples = int(np.ceil(10 / f_orb)) + int(np.ceil(decay))
     n = np.arange(n_samples)
     phase = 2.0 * np.pi * f_orb * n
-    x0, y0 = center
     est = run_filter(design.b[0], design.a,
-                     np.array([x0 + r_orb * np.cos(phase),
-                               y0 + r_orb * np.sin(phase)]))
-    ex = est[0, -1] - x0
-    ey = est[1, -1] - y0
+                     np.array([r_orb * np.cos(phase), r_orb * np.sin(phase)]))
+    ex, ey = est[:, -1]
     r_est = float(np.hypot(ex, ey))
     eps_r = r_est - r_orb
     if r_est < NULL_RADIUS_TOL * r_orb:
@@ -152,9 +127,9 @@ class TrackingRun:
     position estimate of each axis, rows of (2, N) arrays, and the RMS
     error against the truth delayed by round(q) samples.  The truth and
     measurement rows are read-only: the scenario memo hands the same ones
-    to every tracker.  The derivative tracks are not computed;
-    ``run_track(design, run.meas_x, run.meas_y)`` gives all outputs of the
-    bank for the same measurement."""
+    to every tracker.  The derivative tracks are not computed: output k
+    of the bank is ``run_filter(design.b[k], design.a, meas)`` of the same
+    measurement."""
 
     truth_x: np.ndarray
     truth_y: np.ndarray

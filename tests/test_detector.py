@@ -14,7 +14,7 @@ from maxflat.detector import (BLOCK, DETECT_FS, DETECT_N, DETECTOR_TAGS,
                               detector_metrics, roc_from_statistics,
                               run_detection_mc, tk_energy_derivatives,
                               tk_energy_threepoint)
-from maxflat.procsim import (InputSpec, discretize_process,
+from maxflat.procsim import (InputSpec, ProcessParams, discretize_process,
                              generate_waveform, oscillator_response,
                              scenario_params)
 from maxflat.realize import run_filter
@@ -273,6 +273,14 @@ def _mc_statistics(monkeypatch, det, trials, seed, deterministic_signal):
     return stat_true, stat_false
 
 
+def _signal_params(rng_sig, t_s):
+    """The process of a detection-study signal: alpha_tau = 4 about the
+    centre frequency 0.05 cyc/smp, and the frequency f~ drawn from
+    Uniform(0, 0.05)."""
+    return ProcessParams(tau_c=4.0 * t_s / 0.05,
+                         lambda_c=t_s / rng_sig.uniform(0.0, 0.05))
+
+
 def _loop_trial_statistics(det, seed, trial, deterministic_signal):
     """One trial as the per-trial loop computed it before trials were
     blocked: spawned streams, three waveforms from generate_waveform (an
@@ -281,9 +289,7 @@ def _loop_trial_statistics(det, seed, trial, deterministic_signal):
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     rng_sig, rng_int1, rng_int2 = (np.random.default_rng(s)
                                    for s in ss.spawn(3))
-    sig_proc = discretize_process(scenario_params(
-        "detect", "signal", known_freq=False, rng=rng_sig, f_s=DETECT_FS),
-        t_s)
+    sig_proc = discretize_process(_signal_params(rng_sig, t_s), t_s)
     int_proc = discretize_process(scenario_params(
         "detect", "interference", f_s=DETECT_FS), t_s)
     if deterministic_signal:
@@ -375,7 +381,7 @@ def test_warm_memo_statistics_equal_cold(monkeypatch, detectors,
 
 def test_detector_writing_its_input_raises_and_corrupts_nothing(
         monkeypatch, detectors):
-    def vandal(x):
+    def vandal(x, window):
         x[:] = 0.0
         return x
 
@@ -462,9 +468,7 @@ def _per_trial_generator_block(seed, first, count, deterministic_signal):
         rng_sig, rng_int1, rng_int2 = (
             np.random.default_rng(np.random.SeedSequence(
                 seed, spawn_key=(first + i, j))) for j in range(3))
-        sig_params.append(scenario_params("detect", "signal",
-                                          known_freq=False, rng=rng_sig,
-                                          f_s=DETECT_FS))
+        sig_params.append(_signal_params(rng_sig, t_s))
         if not deterministic_signal:
             pulse[i] = rng_sig.normal(0.0, pulse_scale, n_pulse)
         x[i] = rng_int1.normal(0.0, int_scale, DETECT_N)
@@ -474,7 +478,8 @@ def _per_trial_generator_block(seed, first, count, deterministic_signal):
         t_s).transfer()
     x = run_filter(b, a, x)
     x[:count, PULSE_SAMPLE:] += oscillator_response(
-        sig_params, t_s, pulse, DETECT_N - PULSE_SAMPLE)
+        [p.tau_c for p in sig_params], [p.lambda_c for p in sig_params],
+        t_s, pulse, DETECT_N - PULSE_SAMPLE)
     return x
 
 
@@ -557,35 +562,33 @@ def test_block_statistics_equal_full_row_scoring(detectors, tag,
     assert np.array_equal(got[1], want_false)
 
 
-@pytest.mark.parametrize("count", [1, 5, BLOCK])
-def test_wrapper_is_called_for_every_scoring_call(detectors, count):
-    """A functools.wraps wrapper, such as the benchmark's tracer, gets
-    every scoring call: the signal rows with TRUE_WINDOW, then the
-    interference-only rows with FALSE_WINDOW."""
-    pipeline = detectors["IIR_BW1_NC"]
-    calls = []
-
+def _wraps_wrapper(pipeline, calls):
     @functools.wraps(pipeline)
     def wrapped(*args):
         calls.append((args[0].shape,) + args[1:])
         return pipeline(*args)
+    return wrapped
 
-    got = block_statistics(wrapped, 0, 0, count)
+
+def _bare_wrapper(pipeline, calls):
+    return lambda rows, window: (calls.append((rows.shape, window))
+                                 or pipeline(rows, window))
+
+
+@pytest.mark.parametrize("wrap, count", [
+    pytest.param(_wraps_wrapper, count, id=str(count))
+    for count in (1, 5, BLOCK)] + [
+    pytest.param(_bare_wrapper, count, id=f"bare-{count}")
+    for count in (1, 5, BLOCK)])
+def test_wrapper_is_called_for_every_scoring_call(detectors, wrap, count):
+    """A functools.wraps wrapper, such as the benchmark's tracer, and a
+    bare lambda both get every scoring call: the signal rows with
+    TRUE_WINDOW, then the interference-only rows with FALSE_WINDOW."""
+    pipeline = detectors["IIR_BW1_NC"]
+    calls = []
+    got = block_statistics(wrap(pipeline, calls), 0, 0, count)
     assert calls == [((count, DETECT_N), TRUE_WINDOW),
                      ((count, DETECT_N), FALSE_WINDOW)]
-    want = block_statistics(pipeline, 0, 0, count)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-@pytest.mark.parametrize("count", [1, 5, BLOCK])
-def test_plain_callable_gets_the_stacked_full_rows(detectors, count):
-    """A callable that does not take a window gets the stacked full rows
-    in one call and scores what the windowed pipeline scores."""
-    pipeline = detectors["IIR_BW0_NC"]
-    shapes = []
-    plain = lambda x: shapes.append(x.shape) or pipeline(x)
-    got = block_statistics(plain, 0, 0, count)
-    assert shapes == [(2 * count, DETECT_N)]
     want = block_statistics(pipeline, 0, 0, count)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -639,7 +642,6 @@ def _bw1_per_output_pipeline():
         x, lo, hi = detector._rows_and_window(x, window)
         return tk_energy_derivatives(*(
             run_filter(b, d.a, x[..., :hi + 1])[..., lo:] for b in d.b))
-    detect.takes_window = True
     return detect
 
 

@@ -121,7 +121,8 @@ def test_oscillator_response_matches_state_recursion(n_in):
     t_s, n = 0.001, 600
     params = PARAM_SETS + [ProcessParams(tau_c=0.08, lambda_c=1e3)]
     u = np.random.default_rng(5).normal(0.0, 30.0, (len(params), n_in))
-    y = oscillator_response(params, t_s, u, n)
+    y = oscillator_response([p.tau_c for p in params],
+                            [p.lambda_c for p in params], t_s, u, n)
     assert y.shape == (len(params), n)
     for p, row, u_row in zip(params, y, u):
         x = np.zeros(n)
@@ -135,12 +136,13 @@ def test_oscillator_response_equals_gathered_expression(n_in):
     """Scaling the samples past the input by the last partial sum through
     broadcasting gives, bit for bit, the product with the gathered
     (rows, n) copy of the partial sums that the closed form used before,
-    for a pulse of one sample, of 51 and as long as the output."""
+    for a pulse of one sample, of 51 and as long as the output; among
+    them detection-study signals of frequency f~ ~ Uniform(0, 0.05)."""
     from maxflat.procsim import _zoh
 
     t_s, n = 0.001, 1000
-    params = [scenario_params("detect", "signal", known_freq=False,
-                              rng=np.random.default_rng(seed))
+    params = [ProcessParams(tau_c=4.0 * t_s / 0.05, lambda_c=t_s / np.random
+                            .default_rng(seed).uniform(0.0, 0.05))
               for seed in range(5)] + PARAM_SETS
     u = np.random.default_rng(6).normal(0.0, 30.0, (len(params), n_in))
     s = np.array([p.sigma_c for p in params])
@@ -157,12 +159,14 @@ def test_oscillator_response_equals_gathered_expression(n_in):
               * np.exp(mu * steps)[:, None, :]).reshape(len(w), -1)
     k = np.arange(n)
     want = (powers[:, :n] * partial[:, np.minimum(k, n_in - 1)]).real
-    assert np.array_equal(oscillator_response(params, t_s, u, n), want)
+    assert np.array_equal(oscillator_response(
+        [p.tau_c for p in params], [p.lambda_c for p in params], t_s, u, n),
+        want)
 
 
 def test_oscillator_response_input_longer_than_output_rejected():
     with pytest.raises(ValueError, match="n_samples"):
-        oscillator_response(PARAM_SETS[:1], 0.001, np.ones((1, 5)), 4)
+        oscillator_response([0.08], [0.02], 0.001, np.ones((1, 5)), 4)
 
 
 def test_generation_is_bitwise_deterministic():
@@ -185,8 +189,13 @@ def test_input_validation():
         InputSpec("deterministic", 5, 3, 1.0)
     with pytest.raises(ValueError):
         InputSpec("ramp", 0, 3, 1.0)
-    with pytest.raises(ValueError, match="tau_c"):
-        ProcessParams(-1.0, 1.0)
+    for bad in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tau_c must be a positive "
+                                             "finite number"):
+            ProcessParams(bad, 1.0)
+        with pytest.raises(ValueError, match="lambda_c must be a positive "
+                                             "finite number"):
+            ProcessParams(1.0, bad)
     with pytest.raises(ValueError, match="T_s"):
         discretize_process(PARAM_SETS[0], 0.0)
     proc = discretize_process(PARAM_SETS[0], 0.001)
@@ -201,14 +210,6 @@ def test_scenario_params_detection():
     intf = scenario_params("detect", "interference")
     assert intf.tau_c == pytest.approx(4.0 * 0.001 / 0.07)
     assert intf.lambda_c == pytest.approx(0.001 / 0.07)
-    # Unknown-frequency draws are uniform below the nominal value.
-    rng = np.random.default_rng(0)
-    draws = [scenario_params("detect", "signal", known_freq=False,
-                             rng=rng).lambda_c for _ in range(200)]
-    freqs = 0.001 / np.array(draws)
-    assert np.all((freqs >= 0.0) & (freqs <= 0.05))
-    with pytest.raises(ValueError, match="rng"):
-        scenario_params("detect", "signal", known_freq=False)
 
 
 def test_scenario_params_tracking():

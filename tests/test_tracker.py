@@ -13,8 +13,7 @@ from maxflat.procsim import (InputSpec, discretize_process,
 from maxflat.realize import run_filter
 from maxflat.tracker import (DEFAULT_ORBIT_RATES, MEMO_SCENARIOS,
                              TRACKER_CONFIGS, orbit_check, orbit_simulation,
-                             run_track, run_tracking_mc, tracker_design,
-                             tracker_spec)
+                             run_tracking_mc, tracker_spec)
 
 
 def test_tracker_configs():
@@ -34,25 +33,24 @@ def test_tracker_orders(tracker_designs):
         assert d.n_outputs == 3
 
 
-def test_axes_are_decoupled(tracker_designs, rng):
-    """Swapping the axis inputs must exactly swap the outputs."""
-    d = tracker_designs["B"]
-    x, y = rng.normal(size=200), rng.normal(size=200)
-    t1 = run_track(d, x, y)
-    t2 = run_track(d, y, x)
-    assert np.array_equal(t1.est_x, t2.est_y)
-    assert np.array_equal(t1.est_y, t2.est_x)
-    with pytest.raises(ValueError, match="lengths"):
-        run_track(d, x, y[:-1])
+def _per_axis_track(design, meas_x, meas_y):
+    """Oracle: one run_filter call per axis and output, stacked into
+    (N, K_t) columns."""
+    out_x = np.stack([run_filter(b, design.a, meas_x) for b in design.b],
+                     axis=1)
+    out_y = np.stack([run_filter(b, design.a, meas_y) for b in design.b],
+                     axis=1)
+    return out_x[:, 0], out_y[:, 0], out_x[:, 1:], out_y[:, 1:]
 
 
 def test_constant_position_tracked_exactly(tracker_designs):
     d = tracker_designs["A"]
     n = 400
-    t = run_track(d, np.full(n, 7.0), np.full(n, -2.0))
-    assert t.est_x[-1] == pytest.approx(7.0, abs=1e-6)
-    assert t.est_y[-1] == pytest.approx(-2.0, abs=1e-6)
-    assert np.max(np.abs(t.deriv_x[-1])) < 1e-5
+    est_x, est_y, deriv_x, _ = _per_axis_track(d, np.full(n, 7.0),
+                                               np.full(n, -2.0))
+    assert est_x[-1] == pytest.approx(7.0, abs=1e-6)
+    assert est_y[-1] == pytest.approx(-2.0, abs=1e-6)
+    assert np.max(np.abs(deriv_x[-1])) < 1e-5
 
 
 def test_constant_velocity_tracked_with_lag(tracker_designs):
@@ -62,12 +60,12 @@ def test_constant_velocity_tracked_with_lag(tracker_designs):
         d = tracker_designs[tag]
         n = np.arange(2000, dtype=float)
         vx, vy = 1.5, -0.25
-        t = run_track(d, vx * n, vy * n)
-        assert t.est_x[-1] == pytest.approx(vx * (1999 - d.q), abs=1e-5)
-        assert t.est_y[-1] == pytest.approx(vy * (1999 - d.q), abs=1e-5)
+        est_x, est_y, deriv_x, deriv_y = _per_axis_track(d, vx * n, vy * n)
+        assert est_x[-1] == pytest.approx(vx * (1999 - d.q), abs=1e-5)
+        assert est_y[-1] == pytest.approx(vy * (1999 - d.q), abs=1e-5)
         # First-derivative output is per second: slope / T_s.
-        assert t.deriv_x[-1, 0] == pytest.approx(vx / d.t_s, rel=1e-6)
-        assert t.deriv_y[-1, 0] == pytest.approx(vy / d.t_s, rel=1e-6)
+        assert deriv_x[-1, 0] == pytest.approx(vx / d.t_s, rel=1e-6)
+        assert deriv_y[-1, 0] == pytest.approx(vy / d.t_s, rel=1e-6)
 
 
 def test_orbit_zero_rate_is_exact(tracker_designs):
@@ -101,14 +99,6 @@ def test_null_collapses_orbit_at_notch(tracker_designs):
     assert err.eps_theta == 0.0
     err = orbit_simulation(d, 0.05, 1.0)
     assert -1.0 < err.eps_r < -0.8
-
-
-def test_orbit_center_does_not_bias_errors(tracker_designs):
-    d = tracker_designs["A"]
-    e0 = orbit_simulation(d, 0.005, 2.0)
-    e1 = orbit_simulation(d, 0.005, 2.0, center=(500.0, -800.0))
-    assert e1.eps_r == pytest.approx(e0.eps_r, abs=1e-7)
-    assert e1.eps_theta == pytest.approx(e0.eps_theta, abs=1e-7)
 
 
 def test_tracking_mc_deterministic_and_sane(tracker_designs):
@@ -149,16 +139,6 @@ def test_tracking_mc_rejects_a_negative_delay(q):
         run_tracking_mc("LoG", design, seed=1, n_samples=1000)
 
 
-def _per_axis_track(design, meas_x, meas_y):
-    """Oracle: one run_filter call per axis and output, stacked into
-    (N, K_t) columns."""
-    out_x = np.stack([run_filter(b, design.a, meas_x) for b in design.b],
-                     axis=1)
-    out_y = np.stack([run_filter(b, design.a, meas_y) for b in design.b],
-                     axis=1)
-    return out_x[:, 0], out_y[:, 0], out_x[:, 1:], out_y[:, 1:]
-
-
 @pytest.mark.parametrize("tag", sorted(TRACKER_CONFIGS))
 def test_track_and_rms_error_equal_per_axis_formulation(tracker_designs,
                                                         tag):
@@ -166,13 +146,9 @@ def test_track_and_rms_error_equal_per_axis_formulation(tracker_designs,
     the track or of the RMS error."""
     d = tracker_designs[tag]
     run = run_tracking_mc("HiG", d, seed=5, n_samples=3000)
-    est_x, est_y, deriv_x, deriv_y = _per_axis_track(d, run.meas_x,
-                                                     run.meas_y)
+    est_x, est_y, _, _ = _per_axis_track(d, run.meas_x, run.meas_y)
     assert np.array_equal(run.est_x, est_x)
     assert np.array_equal(run.est_y, est_y)
-    track = run_track(d, run.meas_x, run.meas_y)
-    assert np.array_equal(track.deriv_x, deriv_x)
-    assert np.array_equal(track.deriv_y, deriv_y)
     q_int = int(round(d.q))
     n = np.arange(int(np.ceil(10.0 * d.q)), 3000)
     err2 = (est_x[n] - run.truth_x[n - q_int]) ** 2 \
@@ -183,13 +159,13 @@ def test_track_and_rms_error_equal_per_axis_formulation(tracker_designs,
 @pytest.mark.parametrize("scenario", ["LoG", "HiG"])
 @pytest.mark.parametrize("tag", sorted(TRACKER_CONFIGS))
 def test_run_estimates_equal_run_track(tracker_designs, tag, scenario):
-    """A run filters only the smoother output, and its estimates are those
-    of run_track on the run's measurement, bit for bit."""
+    """A run filters only the smoother output, and its estimates are
+    output 0 of the bank filtered one axis at a time, bit for bit."""
     d = tracker_designs[tag]
     run = run_tracking_mc(scenario, d, seed=3, n_samples=3000)
-    track = run_track(d, run.meas_x, run.meas_y)
-    assert np.array_equal(run.est_x, track.est_x)
-    assert np.array_equal(run.est_y, track.est_y)
+    est_x, est_y, _, _ = _per_axis_track(d, run.meas_x, run.meas_y)
+    assert np.array_equal(run.est_x, est_x)
+    assert np.array_equal(run.est_y, est_y)
 
 
 def test_tracking_run_filters_once_with_a_warm_memo(tracker_designs,
@@ -242,16 +218,11 @@ def _scenario_oracle(scenario, seed, n_samples):
     return truth_x, truth_y, meas_x, meas_y
 
 
-def _assert_runs_equal(run, ref, design):
+def _assert_runs_equal(run, ref):
     assert run.rms_error == ref.rms_error
     for name in ("truth_x", "truth_y", "meas_x", "meas_y", "est_x",
                  "est_y"):
         assert np.array_equal(getattr(run, name), getattr(ref, name)), name
-    track = run_track(design, run.meas_x, run.meas_y)
-    ref_track = run_track(design, ref.meas_x, ref.meas_y)
-    for name in ("deriv_x", "deriv_y"):
-        assert np.array_equal(getattr(track, name),
-                              getattr(ref_track, name)), name
 
 
 @pytest.mark.parametrize("scenario", ["LoG", "HiG"])
@@ -266,11 +237,9 @@ def test_memoized_scenario_equals_explicit_draws(tracker_designs, scenario):
     assert np.array_equal(run.truth_y, truth_y)
     assert np.array_equal(run.meas_x, meas_x)
     assert np.array_equal(run.meas_y, meas_y)
-    track = run_track(d, meas_x, meas_y)
-    assert np.array_equal(run.est_x, track.est_x)
-    assert np.array_equal(run.est_y, track.est_y)
-    assert np.array_equal(run_track(d, run.meas_x, run.meas_y).deriv_y,
-                          track.deriv_y)
+    est_x, est_y, _, _ = _per_axis_track(d, meas_x, meas_y)
+    assert np.array_equal(run.est_x, est_x)
+    assert np.array_equal(run.est_y, est_y)
 
 
 def _clear_memos():
@@ -303,7 +272,7 @@ def test_warm_memo_run_equals_cold_memo_run(monkeypatch, tracker_designs):
     for (tag, scenario), run in warm.items():
         _clear_memos()
         cold = run_tracking_mc(scenario, tracker_designs[tag], 11, 3000)
-        _assert_runs_equal(run, cold, tracker_designs[tag])
+        _assert_runs_equal(run, cold)
 
 
 def test_memo_is_read_only_and_bounded(tracker_designs):
@@ -339,7 +308,7 @@ def test_draws_are_dropped_once_both_scenarios_are_built(monkeypatch,
     assert draws == [(5, 2000)]
     for run, scenario in ((log, "LoG"), (hig, "HiG")):
         _clear_memos()
-        _assert_runs_equal(run, run_tracking_mc(scenario, d, 5, 2000), d)
+        _assert_runs_equal(run, run_tracking_mc(scenario, d, 5, 2000))
 
 
 @pytest.mark.parametrize("seed", [None, True, -1, 2.0, "3"])
@@ -377,16 +346,16 @@ def test_numpy_integer_tracking_seed_is_the_same_seed(tracker_designs):
         run_tracking_mc("HiG", d, 4, 1000).rms_error
 
 
-def _orbit_oracle(design, f_orb, r_orb, center):
-    """Oracle: the orbit simulated through run_track, all outputs."""
+def _orbit_oracle(design, f_orb, r_orb):
+    """Oracle: the orbit simulated with every output of each axis filtered
+    (_per_axis_track)."""
     decay = np.log(1e-14) / np.log(np.max(np.abs(design.poles)))
     n_samples = int(np.ceil(10 / f_orb)) + int(np.ceil(decay))
     n = np.arange(n_samples)
     phase = 2.0 * np.pi * f_orb * n
-    x0, y0 = center
-    track = run_track(design, x0 + r_orb * np.cos(phase),
-                      y0 + r_orb * np.sin(phase))
-    ex, ey = track.est_x[-1] - x0, track.est_y[-1] - y0
+    est_x, est_y, _, _ = _per_axis_track(design, r_orb * np.cos(phase),
+                                         r_orb * np.sin(phase))
+    ex, ey = est_x[-1], est_y[-1]
     r_est = float(np.hypot(ex, ey))
     if r_est < NULL_RADIUS_TOL * r_orb:
         return OrbitError(eps_r=r_est - r_orb, eps_theta=0.0)
@@ -397,14 +366,13 @@ def _orbit_oracle(design, f_orb, r_orb, center):
                                       - np.pi))
 
 
-@pytest.mark.parametrize("center", [(0.0, 0.0), (500.0, -800.0)])
-def test_orbit_simulation_equals_run_track_oracle(tracker_designs, center):
-    """Filtering only the smoother output changes no bit of the orbit
-    errors."""
+def test_orbit_simulation_equals_per_axis_oracle(tracker_designs):
+    """Filtering only the smoother output, over both axes at once,
+    changes no bit of the orbit errors."""
     for tag, d in tracker_designs.items():
         for f_orb in DEFAULT_ORBIT_RATES:
-            assert orbit_simulation(d, f_orb, 1.5, center) == \
-                _orbit_oracle(d, f_orb, 1.5, center), (tag, f_orb)
+            assert orbit_simulation(d, f_orb, 1.5) == \
+                _orbit_oracle(d, f_orb, 1.5), (tag, f_orb)
 
 
 @pytest.mark.parametrize("f_orb", [-0.01, 0.5, 0.7, np.inf, np.nan])
