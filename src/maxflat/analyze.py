@@ -239,21 +239,29 @@ def orbit_steady_state(design: FilterbankDesign, f_orb: float,
 
     A constant-rate orbit of radius r_orb at f_orb cycles/sample is a
     complex exponential, so the smoother output is H(w) times it with
-    w = 2 pi f_orb.  After removing the design delay q, the radial error
-    is (|H(w)| - 1) r_orb and the angular error is angle(H(w)) + q w.
-    f_orb must lie in [0, 0.5) cycles/sample and r_orb must be positive
-    and finite; otherwise ValueError.
+    w = 2 pi f_orb (``response_orbit_error``).  f_orb must lie in
+    [0, 0.5) cycles/sample and r_orb must be positive and finite;
+    otherwise ValueError.
     """
     check_orbit_rate(f_orb)
     check_orbit_radius(r_orb)
     w = 2.0 * np.pi * f_orb
-    h = complex(design_response(design, np.array([w]), 0)[0])
+    h = design_response(design, np.array([w]), 0)[0]
+    return response_orbit_error(h, w, design.q, r_orb)
+
+
+def response_orbit_error(h: complex, w: float, q: float,
+                         r_orb: float) -> OrbitError:
+    """Orbit error of a smoother of delay q whose response at w is h.
+    After removing the delay, the radial error is (|h| - 1) r_orb and the
+    angular error is angle(h) + q w, wrapped to [-pi, pi)."""
+    h = complex(h)
     eps_r = (abs(h) - 1.0) * r_orb
     if abs(h) < NULL_RADIUS_TOL:
         # At a response null the track collapses to the centre and the
         # angular error is the angle of a zero-length vector; report 0.
         eps_theta = 0.0
     else:
-        eps_theta = float(np.angle(h)) + design.q * w
+        eps_theta = float(np.angle(h)) + q * w
         eps_theta = float((eps_theta + np.pi) % (2.0 * np.pi) - np.pi)
     return OrbitError(eps_r=eps_r, eps_theta=eps_theta)

@@ -396,7 +396,8 @@ def _simulate_block(seed: int, first: int, count: int,
     states = _trial_seed_states(seed, first, count)
     for i in range(count):
         rng_sig, rng_int1, rng_int2 = map(generator, states[3 * i:3 * i + 3])
-        f_tilde[i] = rng_sig.uniform(0.0, SIGNAL_F_C)
+        # uniform(0, c) draws 0 + c * random(), the same bits.
+        f_tilde[i] = SIGNAL_F_C * rng_sig.random()
         if not deterministic_signal:
             pulse[i] = rng_sig.normal(0.0, pulse_scale, n_pulse)
         rng_int1.standard_normal(out=x[i])

@@ -20,7 +20,6 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .design import NumericalError
 from .realize import run_filter
 
 
@@ -146,16 +145,20 @@ def oscillator_response(tau_c: np.ndarray, lambda_c: np.ndarray, t_s: float,
     with P_j = b0 beta sum_{m <= j} u[m] e^{-mu m}.  It agrees with the
     state recursion w[n] = G w[n-1] + H u[n], y[n] = C w[n] to about 1e-14
     of each row's peak.  sigma_c, Omega_c and b0 are formed elementwise by
-    the operations of ``ProcessParams``, whose checks the arrays skip.
+    the operations of ``ProcessParams``, and every tau_c and lambda_c
+    must be a positive finite number, as there; otherwise ValueError.
     """
-    s, w, b0 = _rates(np.asarray(tau_c, dtype=float),
-                      np.asarray(lambda_c, dtype=float))
+    tau_c = np.asarray(tau_c, dtype=float)
+    lambda_c = np.asarray(lambda_c, dtype=float)
+    for name, v in (("tau_c", tau_c), ("lambda_c", lambda_c)):
+        if not np.all((0 < v) & (v < np.inf)):
+            raise ValueError(f"every {name} must be a positive finite "
+                             f"number")
+    s, w, b0 = _rates(tau_c, lambda_c)
     u = np.atleast_2d(np.asarray(u, dtype=float))
     n_in = u.shape[-1]
     if not n_in <= n_samples:
         raise ValueError("require input length <= n_samples")
-    if np.any(w == 0):
-        raise NumericalError("degenerate oscillator: Omega_c = 0")
     h0, h1 = _zoh(s, w, t_s, input_only=True)
     mu = ((s + 1j * w) * t_s)[:, None]
     beta = (b0 * (h0 - 1j * (h1 - s * h0) / w))[:, None]
@@ -251,19 +254,24 @@ def scenario_params(section: Literal["detect", "track"],
     which ``detector._simulate_block`` draws per trial for
     ``detect_signal_response``.  Tracking (T_s = 0.1 s): alpha_tau = 8
     and lambda = alpha_lambda T_s / f_c with alpha_lambda = 8 (low-gain
-    signal), 2 (high-gain signal), or 1 (interference).
+    signal), 2 (high-gain signal), or 1 (interference).  Any other
+    section, role or gain raises ValueError.
     """
+    if section not in ("detect", "track"):
+        raise ValueError("section must be detect or track")
+    if role not in ("signal", "interference"):
+        raise ValueError("role must be signal or interference")
+    if gain not in ("lo", "hi"):
+        raise ValueError("gain must be lo or hi")
     t_s = 1.0 / f_s
     f_c = SIGNAL_F_C if role == "signal" else INTERFERENCE_F_C
     if section == "detect":
         tau, lam = _detect_times(f_c, f_c, t_s)
         return ProcessParams(tau_c=tau, lambda_c=lam)
-    if section == "track":
-        tau = 8.0 * t_s / f_c
-        if role == "signal":
-            alpha_lambda = 8.0 if gain == "lo" else 2.0
-        else:
-            alpha_lambda = 1.0
-        lam = alpha_lambda * t_s / f_c
-        return ProcessParams(tau_c=tau, lambda_c=lam)
-    raise ValueError("section must be detect or track")
+    tau = 8.0 * t_s / f_c
+    if role == "signal":
+        alpha_lambda = 8.0 if gain == "lo" else 2.0
+    else:
+        alpha_lambda = 1.0
+    lam = alpha_lambda * t_s / f_c
+    return ProcessParams(tau_c=tau, lambda_c=lam)

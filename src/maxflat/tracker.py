@@ -18,10 +18,10 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .analyze import NULL_RADIUS_TOL, OrbitError, check_orbit_radius, \
-    check_orbit_rate, orbit_steady_state
+    check_orbit_rate, frequency_response, response_orbit_error
 from .design import DesignSpec, FilterbankDesign, design_filterbank
-from .procsim import InputSpec, check_nonnegative_int, discretize_process, \
-    generate_waveform, scenario_params
+from .procsim import check_nonnegative_int, discretize_process, \
+    scenario_params
 from .realize import run_filter
 
 #: Sampling rate of the tracking study (Hz): T_s = 0.1 s.
@@ -87,10 +87,12 @@ def orbit_simulation(design: FilterbankDesign, f_orb: float,
     # the final sample is genuinely in steady state.
     decay = np.log(1e-14) / np.log(np.max(np.abs(design.poles)))
     n_samples = int(np.ceil(10 / f_orb)) + int(np.ceil(decay))
-    n = np.arange(n_samples)
-    phase = 2.0 * np.pi * f_orb * n
-    est = run_filter(design.b[0], design.a,
-                     np.array([r_orb * np.cos(phase), r_orb * np.sin(phase)]))
+    phase = 2.0 * np.pi * f_orb * np.arange(n_samples)
+    orbit = np.empty((2, n_samples))
+    np.cos(phase, out=orbit[0])
+    np.sin(phase, out=orbit[1])
+    orbit *= r_orb
+    est = run_filter(design.b[0], design.a, orbit)
     ex, ey = est[:, -1]
     r_est = float(np.hypot(ex, ey))
     eps_r = r_est - r_orb
@@ -108,11 +110,17 @@ def orbit_simulation(design: FilterbankDesign, f_orb: float,
 
 def orbit_check(design: FilterbankDesign,
                 rates: Tuple[float, ...] = DEFAULT_ORBIT_RATES):
-    """Measured vs predicted errors of a unit-radius orbit at each rate."""
-    rows = []
+    """Measured vs predicted errors of a unit-radius orbit at each rate:
+    ``orbit_simulation`` and, from the smoother's response at every rate
+    in one call, ``orbit_steady_state``'s ``response_orbit_error``."""
     for f_orb in rates:
+        check_orbit_rate(f_orb)
+    w = 2.0 * np.pi * np.array(rates, dtype=float)
+    h = frequency_response(design.b[0], design.a, w)
+    rows = []
+    for f_orb, w_i, h_i in zip(rates, w.tolist(), h.tolist()):
         measured = orbit_simulation(design, f_orb, 1.0)
-        predicted = orbit_steady_state(design, f_orb, 1.0)
+        predicted = response_orbit_error(h_i, w_i, design.q, 1.0)
         rows.append({"f_orb": f_orb,
                      "eps_r_predicted": predicted.eps_r,
                      "eps_r_measured": measured.eps_r,
@@ -126,8 +134,8 @@ class TrackingRun:
     """One Monte-Carlo tracking instance: truth, measurement and smoother
     position estimate of each axis, rows of (2, N) arrays, and the RMS
     error against the truth delayed by round(q) samples.  The truth and
-    measurement rows are read-only: the scenario memo hands the same ones
-    to every tracker.  The derivative tracks are not computed: output k
+    measurement rows are read-only views: the scenario memo shares them
+    with every tracker.  The derivative tracks are not computed: output k
     of the bank is ``run_filter(design.b[k], design.a, meas)`` of the same
     measurement."""
 
@@ -145,7 +153,12 @@ def _draw_noise(seed: int, n_samples: int
     """Read-only origin (2,), white signal drives (2, N) of power
     P_SIG_TRACK and interference (2, N), rows x then y, from the five
     children of ``SeedSequence(seed)``: signal x, signal y, interference
-    x, interference y and the origin.  LoG and HiG share them."""
+    x, interference y and the origin.  LoG and HiG share them.
+
+    Each row is drawn in place with ``standard_normal`` and each array
+    scaled once, the numbers ``normal(0, s)`` draws (it forms
+    0 + s z).  Both interference rows are filtered in one call, each
+    row exactly as ``generate_waveform`` filters it."""
     t_s = 1.0 / TRACK_FS
     int_proc = discretize_process(
         scenario_params("track", "interference", f_s=TRACK_FS), t_s)
@@ -153,15 +166,14 @@ def _draw_noise(seed: int, n_samples: int
         np.random.default_rng(s)
         for s in np.random.SeedSequence(entropy=seed).spawn(5))
     origin = rng_origin.uniform(-1000.0, 1000.0, size=2)
-    noise = InputSpec("stochastic", 0, n_samples - 1, P_INT_TRACK)
     drives = np.empty((2, n_samples))
-    interference = np.empty((2, n_samples))
-    for axis, (rng_s, rng_i) in enumerate([(rng_sx, rng_ix),
-                                           (rng_sy, rng_iy)]):
-        drives[axis] = rng_s.normal(0.0, np.sqrt(P_SIG_TRACK / t_s),
-                                    n_samples)
-        interference[axis] = generate_waveform(int_proc, noise, n_samples,
-                                               rng=rng_i)
+    white = np.empty((2, n_samples))
+    for rng, row in ((rng_sx, drives[0]), (rng_sy, drives[1]),
+                     (rng_ix, white[0]), (rng_iy, white[1])):
+        rng.standard_normal(out=row)
+    drives *= np.sqrt(P_SIG_TRACK / t_s)
+    white *= np.sqrt(P_INT_TRACK / t_s)
+    interference = run_filter(*int_proc.transfer(), white)
     out = (origin, drives, interference)
     for a in out:
         a.flags.writeable = False
@@ -189,10 +201,12 @@ def _take_draws(scenario: str, seed: int, n_samples: int
 @functools.lru_cache(maxsize=MEMO_SCENARIOS, typed=True)
 def _simulate_scenario(scenario: str, seed: int, n_samples: int
                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only truth and measurement of one scenario instance, (2, N)
-    arrays with rows x then y: the seed's drives filtered through the
-    scenario's signal process, plus the origin, and that truth plus the
-    interference (``_take_draws``)."""
+    """Truth and measurement of one scenario instance, (2, N) arrays with
+    rows x then y: the seed's drives filtered through the scenario's
+    signal process, plus the origin, and that truth plus the interference
+    (``_take_draws``).  They stay writeable, so the filter kernel, which
+    copies a read-only input, reads them in place; they are private to
+    ``run_tracking_mc``, which hands out read-only views."""
     gain = "lo" if scenario == "LoG" else "hi"
     sig_proc = discretize_process(
         scenario_params("track", "signal", gain=gain, f_s=TRACK_FS),
@@ -200,10 +214,7 @@ def _simulate_scenario(scenario: str, seed: int, n_samples: int
     origin, drives, interference = _take_draws(scenario, seed, n_samples)
     truth = run_filter(*sig_proc.transfer(), drives)
     truth += origin[:, None]
-    meas = truth + interference
-    truth.flags.writeable = False
-    meas.flags.writeable = False
-    return truth, meas
+    return truth, truth + interference
 
 
 def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
@@ -225,12 +236,13 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
     n_samples), so trackers run on the same draws simulate them once and
     each pays only for its own filtering and scoring.  The two scenarios
     of one (seed, n_samples) draw their noise once: the draws are kept
-    until the second scenario has taken them, and no longer.  The returned
-    truth and measurement arrays are read-only.  Only the smoother output
-    is filtered, over both axes in one call, so a run returns the position
-    estimates and not the derivative tracks.  seed and n_samples must be
-    non-negative integers: None, a bool, a float, a string or a negative
-    number raises ValueError.
+    until the second scenario has taken them, and no longer.  The memo
+    keeps its arrays writeable, so the filter reads the measurement in
+    place, and the returned truth and measurement are read-only views.
+    Only the smoother output is filtered, over both axes in one call, so
+    a run returns the position estimates and not the derivative tracks.
+    seed and n_samples must be non-negative integers: None, a bool, a
+    float, a string or a negative number raises ValueError.
     """
     if scenario not in ("LoG", "HiG"):
         raise ValueError('scenario must be "LoG" or "HiG"')
@@ -249,6 +261,8 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
                          f"q = {design.q:.4g})")
     truth, meas = _simulate_scenario(scenario, seed, n_samples)
     est = run_filter(design.b[0], design.a, meas)
+    truth, meas = truth.view(), meas.view()
+    truth.flags.writeable = meas.flags.writeable = False
     q_int = int(round(design.q))
     err = est[:, settle:] - truth[:, settle - q_int:n_samples - q_int]
     np.square(err, out=err)

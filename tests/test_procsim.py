@@ -169,6 +169,19 @@ def test_oscillator_response_input_longer_than_output_rejected():
         oscillator_response([0.08], [0.02], 0.001, np.ones((1, 5)), 4)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+def test_oscillator_response_rejects_non_positive_or_non_finite_times(bad):
+    """-1 returned a row of NaN with a RuntimeWarning, and an infinite
+    lambda_c raised a NumericalError for Omega_c = 0."""
+    u = np.ones((2, 1))
+    with pytest.raises(ValueError, match="every tau_c must be a positive "
+                                         "finite number"):
+        oscillator_response([0.08, bad], [0.02, 0.02], 0.001, u, 4)
+    with pytest.raises(ValueError, match="every lambda_c must be a positive "
+                                         "finite number"):
+        oscillator_response([0.08, 0.08], [bad, 0.02], 0.001, u, 4)
+
+
 def test_generation_is_bitwise_deterministic():
     proc = discretize_process(PARAM_SETS[0], 0.001)
     inp = InputSpec("stochastic", 10, 400, 1.0)
@@ -223,6 +236,17 @@ def test_scenario_params_tracking():
     assert intf.lambda_c == pytest.approx(1.0 * 0.1 / 0.07)
     # Low-gain signal centre frequency in cycles/sample.
     assert 0.1 / lo.lambda_c == pytest.approx(6.25e-3)
+
+
+@pytest.mark.parametrize("section", ["detect", "track"])
+def test_scenario_params_rejects_unknown_role_and_gain(section):
+    """A role other than "signal" gave the interference, and a gain other
+    than "lo" the high-gain signal."""
+    with pytest.raises(ValueError, match="role must be signal or "
+                                         "interference"):
+        scenario_params(section, "bogus")
+    with pytest.raises(ValueError, match="gain must be lo or hi"):
+        scenario_params(section, "signal", gain="mid", f_s=10.0)
 
 
 def test_stationary_variance_near_drive_power(rng):

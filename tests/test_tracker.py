@@ -185,6 +185,29 @@ def test_tracking_run_filters_once_with_a_warm_memo(tracker_designs,
     assert calls == [(2, 2000)]
 
 
+def test_memo_hit_run_filters_writeable_arrays(tracker_designs,
+                                               monkeypatch):
+    """The filter kernel copies a read-only input, so a run filters the
+    memo's private writeable measurement and hands out read-only views:
+    writing to a run's truth or measurement raises."""
+    d = tracker_designs["D"]
+    run_tracking_mc("HiG", d, seed=4, n_samples=2000)
+    writeable = []
+
+    def spy(b, a, x):
+        writeable.append(x.flags.writeable)
+        return run_filter(b, a, x)
+
+    monkeypatch.setattr(tracker, "run_filter", spy)
+    run = run_tracking_mc("HiG", d, seed=4, n_samples=2000)
+    assert writeable == [True]
+    for name in ("truth_x", "truth_y", "meas_x", "meas_y"):
+        a = getattr(run, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_interference_null_improves_low_gain_tracking(tracker_designs):
     """With the interference centred at 0.07 cycles/sample, the tracker
     with a null there (B) beats the plain one (A) on the same data."""
@@ -373,6 +396,25 @@ def test_orbit_simulation_equals_per_axis_oracle(tracker_designs):
         for f_orb in DEFAULT_ORBIT_RATES:
             assert orbit_simulation(d, f_orb, 1.5) == \
                 _orbit_oracle(d, f_orb, 1.5), (tag, f_orb)
+
+
+@pytest.mark.parametrize("rates", [DEFAULT_ORBIT_RATES,
+                                   (0.0, 0.003, 0.07, 0.2, 0.49)])
+def test_orbit_check_equals_per_rate_errors(tracker_designs, rates):
+    """One response at every rate changes no bit of the predicted errors,
+    and the measured ones are orbit_simulation's."""
+    for tag, d in tracker_designs.items():
+        rows = orbit_check(d, rates)
+        assert [row["f_orb"] for row in rows] == list(rates)
+        for f_orb, row in zip(rates, rows):
+            measured = orbit_simulation(d, f_orb, 1.0)
+            predicted = orbit_steady_state(d, f_orb, 1.0)
+            assert row == {"f_orb": f_orb,
+                           "eps_r_predicted": predicted.eps_r,
+                           "eps_r_measured": measured.eps_r,
+                           "eps_theta_predicted": predicted.eps_theta,
+                           "eps_theta_measured": measured.eps_theta}, \
+                (tag, f_orb)
 
 
 @pytest.mark.parametrize("f_orb", [-0.01, 0.5, 0.7, np.inf, np.nan])
