@@ -25,7 +25,7 @@ from .procsim import (DiscreteProcess, InputSpec, ProcessParams,
                       discretize_process, generate_waveform, scenario_params,
                       verify_normalization)
 from .detector import (RocCurve, build_detector, run_detection_mc,
-                       tk_energy_derivatives, tk_energy_threepoint)
+                       tk_energy_derivatives)
 from .tracker import (orbit_check, orbit_simulation, run_tracking_mc,
                       tracker_design, tracker_spec)
 
@@ -46,7 +46,6 @@ __all__ = [
     "discretize_process", "generate_waveform", "scenario_params",
     "verify_normalization",
     "build_detector", "run_detection_mc", "tk_energy_derivatives",
-    "tk_energy_threepoint",
     "orbit_check", "orbit_simulation", "run_tracking_mc",
     "tracker_design", "tracker_spec",
 ]

@@ -8,6 +8,7 @@ following a constant-rate circular orbit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -63,12 +64,15 @@ class ConstraintCheck(NamedTuple):
 
 
 def _horner(rows, z: np.ndarray) -> np.ndarray:
-    """Each coefficient row (descending powers) at every point of the 1-D
-    z, bit for bit ``np.polyval``: one in-place pass over complex rows."""
+    """Each coefficient row at every point of the 1-D z, as a polynomial in
+    descending powers of z after padding the shorter rows with trailing
+    zeros (the z^-1 convention: entry n multiplies z^-n), bit for bit
+    ``np.polyval`` of the padded rows: one in-place pass over complex
+    rows."""
     width = max(map(len, rows))
     cols = np.zeros((width, len(rows), 1), dtype=complex)
     for i, row in enumerate(rows):
-        cols[width - len(row):, i, 0] = row
+        cols[:len(row), i, 0] = row
     vals = cols[0].repeat(len(z), axis=1)
     for col in cols[1:]:
         vals *= z
@@ -76,12 +80,42 @@ def _horner(rows, z: np.ndarray) -> np.ndarray:
     return vals
 
 
+#: Grids of at most this many points have their unit-circle points
+#: memoized.
+_UNIT_CIRCLE_MAX_N = 4096
+#: The unit-circle memo holds at most this many grids, least recently used
+#: out first: a grid and its negation (``noncausal_response``) and two
+#: more.  An entry of 4,096 points holds 64 KB of points and a 32 KB key,
+#: so the memo never holds more than 384 KB.
+_UNIT_CIRCLE_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_UNIT_CIRCLE_MEMO_SIZE)
+def _memo_unit_circle(key: bytes) -> np.ndarray:
+    z = np.exp(1j * np.frombuffer(key, dtype=float))
+    z.flags.writeable = False
+    return z
+
+
+def _unit_circle(w: np.ndarray) -> np.ndarray:
+    """e^{iw} of the float grid w, flattened: from a bounded memo keyed by
+    the grid's bytes, read-only, for grids of at most _UNIT_CIRCLE_MAX_N
+    points, and computed afresh for larger ones."""
+    w = w.ravel()
+    if w.size > _UNIT_CIRCLE_MAX_N:
+        return np.exp(1j * w)
+    return _memo_unit_circle(w.tobytes())
+
+
 def frequency_response(b: np.ndarray, a: np.ndarray,
                        omegas: np.ndarray) -> np.ndarray:
-    """H(e^{iw}) = B(e^{iw}) / A(e^{iw}) for descending-power b, a, in
-    the shape of omegas; b and a are evaluated in one Horner pass."""
+    """H(e^{iw}) = B(e^{iw}) / A(e^{iw}) in the shape of omegas, for b and
+    a in ascending powers of z^-1 (entry n multiplies z^-n, as the filter
+    runs them); b and a may differ in length.  They are evaluated in one
+    Horner pass, on the unit-circle points of a memoized grid
+    (``_unit_circle``)."""
     w = np.asarray(omegas, dtype=float)
-    num, den = _horner((b, a), np.exp(1j * w.ravel()))
+    num, den = _horner((b, a), _unit_circle(w))
     return (num / den).reshape(w.shape)[()]
 
 

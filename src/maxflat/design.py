@@ -196,24 +196,47 @@ def alpha_table(K: int) -> np.ndarray:
     return table
 
 
-def basis_derivative_column(p: complex, omega_d: float, K: int) -> np.ndarray:
+#: Complex alpha rows by K, each built once beside alpha_table's tables:
+#: entry k of the tuple is (-1)^l alpha_{k,l}, l = 0..k, read-only.
+_ALPHA_ROWS: Dict[int, Tuple[np.ndarray, ...]] = {}
+
+
+def _alpha_rows(K: int) -> Tuple[np.ndarray, ...]:
+    rows = _ALPHA_ROWS.get(K)
+    if rows is None:
+        signed = alpha_table(K) * (-1.0) ** np.arange(K)
+        rows = tuple(signed[k, :k + 1].astype(complex) for k in range(K))
+        for row in rows:
+            row.flags.writeable = False
+        _ALPHA_ROWS[K] = rows
+    return rows
+
+
+def basis_derivative_column(p, omega_d: float, K: int) -> np.ndarray:
     """Frequency derivatives 0..K-1 of psi(w) = e^{iw}/(e^{iw}-p) at omega_d.
 
+    p is one pole, which gives a length-K column, or an array of poles,
+    which gives a (K, len(p)) array with the column of p[j] in column j.
     Entry k equals (d/dw)^k psi(w) |_{w=omega_d}, computed as
-    i^k * sum_l (-1)^l alpha_{k,l} psi^{l+1}.
+    i^k * sum_l (-1)^l alpha_{k,l} psi^{l+1}.  psi and its powers are
+    formed for all poles at once, but each entry keeps its own np.dot:
+    a single alpha @ powers product would round differently and move the
+    optimal delay of the worst-conditioned specs.
     """
     z = np.exp(1j * omega_d)
-    if abs(z - p) < 1e-12:
+    p = np.asarray(p, dtype=complex)
+    if np.any(np.abs(z - p) < 1e-12):
         raise NumericalError("singular basis evaluation: pole on the unit "
                              "circle at a constraint frequency")
-    alp = alpha_table(K)
     psi = z / (z - p)
-    # psi_pows[l] = (-1)^l psi^{l+1}
-    psi_pows = psi ** np.arange(1, K + 1) * (-1.0) ** np.arange(K)
-    out = np.empty(K, dtype=complex)
-    for kw in range(K):
-        out[kw] = (1j) ** kw * np.dot(alp[kw, :kw + 1], psi_pows[:kw + 1])
-    return out
+    # Row j holds psi_j^1, ..., psi_j^K, so each dot reads a contiguous
+    # prefix of it.
+    powers = psi.reshape(-1, 1) ** np.arange(1, K + 1)
+    dot = np.dot
+    out = np.array([[dot(row, pw[:len(row)]) for pw in powers]
+                    for row in _alpha_rows(K)])
+    out *= (1j ** np.arange(K))[:, None]
+    return out.reshape((K,) + p.shape)
 
 
 def dc_targets(q: float, t_s: float, k_w_dc: int, k_t: int) -> np.ndarray:
@@ -295,17 +318,9 @@ class ConstraintBasis:
             raise ValueError("pole count must equal the constraint count K")
         blocks = constraint_blocks(spec)
 
-        # One basis_derivative_column call per pole and block, each entry
-        # its own dot product: a single alpha @ powers product would round
-        # Psi differently and move the optimal delay of the
-        # worst-conditioned specs.
-        psi = np.empty((K, K), dtype=complex)
-        row = 0
-        for w_d, count in blocks:
-            for k, p in enumerate(poles):
-                psi[row:row + count, k] = basis_derivative_column(p, w_d,
-                                                                  count)
-            row += count
+        # One basis_derivative_column call per block, over all poles.
+        psi = np.concatenate([basis_derivative_column(poles, w_d, count)
+                              for w_d, count in blocks])
         s = gram_matrix(poles) if spec.causal else None
         return cls(spec, poles, psi, blocks, float(np.linalg.cond(psi)), s)
 
@@ -418,15 +433,17 @@ def wng_polynomial(basis: ConstraintBasis,
 
     kdc = spec.k_w_dc
     deg = 2 * (kdc - 1 - k_t)
-    coeffs = np.zeros(deg + 1, dtype=complex)
     scale = (1.0 / spec.t_s) ** k_t
-    g = np.zeros(kdc, dtype=complex)
-    for k in range(k_t, kdc):
-        ratio = math.factorial(k) // math.factorial(k - k_t)
-        g[k] = (-1j) ** k * scale * ratio
-    for ka in range(k_t, kdc):
-        for kb in range(k_t, kdc):
-            coeffs[ka + kb - 2 * k_t] += np.conj(g[ka]) * g[kb] * j[ka, kb]
+    g = np.array([(-1j) ** k * scale
+                  * (math.factorial(k) // math.factorial(k - k_t))
+                  for k in range(k_t, kdc)])
+    # Every (k_a, k_b) term at once, scattered onto its power in the order
+    # of a k_a-then-k_b loop, so that each coefficient sums its terms in
+    # that order.
+    terms = np.conj(g)[:, None] * g * j[k_t:, k_t:]
+    powers = np.add.outer(np.arange(len(g)), np.arange(len(g)))
+    coeffs = np.zeros(deg + 1, dtype=complex)
+    np.add.at(coeffs, powers.ravel(), terms.ravel())
     sigma_poly = _real_wng(coeffs)
     p_poly = np.polynomial.polynomial.polyder(sigma_poly) if deg > 0 \
         else np.zeros(1)

@@ -79,17 +79,6 @@ class RocCurve:
     auc: float
 
 
-def tk_energy_threepoint(x: np.ndarray, causal: bool, t_s: float) -> np.ndarray:
-    """Three-point Teager-Kaiser energy along the last axis.
-
-    Causal: E[n] = (x[n-1]^2 - x[n-2] x[n]) / T_s^2.
-    Non-causal: E[n] = (x[n]^2 - x[n-1] x[n+1]) / T_s^2.
-    Edge samples (with missing neighbours) are zero.
-    """
-    x, lo, hi = _rows_and_window(x, None)
-    return _tk_window(x, 0, lo, hi, causal, t_s)
-
-
 def _rows_and_window(x: np.ndarray, window) -> Tuple[np.ndarray, int, int]:
     """x as a float array, and the first and last sample of the window
     (lo, hi) along its last axis: all of the row when window is None."""
@@ -106,11 +95,17 @@ def _rows_and_window(x: np.ndarray, window) -> Tuple[np.ndarray, int, int]:
 
 def _tk_window(y: np.ndarray, start: int, lo: int, hi: int, causal: bool,
                t_s: float) -> np.ndarray:
-    """The energies of samples lo, ..., hi that ``tk_energy_threepoint``
-    gives on the full rows, bit for bit, from y, whose column j holds
-    sample start + j of the rows.  y must hold every sample of the rows
-    that those energies read: an energy whose centre sample has a
-    neighbour outside y is taken as a row edge, which is zero."""
+    """Three-point Teager-Kaiser energies of samples lo, ..., hi of rows
+    along the last axis, from y, whose column j holds sample start + j of
+    the rows:
+
+        causal:     E[n] = (x[n-1]^2 - x[n-2] x[n]) / T_s^2,
+        non-causal: E[n] = (x[n]^2 - x[n-1] x[n+1]) / T_s^2.
+
+    An energy is bit for bit the same whatever window of the rows y
+    holds, as long as y holds every sample that the energy reads.  An
+    energy whose centre sample has a neighbour outside y is taken as a
+    row edge, which is zero, as are the edge samples of whole rows."""
     # The energy at n is centred on sample n - 1 (causal) or n, so the
     # centre in column j gives output column j + skip.  first and last
     # are the columns of the first and last centres with both neighbours.

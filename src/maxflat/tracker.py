@@ -153,7 +153,9 @@ def _draw_noise(seed: int, n_samples: int
     """Read-only origin (2,), white signal drives (2, N) of power
     P_SIG_TRACK and interference (2, N), rows x then y, from the five
     children of ``SeedSequence(seed)``: signal x, signal y, interference
-    x, interference y and the origin.  LoG and HiG share them.
+    x, interference y and the origin.  LoG and HiG share them.  Each is a
+    read-only view of a writeable array of its own, its ``base``, which
+    only ``_take_draws`` uses.
 
     Each row is drawn in place with ``standard_normal`` and each array
     scaled once, the numbers ``normal(0, s)`` draws (it forms
@@ -174,7 +176,7 @@ def _draw_noise(seed: int, n_samples: int
     drives *= np.sqrt(P_SIG_TRACK / t_s)
     white *= np.sqrt(P_INT_TRACK / t_s)
     interference = run_filter(*int_proc.transfer(), white)
-    out = (origin, drives, interference)
+    out = tuple(a.view() for a in (origin, drives, interference))
     for a in out:
         a.flags.writeable = False
     return out
@@ -182,15 +184,18 @@ def _draw_noise(seed: int, n_samples: int
 
 def _take_draws(scenario: str, seed: int, n_samples: int
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_draw_noise(seed, n_samples)`` for one scenario, drawn once for
-    LoG and HiG.  The draws stay in ``_draw_memo`` until the other
-    scenario takes them too and are dropped then: each scenario's
-    instance is in ``_simulate_scenario``'s memo, and one that it has
-    dropped is drawn again."""
+    """The arrays under ``_draw_noise(seed, n_samples)``'s views, for one
+    scenario, drawn once for LoG and HiG.  They are writeable, so the
+    filter kernel, which copies a read-only input, reads the drives in
+    place; they are private to ``_simulate_scenario``, which only reads
+    them.  The draws stay in ``_draw_memo`` until the other scenario
+    takes them too and are dropped then: each scenario's instance is in
+    ``_simulate_scenario``'s memo, and one that it has dropped is drawn
+    again."""
     key = (seed, n_samples)
     draws, takers = _draw_memo.pop(key, (None, frozenset()))
     if draws is None:
-        draws = _draw_noise(seed, n_samples)
+        draws = tuple(a.base for a in _draw_noise(seed, n_samples))
     takers = takers | {scenario}
     _draw_memo.clear()
     if len(takers) < 2:
@@ -205,8 +210,9 @@ def _simulate_scenario(scenario: str, seed: int, n_samples: int
     rows x then y: the seed's drives filtered through the scenario's
     signal process, plus the origin, and that truth plus the interference
     (``_take_draws``).  They stay writeable, so the filter kernel, which
-    copies a read-only input, reads them in place; they are private to
-    ``run_tracking_mc``, which hands out read-only views."""
+    copies a read-only input, reads them in place, as it reads the
+    drives; they are private to ``run_tracking_mc``, which hands out
+    read-only views."""
     gain = "lo" if scenario == "LoG" else "hi"
     sig_proc = discretize_process(
         scenario_params("track", "signal", gain=gain, f_s=TRACK_FS),

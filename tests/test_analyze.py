@@ -4,6 +4,7 @@ measurement, and steady-state orbit error."""
 import numpy as np
 import pytest
 
+from maxflat import analyze
 from maxflat.analyze import (COEFF_EPS, FD_MAX_ORDER, FD_RTOL, FD_STEP,
                              NULL_RADIUS_TOL, ConstraintCheck,
                              design_response,
@@ -49,17 +50,75 @@ def _response_cases(bw1_design, tracker_designs):
 def test_frequency_response_equals_polyval(bw1_design, tracker_designs,
                                            grid):
     """One Horner pass over b and a is np.polyval(b, z) / np.polyval(a, z)
-    bit for bit.  NumPy's complex multiply may round differently with the
-    length of the array (vector loops and their remainders), so every
-    grid length the package uses is checked, and a scalar omega."""
+    bit for bit, after the shorter of b and a is padded with trailing
+    zeros (the z^-1 convention).  NumPy's complex multiply may round
+    differently with the length of the array (vector loops and their
+    remainders), so every grid length the package uses is checked, and a
+    scalar omega."""
     omegas = 0.7 if grid is None else np.linspace(0.0, np.pi, grid)
     z = np.exp(1j * np.asarray(omegas))
     for name, b, a in _response_cases(bw1_design, tracker_designs):
         got = frequency_response(b, a, omegas)
-        want = np.polyval(b, z) / np.polyval(a, z)
+        n = max(len(b), len(a))
+        want = np.polyval(np.pad(b, (0, n - len(b))), z) \
+            / np.polyval(np.pad(a, (0, n - len(a))), z)
         assert np.shape(got) == np.shape(want), name
         assert np.array_equal(np.atleast_1d(got).view(float),
                               np.atleast_1d(want).view(float)), name
+
+
+def test_unequal_lengths_follow_the_z_inverse_convention():
+    """b and a hold powers of z^-1, so a shorter row is padded with
+    trailing zeros: b = [0, 0, 1] over a = [1] is a two-sample delay, and
+    a = [1, -0.5] over b = [1] the one-pole 1 / (1 - 0.5 z^-1)."""
+    w = np.linspace(0.0, np.pi, 33)
+    z = np.exp(1j * w)
+    h = frequency_response(np.array([0.0, 0.0, 1.0]), np.array([1.0]), w)
+    assert np.allclose(h, z ** -2, atol=1e-12)
+    h = frequency_response(np.array([1.0]), np.array([1.0, -0.5]), w)
+    assert np.allclose(h, 1.0 / (1.0 - 0.5 / z), atol=1e-12)
+
+
+@pytest.mark.parametrize("n_taps", [2, 5, 8, 31])
+def test_symmetric_fir_group_delay_is_half_its_span(n_taps):
+    """A symmetric N-tap FIR (a = [1]) has linear phase with group delay
+    (N - 1) / 2 samples at every frequency of its main lobe."""
+    b = np.hanning(n_taps + 2)[1:-1]
+    w = np.linspace(0.01, 0.2, 40)
+    gd = measured_group_delay(b, np.array([1.0]), w)
+    assert np.allclose(gd, (n_taps - 1) / 2, rtol=0.0, atol=1e-9)
+
+
+def test_unit_circle_memo_is_bounded_read_only_and_skips_large_grids():
+    """Grids of at most _UNIT_CIRCLE_MAX_N points take e^{iw} from a memo
+    of _UNIT_CIRCLE_MEMO_SIZE entries keyed by their bytes, read-only and
+    equal to np.exp bit for bit; larger grids are computed afresh, and
+    every response equals the one of an empty memo."""
+    memo = analyze._memo_unit_circle
+    memo.cache_clear()
+    b, a = np.array([0.2, 0.3, 0.0]), np.array([1.0, -0.9, 0.2])
+    grids = [np.linspace(0.0, np.pi, n) for n in (1, 2, 255, 256, 2048)]
+    grids += [-grids[-1], np.linspace(0.0, np.pi, analyze._UNIT_CIRCLE_MAX_N)]
+    for w in grids:
+        want = np.exp(1j * w)
+        z = analyze._unit_circle(w)
+        assert np.array_equal(z.view(float), want.view(float))
+        assert not z.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 0.0
+        assert analyze._unit_circle(w.copy()) is z
+        assert memo.cache_info().currsize <= analyze._UNIT_CIRCLE_MEMO_SIZE
+        h = frequency_response(b, a, w)
+        memo.cache_clear()
+        assert np.array_equal(frequency_response(b, a, w).view(float),
+                              h.view(float))
+    info = memo.cache_info()
+    big = np.linspace(0.0, np.pi, analyze._UNIT_CIRCLE_MAX_N + 1)
+    z = analyze._unit_circle(big)
+    assert z.flags.writeable
+    assert np.array_equal(z.view(float), np.exp(1j * big).view(float))
+    frequency_response(b, a, big)
+    assert memo.cache_info() == info
 
 
 def test_constraint_check_is_an_immutable_record(bw1_spec, bw1_design):

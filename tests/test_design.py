@@ -10,7 +10,7 @@ import pytest
 from maxflat import cli
 from maxflat import design as design_module
 from maxflat.butter import causal_z_poles, full_z_poles
-from maxflat.design import (ConstraintBasis, DesignSpec,
+from maxflat.design import (ConstraintBasis, DesignSpec, NumericalError,
                             IllConditionedSystem, alpha_table,
                             assemble_system, basis_derivative_column,
                             constraint_basis, dc_targets, design_filterbank,
@@ -883,3 +883,131 @@ def test_expansion_memo_is_bounded_and_read_only():
                        / (design_module._MEMO_MAX_K + 1))
     transfer_coefficients(np.ones(len(big)) / len(big), big)
     assert memo.cache_info().misses == misses
+
+
+# ---------------------------------------------------------------------------
+# Bit oracles of the design path: Psi one basis column per pole and block,
+# and the WNG polynomial one term at a time, as the design path computed
+# them before it formed each block and the terms as arrays.
+
+
+def _basis_column_oracle(p, omega_d, K):
+    """One pole's basis column, each entry its own dot product."""
+    z = np.exp(1j * omega_d)
+    alp = alpha_table(K)
+    psi = z / (z - p)
+    psi_pows = psi ** np.arange(1, K + 1) * (-1.0) ** np.arange(K)
+    out = np.empty(K, dtype=complex)
+    for kw in range(K):
+        out[kw] = (1j) ** kw * np.dot(alp[kw, :kw + 1], psi_pows[:kw + 1])
+    return out
+
+
+def _psi_oracle(spec, poles):
+    K = spec.total_constraints
+    psi = np.empty((K, K), dtype=complex)
+    row = 0
+    for w_d, count in design_module.constraint_blocks(spec):
+        for k, p in enumerate(poles):
+            psi[row:row + count, k] = _basis_column_oracle(p, w_d, count)
+        row += count
+    return psi
+
+
+def _wng_polynomial_oracle(basis, k_t):
+    spec = basis.spec
+    phi = design_module._solve(basis.psi, np.eye(
+        spec.total_constraints, dtype=complex))[:, :spec.k_w_dc]
+    j = phi.conj().T @ basis.s @ phi
+    kdc = spec.k_w_dc
+    deg = 2 * (kdc - 1 - k_t)
+    coeffs = np.zeros(deg + 1, dtype=complex)
+    scale = (1.0 / spec.t_s) ** k_t
+    g = np.zeros(kdc, dtype=complex)
+    for k in range(k_t, kdc):
+        ratio = math.factorial(k) // math.factorial(k - k_t)
+        g[k] = (-1j) ** k * scale * ratio
+    for ka in range(k_t, kdc):
+        for kb in range(k_t, kdc):
+            coeffs[ka + kb - 2 * k_t] += np.conj(g[ka]) * g[kb] * j[ka, kb]
+    sigma_poly = design_module._real_wng(coeffs)
+    p_poly = np.polynomial.polynomial.polyder(sigma_poly) if deg > 0 \
+        else np.zeros(1)
+    return sigma_poly, np.atleast_1d(p_poly)
+
+
+def _bench_workloads():
+    """The benchmark's workload module, for its spec generators."""
+    import importlib
+    import os
+    import sys
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module("workloads")
+
+
+def _oracle_specs():
+    """The design-sweep grid and the specs it draws in round 0 of seeds
+    0, 3 and 7."""
+    wl = _bench_workloads()
+    specs = wl.grid_specs(False)
+    for seed in (0, 3, 7):
+        specs += wl.drawn_specs(wl.round_rng(seed, 0), wl.DRAWN_PER_ROUND)
+    return specs
+
+
+def test_design_path_equals_its_oracles_bit_for_bit():
+    """Psi, the WNG polynomial of every output and its optimal delay equal
+    the per-column and per-term oracles bit for bit on every design-sweep
+    grid spec and on the drawn specs of three seeds."""
+    causal = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec in _oracle_specs():
+            basis = constraint_basis(spec)
+            assert np.array_equal(basis.psi, _psi_oracle(spec, basis.poles))
+            if not spec.causal:
+                continue
+            causal += 1
+            for k_t in range(spec.k_w_dc):
+                sigma, p = wng_polynomial(basis, k_t)
+                sigma_o, p_o = _wng_polynomial_oracle(basis, k_t)
+                assert np.array_equal(sigma, sigma_o)
+                assert np.array_equal(p, p_o)
+                q_o = design_module._wng_minimum(sigma_o, p_o)
+                assert basis.optimal_delay(k_t) == (0.0 if q_o is None
+                                                    else q_o)
+    assert causal == 256
+
+
+def test_basis_columns_of_a_pole_array_equal_single_pole_columns():
+    """Column j of the array call is the call on poles[j], bit for bit,
+    and both equal the per-entry oracle."""
+    poles = causal_z_poles(7, 2 * np.pi * 0.05, 1.0)
+    for omega in (0.0, -0.44, 0.44, np.pi):
+        for K in (1, 3, 7):
+            block = basis_derivative_column(poles, omega, K)
+            assert block.shape == (K, len(poles))
+            for j, p in enumerate(poles):
+                col = basis_derivative_column(p, omega, K)
+                assert col.shape == (K,)
+                assert np.array_equal(block[:, j], col)
+                assert np.array_equal(col, _basis_column_oracle(p, omega, K))
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_pole_at_a_constraint_frequency_is_singular(block):
+    """A pole on the unit circle at a constraint frequency raises
+    NumericalError from the array call and from the basis build, as from
+    the one-pole call."""
+    spec = DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=3,
+                      k_w_nb=1, k_t=1, group_delay=4.0)
+    w_d, count = design_module.constraint_blocks(spec)[block]
+    poles = causal_z_poles(5, spec.omega_wb * spec.f_s, spec.t_s)
+    poles[2] = np.exp(1j * w_d)
+    with pytest.raises(NumericalError, match="singular basis evaluation"):
+        basis_derivative_column(poles, w_d, count)
+    with pytest.raises(NumericalError, match="singular basis evaluation"):
+        ConstraintBasis.from_poles(spec, poles)

@@ -208,6 +208,26 @@ def test_memo_hit_run_filters_writeable_arrays(tracker_designs,
             a[0] = 0.0
 
 
+def test_memo_miss_run_filters_writeable_arrays(tracker_designs,
+                                                monkeypatch):
+    """On a miss of both memos every filter call, the interference, the
+    signal and the tracker, reads a writeable array, so the kernel copies
+    none: the draw memo keeps the drives private and writeable, while the
+    draws that _draw_noise hands out stay read-only."""
+    _clear_memos()
+    writeable = []
+
+    def spy(b, a, x):
+        writeable.append(x.flags.writeable)
+        return run_filter(b, a, x)
+
+    monkeypatch.setattr(tracker, "run_filter", spy)
+    run_tracking_mc("LoG", tracker_designs["B"], seed=6, n_samples=2000)
+    assert writeable == [True, True, True]
+    (_, drives, _), _ = tracker._draw_memo[(6, 2000)]
+    assert drives.flags.writeable
+
+
 def test_interference_null_improves_low_gain_tracking(tracker_designs):
     """With the interference centred at 0.07 cycles/sample, the tracker
     with a null there (B) beats the plain one (A) on the same data."""
