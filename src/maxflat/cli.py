@@ -167,6 +167,9 @@ def bank_from_payload(payload: Dict[str, Any]) -> FilterbankDesign:
                            f"K_t >= 1 columns of {K} finite [re, im] pairs")
     k_t = len(c_re_im)
     a = _bank_floats(payload, "a", (K + 1,), f"{K + 1} finite numbers")
+    if abs(a[0] - 1.0) > 1e-12:  # realize.run_filter's rule
+        raise ValueError(f"design file: a must be monic (a[0] = 1), got "
+                         f"{json.dumps(payload['a'])[:40]}")
     b = _bank_floats(payload, "b", (k_t, K + 1),
                      f"{k_t} rows of {K + 1} finite numbers")
     sigma = _bank_floats(payload, "sigma", (k_t, k_t),
@@ -217,16 +220,24 @@ def cmd_response(args: argparse.Namespace) -> int:
     omegas = np.linspace(0.0, np.pi, args.grid)
     header = ["f_cyc_per_smp"]
     cols = [omegas / (2.0 * np.pi)]
-    for kt in range(design.n_outputs):
-        h = analyze.frequency_response(design.b[kt], design.a, omegas)
-        ideal = analyze.ideal_response(kt, design.q, design.t_s, omegas)
-        phase = np.unwrap(np.angle(h))
-        gd = analyze.measured_group_delay(design.b[kt], design.a, omegas)
-        header += [f"re_{kt}", f"im_{kt}", f"magnitude_{kt}",
-                   f"phase_unwrapped_{kt}",
-                   f"complex_error_vs_ideal_{kt}", f"group_delay_{kt}"]
-        cols += [h.real, h.imag, np.abs(h), phase, np.abs(h - ideal), gd]
-    _write_csv(args.output, header, np.column_stack(cols))
+    # A pole on the unit circle divides by zero; the check below says so.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for kt in range(design.n_outputs):
+            h = analyze.frequency_response(design.b[kt], design.a, omegas)
+            ideal = analyze.ideal_response(kt, design.q, design.t_s, omegas)
+            phase = np.unwrap(np.angle(h))
+            gd = analyze.measured_group_delay(design.b[kt], design.a,
+                                              omegas)
+            header += [f"re_{kt}", f"im_{kt}", f"magnitude_{kt}",
+                       f"phase_unwrapped_{kt}",
+                       f"complex_error_vs_ideal_{kt}", f"group_delay_{kt}"]
+            cols += [h.real, h.imag, np.abs(h), phase, np.abs(h - ideal),
+                     gd]
+    table = np.column_stack(cols)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("design file: the response is not finite on the "
+                         "grid, as for a pole on the unit circle")
+    _write_csv(args.output, header, table)
     print(f"wrote {args.output}")
     return EXIT_OK
 

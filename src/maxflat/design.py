@@ -196,19 +196,14 @@ def alpha_table(K: int) -> np.ndarray:
     return table
 
 
-#: Complex alpha rows by K, each built once beside alpha_table's tables:
-#: entry k of the tuple is (-1)^l alpha_{k,l}, l = 0..k, read-only.
-_ALPHA_ROWS: Dict[int, Tuple[np.ndarray, ...]] = {}
-
-
+@functools.cache
 def _alpha_rows(K: int) -> Tuple[np.ndarray, ...]:
-    rows = _ALPHA_ROWS.get(K)
-    if rows is None:
-        signed = alpha_table(K) * (-1.0) ** np.arange(K)
-        rows = tuple(signed[k, :k + 1].astype(complex) for k in range(K))
-        for row in rows:
-            row.flags.writeable = False
-        _ALPHA_ROWS[K] = rows
+    """Complex alpha rows of K, built once beside alpha_table's tables:
+    entry k of the tuple is (-1)^l alpha_{k,l}, l = 0..k, read-only."""
+    signed = alpha_table(K) * (-1.0) ** np.arange(K)
+    rows = tuple(signed[k, :k + 1].astype(complex) for k in range(K))
+    for row in rows:
+        row.flags.writeable = False
     return rows
 
 

@@ -146,8 +146,8 @@ def run_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     the ValueError raised otherwise words it as ``lfilter`` does.  The
     kernel copies a read-only x before filtering it (a (2, 100 000)
     input then takes twice the memory and about twice the time), so
-    ``tracker``'s scenario memo keeps its arrays writeable and private
-    and hands out read-only views.
+    ``tracker``'s draw and scenario memos keep their arrays writeable and
+    private, and ``run_tracking_mc`` hands out read-only views.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)

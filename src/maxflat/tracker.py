@@ -42,12 +42,12 @@ P_INT_TRACK = 1.0e2
 #: per round, simulate each instance once; a loop that cycles through more
 #: than two (scenario, seed, n_samples) keys reuses none of them.
 MEMO_SCENARIOS = 2
-#: Scenario-independent draws of one (seed, n_samples), 32 B per sample,
-#: 3.2 MB at 1e5 samples (tracemalloc), and the scenarios that have taken
-#: them (``_take_draws``).  LoG and HiG of one seed draw once, as in every
-#: track-long round of the benchmark; the entry is dropped when the second
-#: scenario takes it, or when another (seed, n_samples) is drawn.
-_draw_memo: Dict[Tuple[int, int], tuple] = {}
+#: The scenario-independent draws (``_draw_noise``) of the last
+#: (seed, n_samples) simulated, 32 B per sample, 3.2 MB at 1e5 samples
+#: (tracemalloc), so LoG and HiG of one seed draw once.  It is emptied
+#: before another (seed, n_samples) is drawn, so that the new draws can
+#: reuse the old ones' memory.
+_last_draws: Dict[Tuple[int, int], tuple] = {}
 
 
 def tracker_spec(tag: str) -> DesignSpec:
@@ -134,9 +134,10 @@ class TrackingRun:
     """One Monte-Carlo tracking instance: truth, measurement and smoother
     position estimate of each axis, rows of (2, N) arrays, and the RMS
     error against the truth delayed by round(q) samples.  The truth and
-    measurement rows are read-only views: the scenario memo shares them
-    with every tracker.  The derivative tracks are not computed: output k
-    of the bank is ``run_filter(design.b[k], design.a, meas)`` of the same
+    measurement rows are read-only views of the scenario memo's arrays,
+    which every tracker run on the same (scenario, seed, n_samples)
+    shares.  The derivative tracks are not computed: output k of the bank
+    is ``run_filter(design.b[k], design.a, meas)`` of the same
     measurement."""
 
     truth_x: np.ndarray
@@ -150,12 +151,10 @@ class TrackingRun:
 
 def _draw_noise(seed: int, n_samples: int
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only origin (2,), white signal drives (2, N) of power
-    P_SIG_TRACK and interference (2, N), rows x then y, from the five
-    children of ``SeedSequence(seed)``: signal x, signal y, interference
-    x, interference y and the origin.  LoG and HiG share them.  Each is a
-    read-only view of a writeable array of its own, its ``base``, which
-    only ``_take_draws`` uses.
+    """Origin (2,), white signal drives (2, N) of power P_SIG_TRACK and
+    interference (2, N), rows x then y, from the five children of
+    ``SeedSequence(seed)``: signal x, signal y, interference x,
+    interference y and the origin.  LoG and HiG share them.
 
     Each row is drawn in place with ``standard_normal`` and each array
     scaled once, the numbers ``normal(0, s)`` draws (it forms
@@ -175,49 +174,28 @@ def _draw_noise(seed: int, n_samples: int
         rng.standard_normal(out=row)
     drives *= np.sqrt(P_SIG_TRACK / t_s)
     white *= np.sqrt(P_INT_TRACK / t_s)
-    interference = run_filter(*int_proc.transfer(), white)
-    out = tuple(a.view() for a in (origin, drives, interference))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return origin, drives, run_filter(*int_proc.transfer(), white)
 
 
-def _take_draws(scenario: str, seed: int, n_samples: int
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays under ``_draw_noise(seed, n_samples)``'s views, for one
-    scenario, drawn once for LoG and HiG.  They are writeable, so the
-    filter kernel, which copies a read-only input, reads the drives in
-    place; they are private to ``_simulate_scenario``, which only reads
-    them.  The draws stay in ``_draw_memo`` until the other scenario
-    takes them too and are dropped then: each scenario's instance is in
-    ``_simulate_scenario``'s memo, and one that it has dropped is drawn
-    again."""
-    key = (seed, n_samples)
-    draws, takers = _draw_memo.pop(key, (None, frozenset()))
-    if draws is None:
-        draws = tuple(a.base for a in _draw_noise(seed, n_samples))
-    takers = takers | {scenario}
-    _draw_memo.clear()
-    if len(takers) < 2:
-        _draw_memo[key] = draws, takers
-    return draws
-
-
-@functools.lru_cache(maxsize=MEMO_SCENARIOS, typed=True)
+@functools.lru_cache(maxsize=MEMO_SCENARIOS)
 def _simulate_scenario(scenario: str, seed: int, n_samples: int
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Truth and measurement of one scenario instance, (2, N) arrays with
     rows x then y: the seed's drives filtered through the scenario's
     signal process, plus the origin, and that truth plus the interference
-    (``_take_draws``).  They stay writeable, so the filter kernel, which
-    copies a read-only input, reads them in place, as it reads the
-    drives; they are private to ``run_tracking_mc``, which hands out
-    read-only views."""
+    (``_draw_noise``, kept in ``_last_draws``).  The draws and the
+    instance stay writeable, so the filter kernel, which copies a
+    read-only input, reads them in place; they are private to this
+    module, and ``run_tracking_mc`` hands out read-only views."""
     gain = "lo" if scenario == "LoG" else "hi"
     sig_proc = discretize_process(
         scenario_params("track", "signal", gain=gain, f_s=TRACK_FS),
         1.0 / TRACK_FS)
-    origin, drives, interference = _take_draws(scenario, seed, n_samples)
+    key = (seed, n_samples)
+    if key not in _last_draws:
+        _last_draws.clear()
+        _last_draws[key] = _draw_noise(seed, n_samples)
+    origin, drives, interference = _last_draws[key]
     truth = run_filter(*sig_proc.transfer(), drives)
     truth += origin[:, None]
     return truth, truth + interference
@@ -241,10 +219,10 @@ def run_tracking_mc(scenario: str, design: FilterbankDesign, seed: int,
     come from a memo of MEMO_SCENARIOS instances keyed by (scenario, seed,
     n_samples), so trackers run on the same draws simulate them once and
     each pays only for its own filtering and scoring.  The two scenarios
-    of one (seed, n_samples) draw their noise once: the draws are kept
-    until the second scenario has taken them, and no longer.  The memo
-    keeps its arrays writeable, so the filter reads the measurement in
-    place, and the returned truth and measurement are read-only views.
+    of one (seed, n_samples) draw their noise once: the draws of the last
+    (seed, n_samples) are kept until another is drawn.  The memos keep
+    their arrays writeable, so the filter reads the measurement in place,
+    and the returned truth and measurement are read-only views.
     Only the smoother output is filtered, over both axes in one call, so
     a run returns the position estimates and not the derivative tracks.
     seed and n_samples must be non-negative integers: None, a bool, a

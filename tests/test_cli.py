@@ -631,16 +631,24 @@ def test_small_design_file_is_well_formed(tmp_path):
      "design file: b must be 1 rows of 2 finite numbers, got []"),
     ("response", dict(_BANK, ts_sec=None),
      "design file: ts_sec must be a finite positive number, got null"),
+    ("response", dict(_BANK, poles_re_im=[[1.0, 0.0]], a=[1.0, -1.0]),
+     "design file: the response is not finite on the grid"),
+    ("response", dict(_BANK, a=[0.0, -0.5]),
+     "design file: a must be monic (a[0] = 1), got [0.0, -0.5]"),
 ], ids=["config-array", "config-null", "config-missing-keys",
         "design-array", "design-null", "design-missing-keys",
-        "design-poles-not-pairs", "design-empty-b", "design-null-ts"])
+        "design-poles-not-pairs", "design-empty-b", "design-null-ts",
+        "design-unit-circle-pole", "design-non-monic-a"])
+@pytest.mark.filterwarnings("error")
 def test_malformed_design_file_exit_code(tmp_path, capsys, command,
                                          document, message):
     """A config that is not an object ended in a TypeError traceback, one
     without a required key in DesignSpec's "missing 3 required positional
     arguments"; a design file of [1] in a TypeError traceback, and so did
     poles that are not pairs and a null ts_sec, while an empty b ended in
-    an IndexError traceback."""
+    an IndexError traceback.  A pole on the unit circle wrote inf and nan
+    rows after two RuntimeWarnings, and a non-monic a wrote the response
+    of a filter that run_filter refuses, both with exit code 0."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(document))
     flag = "--config" if command == "design" else "--design"

@@ -140,6 +140,19 @@ def test_alpha_table_is_read_only_and_nested():
         assert np.array_equal(alp[:n, :n], alpha_table(n)), n
 
 
+def test_alpha_rows_are_read_only_and_shared():
+    """basis_derivative_column's signed complex rows of alpha_table(K) are
+    built once per K and shared, so they must not be writable."""
+    K = 6
+    rows = design_module._alpha_rows(K)
+    assert design_module._alpha_rows(K) is rows
+    for k, row in enumerate(rows):
+        assert np.array_equal(row, alpha_table(K)[k, :k + 1]
+                              * (-1.0) ** np.arange(k + 1)), k
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 2.0
+
+
 @pytest.mark.parametrize("p", [0.3 + 0.0j, 0.6 + 0.5j, -0.2 + 0.8j])
 @pytest.mark.parametrize("omega", [0.0, 0.7, np.pi])
 def test_basis_derivatives_match_finite_differences(p, omega):

@@ -212,8 +212,7 @@ def test_memo_miss_run_filters_writeable_arrays(tracker_designs,
                                                 monkeypatch):
     """On a miss of both memos every filter call, the interference, the
     signal and the tracker, reads a writeable array, so the kernel copies
-    none: the draw memo keeps the drives private and writeable, while the
-    draws that _draw_noise hands out stay read-only."""
+    none: the draw memo keeps the drives private and writeable."""
     _clear_memos()
     writeable = []
 
@@ -224,8 +223,7 @@ def test_memo_miss_run_filters_writeable_arrays(tracker_designs,
     monkeypatch.setattr(tracker, "run_filter", spy)
     run_tracking_mc("LoG", tracker_designs["B"], seed=6, n_samples=2000)
     assert writeable == [True, True, True]
-    (_, drives, _), _ = tracker._draw_memo[(6, 2000)]
-    assert drives.flags.writeable
+    assert all(a.flags.writeable for a in tracker._last_draws[(6, 2000)])
 
 
 def test_interference_null_improves_low_gain_tracking(tracker_designs):
@@ -286,36 +284,64 @@ def test_memoized_scenario_equals_explicit_draws(tracker_designs, scenario):
 
 
 def _clear_memos():
-    tracker._draw_memo.clear()
+    tracker._last_draws.clear()
     tracker._simulate_scenario.cache_clear()
 
 
 def _count_draws(monkeypatch):
-    """The (seed, n_samples) of every noise draw from now on."""
+    """The (seed, n_samples) of every noise draw from now on.  Each draw
+    must find the draw memo empty, so that the old draws' memory is free
+    for the new ones."""
     draws = []
     draw_noise = tracker._draw_noise
-    monkeypatch.setattr(tracker, "_draw_noise", lambda seed, n: (
-        draws.append((seed, n)) or draw_noise(seed, n)))
+
+    def spy(seed, n):
+        assert not tracker._last_draws
+        draws.append((seed, n))
+        return draw_noise(seed, n)
+
+    monkeypatch.setattr(tracker, "_draw_noise", spy)
     return draws
 
 
 def test_warm_memo_run_equals_cold_memo_run(monkeypatch, tracker_designs):
     """In the benchmark's loop order (each tracker on LoG, then HiG) the
-    four trackers simulate the two scenarios once, the two scenarios
-    draw their noise once, and every run equals the run made with both
-    memos cleared before it."""
+    four trackers simulate the two scenarios of a seed once, the two
+    scenarios draw their noise once per seed, and every run equals the
+    run made with both memos cleared before it."""
     _clear_memos()
     draws = _count_draws(monkeypatch)
-    warm = {(tag, scenario): run_tracking_mc(scenario, d, 11, 3000)
-            for tag, d in tracker_designs.items()
-            for scenario in ("LoG", "HiG")}
-    info = tracker._simulate_scenario.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
-    assert draws == [(11, 3000)]
-    for (tag, scenario), run in warm.items():
+    warm = {}
+    for seed in (11, 12):
+        tracker._simulate_scenario.cache_clear()
+        warm.update({(tag, scenario, seed): run_tracking_mc(scenario, d,
+                                                            seed, 3000)
+                     for tag, d in tracker_designs.items()
+                     for scenario in ("LoG", "HiG")})
+        info = tracker._simulate_scenario.cache_info()
+        assert (info.misses, info.hits) == (2, 6)
+    assert draws == [(11, 3000), (12, 3000)]
+    for (tag, scenario, seed), run in warm.items():
         _clear_memos()
-        cold = run_tracking_mc(scenario, tracker_designs[tag], 11, 3000)
+        cold = run_tracking_mc(scenario, tracker_designs[tag], seed, 3000)
         _assert_runs_equal(run, cold)
+
+
+def test_any_scenario_order_draws_once(monkeypatch, tracker_designs):
+    """HiG before LoG draws the noise once, as the benchmark's order does,
+    and so does a caller that runs one scenario again after its instance
+    has left the scenario memo; every run equals a fresh simulation."""
+    d = tracker_designs["C"]
+    _clear_memos()
+    draws = _count_draws(monkeypatch)
+    hig = run_tracking_mc("HiG", d, 5, 2000)
+    log = run_tracking_mc("LoG", d, 5, 2000)
+    tracker._simulate_scenario.cache_clear()
+    assert run_tracking_mc("LoG", d, 5, 2000).rms_error == log.rms_error
+    assert draws == [(5, 2000)]
+    for run, scenario in ((log, "LoG"), (hig, "HiG")):
+        _clear_memos()
+        _assert_runs_equal(run, run_tracking_mc(scenario, d, 5, 2000))
 
 
 def test_memo_is_read_only_and_bounded(tracker_designs):
@@ -325,33 +351,11 @@ def test_memo_is_read_only_and_bounded(tracker_designs):
         run = run_tracking_mc("LoG", d, seed, 1000)
         assert tracker._simulate_scenario.cache_info().currsize \
             <= MEMO_SCENARIOS
-        assert len(tracker._draw_memo) <= 1
-    for a in (run.truth_x, run.truth_y, run.meas_x, run.meas_y,
-              *tracker._draw_noise(seed, 1000)):
+        assert list(tracker._last_draws) == [(seed, 1000)]
+    for a in (run.truth_x, run.truth_y, run.meas_x, run.meas_y):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
-
-
-def test_draws_are_dropped_once_both_scenarios_are_built(monkeypatch,
-                                                         tracker_designs):
-    """The noise draws of a (seed, n_samples) stay memoized while only one
-    scenario has been simulated from them, so a single-scenario caller
-    draws once, and are dropped once both have; both runs equal fresh
-    simulations."""
-    d = tracker_designs["C"]
-    _clear_memos()
-    draws = _count_draws(monkeypatch)
-    log = run_tracking_mc("LoG", d, 5, 2000)
-    tracker._simulate_scenario.cache_clear()
-    assert run_tracking_mc("LoG", d, 5, 2000).rms_error == log.rms_error
-    assert list(tracker._draw_memo) == [(5, 2000)]
-    hig = run_tracking_mc("HiG", d, 5, 2000)
-    assert tracker._draw_memo == {}
-    assert draws == [(5, 2000)]
-    for run, scenario in ((log, "LoG"), (hig, "HiG")):
-        _clear_memos()
-        _assert_runs_equal(run, run_tracking_mc(scenario, d, 5, 2000))
 
 
 @pytest.mark.parametrize("seed", [None, True, -1, 2.0, "3"])
@@ -374,13 +378,16 @@ def test_tracking_sample_count_must_be_a_non_negative_integer(
 
 def test_numpy_integer_sample_count_is_one_memo_key(tracker_designs):
     """np.int64(3000) and 3000 were two keys of the typed memos, so the
-    same draws were simulated twice."""
+    same draws were simulated twice; both now key the same entry of each
+    memo, as a plain int."""
     _clear_memos()
     d = tracker_designs["A"]
     run = run_tracking_mc("LoG", d, 1, np.int64(3000))
     assert run_tracking_mc("LoG", d, 1, 3000).rms_error == run.rms_error
     info = tracker._simulate_scenario.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    [key] = tracker._last_draws
+    assert key == (1, 3000) and type(key[1]) is int
 
 
 def test_numpy_integer_tracking_seed_is_the_same_seed(tracker_designs):
