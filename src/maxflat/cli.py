@@ -11,6 +11,11 @@ Exit codes: 0 on success, 2 on validation errors (bad flags, bad config,
 violated design invariants), 3 on numerical failure (singular or
 degenerate systems).
 
+Each command imports the modules it runs when it runs: ``design`` needs
+only ``butter`` and ``design``, ``response`` adds ``analyze``, and only
+``detect-sim`` and ``track-sim`` load the simulation modules and, through
+``realize``, SciPy.
+
 JSON floats are written as Python's shortest repr that round-trips, CSV
 floats with '%.17g'; both read back to the same 64-bit float.  CSV output
 uses '.' decimals, comma delimiters, and a single header row; it is written
@@ -31,9 +36,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import analyze, detector, tracker
-from .design import (DesignSpec, FilterbankDesign, NumericalError,
-                     design_filterbank, noncausal_design)
+from .design import (DETECTOR_TAGS, TRACKER_CONFIGS, DesignSpec,
+                     FilterbankDesign, NumericalError, design_filterbank,
+                     noncausal_design)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -209,6 +214,8 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_response(args: argparse.Namespace) -> int:
+    from . import analyze
+
     if args.grid < 2:
         raise ValueError(f"grid must be at least 2, got {args.grid}: the "
                          f"group delay needs two frequencies")
@@ -243,6 +250,8 @@ def cmd_response(args: argparse.Namespace) -> int:
 
 
 def cmd_detect_sim(args: argparse.Namespace) -> int:
+    from . import detector
+
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     pipeline = detector.build_detector(args.detector)
@@ -260,6 +269,8 @@ def cmd_detect_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_track_sim(args: argparse.Namespace) -> int:
+    from . import tracker
+
     design = tracker.tracker_design(args.tracker)
     run = tracker.run_tracking_mc(args.scenario, design, args.seed,
                                   n_samples=args.samples)
@@ -492,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect-sim", help="Monte-Carlo detection study")
     p.add_argument("--detector", required=True,
-                   help="one of " + ", ".join(detector.DETECTOR_TAGS))
+                   help="one of " + ", ".join(DETECTOR_TAGS))
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stochastic-signal", action="store_true",
@@ -503,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track-sim", help="tracking scenario")
     p.add_argument("--tracker", required=True,
-                   help="one of " + ", ".join(tracker.TRACKER_CONFIGS))
+                   help="one of " + ", ".join(TRACKER_CONFIGS))
     p.add_argument("--scenario", default="LoG", choices=["LoG", "HiG"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10000)

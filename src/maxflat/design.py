@@ -16,10 +16,12 @@ delay q; its minimizer gives the optimal delay for a given pole set.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -40,6 +42,17 @@ RESIDUAL_RTOL = 1.0e-8
 COND_WARN = 1.0e12
 
 OPTIMAL = "optimal"
+
+#: The tags of the detection study's detectors (``detector``) and the
+#: constraint counts (K_w_dc, K_w_nb) of each tag of the tracking study's
+#: trackers (``tracker``).  They are defined here, in a module that every
+#: command of the CLI loads, so that its ``--help`` lists them without
+#: loading either study; ``detector`` and ``tracker`` re-export them.
+DETECTOR_TAGS = ("FIR_NUL_NC", "IIR_BW0", "IIR_BW1", "IIR_BW0_NC",
+                 "IIR_BW1_NC")
+TRACKER_CONFIGS: Dict[str, Tuple[int, int]] = {
+    "A": (3, 0), "B": (3, 1), "C": (3, 3), "D": (6, 1),
+}
 
 
 class IllConditionedSystem(UserWarning):
@@ -242,11 +255,22 @@ def dc_targets(q: float, t_s: float, k_w_dc: int, k_t: int) -> np.ndarray:
     """
     if not 0 <= k_t < k_w_dc:
         raise ValueError("require 0 <= k_t < K_w_dc")
-    d = np.zeros(k_w_dc, dtype=complex)
-    for kw in range(k_t, k_w_dc):
-        ratio = math.factorial(kw) // math.factorial(kw - k_t)
-        d[kw] = ((1j) ** kw * (-q) ** (kw - k_t) * (1.0 / t_s) ** k_t * ratio)
-    return d
+    units, ratios = _dc_factors(k_w_dc, k_t)
+    powers = map(pow, itertools.repeat(-q), range(k_w_dc - k_t))
+    # The entry's four factors, multiplied left to right in Python's own
+    # scalar arithmetic, so its bits are those of the formula above.
+    terms = map(mul, map(mul, map(mul, units, powers),
+                         itertools.repeat((1.0 / t_s) ** k_t)), ratios)
+    return np.array([0j] * k_t + list(terms))
+
+
+@functools.cache
+def _dc_factors(k_w_dc: int, k_t: int) -> Tuple[tuple, tuple]:
+    """i^{k_w} as Python's (1j) ** k_w, signed zeros included, and the
+    integer k_w!/(k_w-k_t)!, for k_w = k_t..K_w_dc-1."""
+    kw = range(k_t, k_w_dc)
+    return (tuple((1j) ** k for k in kw),
+            tuple(math.factorial(k) // math.factorial(k - k_t) for k in kw))
 
 
 def constraint_blocks(spec: DesignSpec) -> Tuple[Tuple[float, int], ...]:

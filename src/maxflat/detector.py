@@ -31,8 +31,8 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .butter import butterworth_s_poles
-from .design import DesignSpec, FilterbankDesign, design_filterbank, \
-    noncausal_design
+from .design import DETECTOR_TAGS, DesignSpec, FilterbankDesign, \
+    design_filterbank, noncausal_design
 from .procsim import SIGNAL_F_C, check_nonnegative_int, \
     detect_signal_response, discretize_process, scenario_params
 from .realize import run_bank, run_filter, run_noncausal
@@ -65,9 +65,6 @@ BLOCK = 16
 #: longer run (criterion 10 and ``detect-sim`` at 2,000 trials) cycles its
 #: 125 blocks through the memo and reuses none of them.
 MEMO_BLOCKS = 16
-
-DETECTOR_TAGS = ("FIR_NUL_NC", "IIR_BW0", "IIR_BW1", "IIR_BW0_NC",
-                 "IIR_BW1_NC")
 
 
 @dataclass(frozen=True)

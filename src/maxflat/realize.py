@@ -36,8 +36,12 @@ def _load_sigtools():
     1.17.1 verified)."""
     name = "scipy.signal._sigtools"
     if name not in sys.modules:
-        scipy_init = importlib.util.find_spec("scipy").origin
-        path = os.path.join(os.path.dirname(scipy_init), "signal",
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None:
+            raise ImportError("realize needs SciPy for the filter kernel "
+                              "of lfilter, and SciPy cannot be imported",
+                              name="scipy")
+        path = os.path.join(os.path.dirname(scipy_spec.origin), "signal",
                             "_sigtools" + EXTENSION_SUFFIXES[0])
         if not os.path.isfile(path):
             from importlib.metadata import version

@@ -19,17 +19,14 @@ import numpy as np
 
 from .analyze import NULL_RADIUS_TOL, OrbitError, check_orbit_radius, \
     check_orbit_rate, frequency_response, response_orbit_error
-from .design import DesignSpec, FilterbankDesign, design_filterbank
+from .design import TRACKER_CONFIGS, DesignSpec, FilterbankDesign, \
+    design_filterbank
 from .procsim import check_nonnegative_int, discretize_process, \
     scenario_params
 from .realize import run_filter
 
 #: Sampling rate of the tracking study (Hz): T_s = 0.1 s.
 TRACK_FS = 10.0
-#: Constraint counts (K_w_dc, K_w_nb) per tracker tag.
-TRACKER_CONFIGS: Dict[str, Tuple[int, int]] = {
-    "A": (3, 0), "B": (3, 1), "C": (3, 3), "D": (6, 1),
-}
 #: Default orbit turn-rate grid (cycles/sample): passband, band edge, null.
 DEFAULT_ORBIT_RATES = (0.001, 0.005, 0.01, 0.025, 0.05, 0.07)
 #: Scenario powers.

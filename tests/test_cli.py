@@ -389,24 +389,35 @@ def test_track_sim_inside_settling_window_exit_code(tmp_path, capsys,
 
 
 # ---------------------------------------------------------------------------
-# Cold start: which subcommands import scipy.signal
+# Cold start: which modules each subcommand loads
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(maxflat.__file__)))
 
-#: Runs cli.main on each argument list in a fresh interpreter; prints, as
-#: JSON, each run's exit code and whether scipy.signal was loaded after it.
+#: Runs cli.main on one argument list in a fresh interpreter, with SciPy
+#: made unimportable if the second argument says so; prints, as JSON, the
+#: exit code, whether scipy.signal was loaded and which maxflat modules.
 _CLI_PROBE = """
 import json, sys
+if sys.argv[2] == "hide-scipy":
+    sys.modules["scipy"] = None
 from maxflat import cli
-out = []
-for argv in json.loads(sys.argv[1]):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out.append([code, 'scipy.signal' in sys.modules])
-print(json.dumps(out))
+try:
+    code = cli.main(json.loads(sys.argv[1]))
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, 'scipy.signal' in sys.modules,
+                  sorted(m for m in sys.modules
+                         if m.startswith('maxflat.'))]))
 """
+
+#: The maxflat modules each subcommand loads, beside maxflat.cli.
+_DESIGN_MODULES = ["maxflat.butter", "maxflat.design"]
+_RESPONSE_MODULES = ["maxflat.analyze", *_DESIGN_MODULES]
+_SIM_MODULES = [*_RESPONSE_MODULES, "maxflat.procsim", "maxflat.realize"]
+
+
+def _loaded(*modules):
+    return sorted(["maxflat.cli", *modules])
 
 
 def _fresh_python(code, *args, cwd):
@@ -418,34 +429,64 @@ def _fresh_python(code, *args, cwd):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _probe(argv, cwd, hide_scipy=False):
+    return _fresh_python(_CLI_PROBE, json.dumps(argv),
+                         "hide-scipy" if hide_scipy else "", cwd=cwd)
+
+
 def test_design_response_and_help_never_load_scipy(tmp_path):
-    runs = [["design", "--fs", "1000", "--fwb", "0.05", "--fnb", "0.07",
-             "--kdc", "3", "--knb", "3", "--kt", "3", "-o", "d.json"],
-            ["response", "--design", "d.json", "--grid", "64",
-             "-o", "r.csv"],
-            ["--help"]]
-    runs += [[sub, "--help"]
-             for sub in ("design", "response", "detect-sim", "track-sim")]
-    got = _fresh_python(_CLI_PROBE, json.dumps(runs), cwd=tmp_path)
-    assert got == [[0, False]] * len(runs)
+    """design, response and every --help load only butter and design
+    (response adds analyze), so they run with SciPy unimportable and
+    write the same bytes as with it."""
+    runs = [(["design", "--fs", "1000", "--fwb", "0.05", "--fnb", "0.07",
+              "--kdc", "3", "--knb", "3", "--kt", "3", "-o", "d.json"],
+             _DESIGN_MODULES),
+            (["response", "--design", "d.json", "--grid", "64",
+              "-o", "r.csv"], _RESPONSE_MODULES)]
+    for hide_scipy in (False, True):
+        cwd = tmp_path / ("hidden" if hide_scipy else "normal")
+        cwd.mkdir()
+        for argv, modules in runs:
+            assert _probe(argv, cwd, hide_scipy) == \
+                [0, False, _loaded(*modules)]
+    for name in ("d.json", "r.csv"):
+        assert (tmp_path / "hidden" / name).read_bytes() == \
+            (tmp_path / "normal" / name).read_bytes()
+    for sub in ([], ["design"], ["response"], ["detect-sim"], ["track-sim"]):
+        assert _probe([*sub, "--help"], tmp_path, hide_scipy=True) == \
+            [0, False, _loaded(*_DESIGN_MODULES)]
+    code = """
+import json, sys
+sys.modules["scipy"] = None
+try:
+    from maxflat import realize
+except ImportError as exc:
+    print(json.dumps(str(exc)))
+"""
+    assert "SciPy cannot be imported" in _fresh_python(code, cwd=tmp_path)
 
 
 def test_detect_and_track_sim_never_load_scipy(tmp_path):
     """The filtering subcommands load only the compiled kernel of lfilter,
-    never the scipy.signal package around it."""
-    runs = [["detect-sim", "--detector", "IIR_BW1", "--trials", "2"],
-            ["track-sim", "--tracker", "B", "--samples", "200"]]
-    assert _fresh_python(_CLI_PROBE, json.dumps(runs), cwd=tmp_path) \
-        == [[0, False]] * len(runs)
+    never the scipy.signal package around it, and each study leaves the
+    other's module unloaded."""
+    assert _probe(["detect-sim", "--detector", "IIR_BW1", "--trials", "2"],
+                  tmp_path) == \
+        [0, False, _loaded(*_SIM_MODULES, "maxflat.detector")]
+    assert _probe(["track-sim", "--tracker", "B", "--samples", "200"],
+                  tmp_path) == \
+        [0, False, _loaded(*_SIM_MODULES, "maxflat.tracker")]
 
 
 def test_import_design_and_response_never_load_numpy_random(tmp_path):
     """Only the simulations draw random numbers, so only they pay for
-    loading numpy.random, about 16 ms in a fresh process."""
+    loading numpy.random, about 16 ms in a fresh process; import maxflat
+    alone loads no submodule and not even NumPy."""
     code = """
 import json, sys
 import maxflat
-out = ['numpy.random' in sys.modules]
+out = [sorted(m for m in sys.modules
+              if m == 'numpy' or m.startswith(('numpy.', 'maxflat.')))]
 from maxflat import cli
 for argv in json.loads(sys.argv[1]):
     out.append([cli.main(argv), 'numpy.random' in sys.modules])
@@ -456,7 +497,7 @@ print(json.dumps(out))
             ["response", "--design", "d.json", "--grid", "64",
              "-o", "r.csv"]]
     assert _fresh_python(code, json.dumps(runs), cwd=tmp_path) == \
-        [False, [0, False], [0, False]]
+        [[], [0, False], [0, False]]
 
 
 def test_package_names_resolve_without_scipy(tmp_path):

@@ -196,6 +196,33 @@ def test_dc_targets_examples():
         dc_targets(q=0.0, t_s=1.0, k_w_dc=2, k_t=2)
 
 
+def _dc_targets_oracle(q, t_s, k_w_dc, k_t):
+    """dc_targets entry by entry in Python scalar arithmetic."""
+    d = np.zeros(k_w_dc, dtype=complex)
+    for kw in range(k_t, k_w_dc):
+        ratio = math.factorial(kw) // math.factorial(kw - k_t)
+        d[kw] = ((1j) ** kw * (-q) ** (kw - k_t) * (1.0 / t_s) ** k_t * ratio)
+    return d
+
+
+def test_dc_targets_equal_their_oracle_bit_for_bit():
+    """Every entry, signed zeros and underflow included, over random
+    delays of either sign (zeros and tiny ones too), sample periods and
+    orders up to the design's K = 22 limit."""
+    rng = np.random.default_rng(30)
+    for case in range(20000):
+        sign = rng.choice([-1.0, 1.0])
+        q = sign * (10.0 ** rng.uniform(-320, 1.5) if case % 10
+                    else rng.choice([0.0, 1.0, 2.0, 7.0]))
+        t_s = 10.0 ** rng.uniform(-3, 1)
+        k_w_dc = int(rng.integers(1, 23))
+        k_t = int(rng.integers(0, k_w_dc))
+        got = dc_targets(q, t_s, k_w_dc, k_t)
+        assert got.tobytes() == \
+            _dc_targets_oracle(q, t_s, k_w_dc, k_t).tobytes(), \
+            (q, t_s, k_w_dc, k_t)
+
+
 def test_first_order_smoother_coefficient():
     """K = 1, q = 0: the single dc constraint H(0) = 1 forces c = 1 - p."""
     spec = DesignSpec(f_s=1.0, f_wb=0.05, k_w_dc=1, k_t=1, group_delay=0.0)
