@@ -24,7 +24,12 @@ def butterworth_s_poles(K: int, omega_c: float) -> np.ndarray:
     if omega_c <= 0:
         raise ValueError("omega_c must be positive")
     coeffs = np.zeros(2 * K + 1, dtype=complex)
-    coeffs[0] = (-1.0 / omega_c**2) ** K
+    try:
+        coeffs[0] = (-1.0 / omega_c**2) ** K
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError("Butterworth polynomial coefficient "
+                             "(-1/omega_c^2)^K is out of floating-point "
+                             f"range at omega_c = {omega_c!r}") from exc
     coeffs[-1] = 1.0
     roots = np.roots(coeffs)
     # Exact magnitude by construction; renormalize away rounding and order

@@ -227,8 +227,9 @@ def cmd_response(args: argparse.Namespace) -> int:
     omegas = np.linspace(0.0, np.pi, args.grid)
     header = ["f_cyc_per_smp"]
     cols = [omegas / (2.0 * np.pi)]
-    # A pole on the unit circle divides by zero; the check below says so.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A pole on the unit circle divides by zero, and a T_s or b out of
+    # range overflows; the check below says so.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for kt in range(design.n_outputs):
             h = analyze.frequency_response(design.b[kt], design.a, omegas)
             ideal = analyze.ideal_response(kt, design.q, design.t_s, omegas)

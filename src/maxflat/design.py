@@ -259,9 +259,14 @@ def dc_targets(q: float, t_s: float, k_w_dc: int, k_t: int) -> np.ndarray:
     powers = map(pow, itertools.repeat(-q), range(k_w_dc - k_t))
     # The entry's four factors, multiplied left to right in Python's own
     # scalar arithmetic, so its bits are those of the formula above.
-    terms = map(mul, map(mul, map(mul, units, powers),
-                         itertools.repeat((1.0 / t_s) ** k_t)), ratios)
-    return np.array([0j] * k_t + list(terms))
+    try:
+        terms = list(map(mul, map(mul, map(mul, units, powers),
+                                  itertools.repeat((1.0 / t_s) ** k_t)),
+                         ratios))
+    except OverflowError as exc:
+        raise NumericalError("dc constraint target (-q)^k_w (1/T_s)^k_t "
+                             f"overflows at q = {q!r}, T_s = {t_s!r}") from exc
+    return np.array([0j] * k_t + terms)
 
 
 @functools.cache
@@ -484,36 +489,6 @@ def _wng_minimum(sigma_poly: np.ndarray,
     return float(tied.min())
 
 
-def _pole_tables(poles_hp: np.ndarray) -> Tuple[np.ndarray, float,
-                                                np.ndarray]:
-    """What transfer_coefficients needs of the poles alone, read-only: the
-    monic denominator (real part, a[0] = 1 exactly), the largest imaginary
-    residue of its extended-precision expansion, and the (K-1, K) factor
-    table of the numerator expansion.
-
-    Row s of the table holds the factor that step s multiplies each term
-    by: p_s for terms k > s, p_{s+1} for k <= s.
-    """
-    a = np.ones(1, dtype=np.clongdouble)
-    for p in poles_hp:
-        a = np.convolve(a, np.array([1.0, -p], dtype=np.clongdouble))
-    resid = float(np.max(np.abs(a.imag)))
-    a = np.asarray(a.real, dtype=float)
-    a[0] = 1.0
-    K = len(poles_hp)
-    steps, ks = np.arange(K - 1)[:, None], np.arange(K)[None, :]
-    factors = np.where(ks > steps, poles_hp[:-1, None], poles_hp[1:, None])
-    for array in (a, factors):
-        array.flags.writeable = False
-    return a, resid, factors
-
-
-def _pole_tables_of_bytes(key: bytes) -> Tuple[np.ndarray, float,
-                                               np.ndarray]:
-    return _pole_tables(np.frombuffer(key, dtype=complex)
-                        .astype(np.clongdouble))
-
-
 def transfer_coefficients(c: np.ndarray,
                           poles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Expand sum_k c_k z / (z - p_k) into numerator/denominator polynomials.
@@ -524,40 +499,39 @@ def transfer_coefficients(c: np.ndarray,
     K_t x (K+1) (one row per output) for a matrix.
 
     The expansion runs in extended precision, because the product
-    accumulation is the accuracy bottleneck for clustered pole sets.  What
-    depends on the poles alone, the denominator and the factor table of
-    the numerator expansion, is built once per pole set: sets of at most
-    _MEMO_MAX_K poles that complex128 holds exactly (the causal poles and
-    both halves of a two-sided design) come from a bounded memo keyed by
-    their bytes, others are expanded afresh.  Each call returns its own
-    arrays.
+    accumulation is the accuracy bottleneck for clustered pole sets.  The
+    designs reach it only on a miss of their memo of solved banks (see
+    design_filterbank).
     """
-    poles = np.asarray(poles)
-    K = len(poles)
-    if K <= _MEMO_MAX_K and np.can_cast(poles.dtype, complex):
-        a, resid_a, factors = _memo_pole_tables(
-            np.ascontiguousarray(poles, dtype=complex).tobytes())
-    else:
-        a, resid_a, factors = _pole_tables(
-            np.asarray(poles, dtype=np.clongdouble))
+    poles_hp = np.asarray(poles, dtype=np.clongdouble)
+    K = len(poles_hp)
+    a_hp = np.ones(1, dtype=np.clongdouble)
+    for p in poles_hp:
+        a_hp = np.convolve(a_hp, np.array([1.0, -p], dtype=np.clongdouble))
+    a = np.asarray(a_hp.real, dtype=float)
+    a[0] = 1.0
     cols = np.asarray(c, dtype=np.clongdouble).reshape(K, -1).T
     # terms[:, :, k] is [c_k, 0] times each (z - p_j), j != k, in
     # increasing j, for all outputs at once (expanding the cofactor first
     # and scaling it by c_k would round differently).  Step s multiplies
-    # every term by its factor in row s of the table: one contiguous slice.
+    # every term by p_s for k > s and by p_{s+1} for k <= s: row s of
+    # factors, applied to one contiguous slice.
+    steps, ks = np.arange(K - 1)[:, None], np.arange(K)[None, :]
+    factors = np.where(ks > steps, poles_hp[:-1, None], poles_hp[1:, None])
     terms = np.zeros((K + 1, len(cols), K), dtype=np.clongdouble)
     terms[0] = cols
     for step, factor in enumerate(factors):
         terms[1:step + 2] -= factor * terms[:step + 1]
     # Summed in k order: axis 0 of the transposed copy.
     b = np.ascontiguousarray(terms.transpose(2, 1, 0)).sum(axis=0)
-    resid = max(resid_a, float(np.max(np.abs(b.imag))))
+    resid = max(float(np.max(np.abs(a_hp.imag))),
+                float(np.max(np.abs(b.imag))))
     if resid > TOL_CPX:
         raise NumericalError("transfer coefficients have imaginary residue "
                              f"{resid:.3e} — design inconsistency")
     b = np.asarray(b.real, dtype=float)
     b[:, K] = 0.0
-    return (b[0] if np.ndim(c) == 1 else b), a.copy()
+    return (b[0] if np.ndim(c) == 1 else b), a
 
 
 def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
@@ -580,7 +554,8 @@ def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
     return basis
 
 
-#: Bases with at most this many constraints are memoized.
+#: Bases with at most this many constraints are memoized, and so are the
+#: banks solved on them.
 _MEMO_MAX_K = 16
 #: The memo holds at most this many bases, least recently used out first.
 #: A causal entry of K = 16 holds 9.5 KB (Psi and S 4 KB each; measured
@@ -592,11 +567,12 @@ _MEMO_SIZE = 96
 # other poles.  Exceptions are not stored, so a failing set fails each time.
 _memo_basis = functools.lru_cache(maxsize=_MEMO_SIZE,
                                   typed=True)(_build_basis)
-# The pole-set tables of transfer_coefficients, under the same bounds.  An
-# entry of K = 16 holds 8.5 KB, its key included (the factor table 7.5 KB;
-# measured with tracemalloc), so this memo never holds more than 0.82 MB.
-_memo_pole_tables = functools.lru_cache(maxsize=_MEMO_SIZE)(
-    _pole_tables_of_bytes)
+
+
+def _set_key(spec: DesignSpec) -> tuple:
+    """The arguments of _build_basis that fix spec's constraint set."""
+    return (spec.f_s, spec.f_wb, spec.f_nb if spec.k_w_nb > 0 else None,
+            spec.k_w_dc, spec.k_w_nb, spec.k_w_pi, spec.causal)
 
 
 def constraint_basis(spec: DesignSpec) -> ConstraintBasis:
@@ -609,11 +585,74 @@ def constraint_basis(spec: DesignSpec) -> ConstraintBasis:
     """
     build = _memo_basis if spec.total_constraints <= _MEMO_MAX_K \
         else _build_basis
-    basis = build(spec.f_s, spec.f_wb,
-                  spec.f_nb if spec.k_w_nb > 0 else None,
-                  spec.k_w_dc, spec.k_w_nb, spec.k_w_pi, spec.causal)
+    basis = build(*_set_key(spec))
     _warn_ill_conditioned(basis.condition)
     return basis
+
+
+def _solve_banks(basis: ConstraintBasis, q: float, k_t: int) -> tuple:
+    """The bank of a causal basis solved for delay q and k_t outputs, or
+    the (forward, backward) banks of a two-sided one (noncausal_design),
+    each as (poles, c, sigma, a, b)."""
+    c = solve_coefficients(basis.system(q, k_t))
+    if basis.s is not None:
+        sigma = white_noise_gain(c, basis.s)
+        b, a = transfer_coefficients(c, basis.poles)
+        return ((basis.poles, c, sigma, a, b),)
+
+    inside = np.abs(basis.poles) < 1.0
+    p_in, c_in = basis.poles[inside], c[inside, :]
+    r = 1.0 / basis.poles[~inside]
+    # The products -c r are formed in extended precision, because the
+    # expansion sums them with cancellation; the bank keeps their rounding.
+    c_b_hp = -c[~inside, :].astype(np.clongdouble) * r[:, None]
+    c_b = c_b_hp.astype(complex)
+    sigma_b = white_noise_gain(c_b, gram_matrix(r))
+    b_f, a_f = transfer_coefficients(c_in, p_in)
+    sigma_f = white_noise_gain(c_in, gram_matrix(p_in)) + sigma_b
+    # The expansion of sum_k c_b z/(z - r) ends in an exact 0, so the
+    # one-sample delay is a roll.
+    b_z, a_b = transfer_coefficients(c_b_hp, r)
+    return ((p_in, c_in, sigma_f, a_f, b_f),
+            (r, c_b, sigma_b, a_b, np.roll(b_z, 1, axis=1)))
+
+
+def _build_banks(*key) -> tuple:
+    """_solve_banks on the basis of the set key[:-2] for the delay and
+    K_t key[-2:], every array read-only."""
+    banks = _solve_banks(_memo_basis(*key[:-2]), *key[-2:])
+    for bank in banks:
+        for array in bank:
+            array.flags.writeable = False
+    return banks
+
+
+#: The memo of solved banks holds at most this many, least recently used
+#: out first: the benchmark's design-sweep grid (192 specs) beside one
+#: round's 32 drawn ones.  An entry holds at most 16 KB (two-sided,
+#: K = K_t = 16; causal 12 KB; measured with tracemalloc), so the memo
+#: never holds more than 4.1 MB; the grid and 32 drawn specs hold 0.3 MB.
+_BANK_MEMO_SIZE = 256
+# Keyed, typed, by the basis memo's key, the delay and K_t; a failing
+# solve is not stored.  Warnings come from constraint_basis and
+# optimal_delay, which run before it on every call.
+_memo_banks = functools.lru_cache(maxsize=_BANK_MEMO_SIZE,
+                                  typed=True)(_build_banks)
+
+
+def _designs(spec: DesignSpec, basis: ConstraintBasis,
+             q: float) -> tuple:
+    """The banks of spec solved on its basis at delay q, from the memo of
+    solved banks when K is small, each array a writeable copy."""
+    if spec.total_constraints > _MEMO_MAX_K:
+        banks = _solve_banks(basis, q, spec.k_t)
+    else:
+        banks = _memo_banks(*_set_key(spec), q, spec.k_t)
+    return tuple(FilterbankDesign(poles=poles.copy(), c=c.copy(), q=q,
+                                  sigma=sigma.copy(), a=a.copy(),
+                                  b=tuple(b.copy()), t_s=spec.t_s,
+                                  condition=basis.condition)
+                 for poles, c, sigma, a, b in banks)
 
 
 def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
@@ -626,9 +665,11 @@ def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
     output; basis.optimal_delay(k_t) gives the delay that would be optimal
     for output k_t alone.
 
-    Designs that share a constraint set share its memoized basis and solve
-    only their own targets D.  Outputs, warnings and errors are those of a
-    fresh build, and every array of the design is its own writeable copy.
+    Designs that share a constraint set share its memoized basis, and
+    those that also share q and K_t share their solved c, sigma, a and b
+    through a second bounded memo.  The basis and the delay are taken on
+    every call, so outputs, warnings and errors are those of a fresh build,
+    and every array of the design is its own writeable copy.
     """
     if not spec.causal:
         raise ValueError("use noncausal_design for causal=False specs")
@@ -637,13 +678,7 @@ def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
         q = basis.optimal_delay()
     else:
         q = float(spec.group_delay)
-
-    c = solve_coefficients(basis.system(q, spec.k_t))
-    sigma = white_noise_gain(c, basis.s)
-    b, a = transfer_coefficients(c, basis.poles)
-    return FilterbankDesign(poles=basis.poles.copy(), c=c, q=q, sigma=sigma,
-                            a=a, b=tuple(b), t_s=spec.t_s,
-                            condition=basis.condition)
+    return _designs(spec, basis, q)[0]
 
 
 def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
@@ -662,7 +697,8 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
 
     The 2K poles and Psi come from constraint_basis(spec), and the
     coefficients from solve_coefficients(basis.system(q, K_t)), as in
-    design_filterbank.
+    design_filterbank; both banks come from its memo of solved banks, as
+    one entry, and are handed out as writeable copies.
     """
     if spec.causal:
         raise ValueError("noncausal_design requires a causal=False spec")
@@ -675,26 +711,4 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
                          "(conventionally 0)")
     q = float(spec.group_delay)
     basis = constraint_basis(spec)
-    c = solve_coefficients(basis.system(q, spec.k_t))
-
-    inside = np.abs(basis.poles) < 1.0
-    p_in, c_in = basis.poles[inside], c[inside, :]
-    r = 1.0 / basis.poles[~inside]
-    # The products -c r are formed in extended precision, because the
-    # expansion sums them with cancellation; the bank keeps their rounding.
-    c_b_hp = -c[~inside, :].astype(np.clongdouble) * r[:, None]
-    c_b = c_b_hp.astype(complex)
-    sigma_b = white_noise_gain(c_b, gram_matrix(r))
-
-    b_f, a_f = transfer_coefficients(c_in, p_in)
-    forward = FilterbankDesign(
-        poles=p_in, c=c_in, q=q,
-        sigma=white_noise_gain(c_in, gram_matrix(p_in)) + sigma_b, a=a_f,
-        b=tuple(b_f), t_s=spec.t_s, condition=basis.condition)
-    # The expansion of sum_k c_b z/(z - r) ends in an exact 0, so the
-    # one-sample delay is a roll.
-    b_z, a_b = transfer_coefficients(c_b_hp, r)
-    backward = FilterbankDesign(poles=r, c=c_b, q=q, sigma=sigma_b, a=a_b,
-                                b=tuple(np.roll(b_z, 1, axis=1)),
-                                t_s=spec.t_s, condition=basis.condition)
-    return forward, backward
+    return _designs(spec, basis, q)

@@ -580,20 +580,32 @@ def test_design_order_past_int64_alpha_exit_code(tmp_path, capsys):
     assert "degenerate constraint set" in capsys.readouterr().err
 
 
+_BW1_FLAGS = ["--fs", "1000", "--fwb", "0.05", "--fnb", "0.07", "--knb", "3",
+              "--kt", "3"]
+
+
 @pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
-@pytest.mark.parametrize("kdc, message", [
-    (13, "pole count must equal the constraint count K"),
-    (14, "transfer coefficients have imaginary residue"),
-])
-def test_numerical_failure_of_valid_spec_exit_code(tmp_path, capsys, kdc,
+@pytest.mark.parametrize("flags, message", [
+    (_BW1_FLAGS + ["--kdc", "13"],
+     "pole count must equal the constraint count K"),
+    (_BW1_FLAGS + ["--kdc", "14"],
+     "transfer coefficients have imaginary residue"),
+    (["--q", "1e200"], "dc constraint target (-q)^k_w (1/T_s)^k_t overflows"),
+    (["--fs", "1e-200"], "(-1/omega_c^2)^K is out of floating-point range"),
+    (["--fs", "1e300"], "(-1/omega_c^2)^K is out of floating-point range"),
+], ids=["13-pole count must equal the constraint count K",
+        "14-transfer coefficients have imaginary residue",
+        "q-1e200", "fs-1e-200", "fs-1e300"])
+def test_numerical_failure_of_valid_spec_exit_code(tmp_path, capsys, flags,
                                                    message):
     """Valid specs whose numerics fail used to exit 2 like invalid ones:
     at K = 19 np.roots puts a Butterworth pole across the imaginary axis,
-    and at K = 20 the expansion leaves an imaginary residue."""
+    and at K = 20 the expansion leaves an imaginary residue.  A delay of
+    1e200 overflowed the dc targets, and F_s of 1e-200 or 1e300 the
+    Butterworth polynomial, in OverflowError and ZeroDivisionError
+    tracebacks."""
     out = tmp_path / "d.json"
-    rc = cli.main(["design", "--fs", "1000", "--fwb", "0.05", "--fnb",
-                   "0.07", "--knb", "3", "--kt", "3", "--kdc", str(kdc),
-                   "-o", str(out)])
+    rc = cli.main(["design", *flags, "-o", str(out)])
     assert rc == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -649,6 +661,11 @@ _BANK = {"q_smp": 0.0, "poles_re_im": [[0.5, 0.0]], "c_re_im": [[[0.5, 0.0]]],
          "ts_sec": 1.0}
 
 
+#: The design file of BW1, the README's design.
+_BW1 = cli.design_to_payload(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07,
+                                        k_w_dc=3, k_w_nb=3, k_t=3))
+
+
 def test_small_design_file_is_well_formed(tmp_path):
     path = tmp_path / "bank.json"
     path.write_text(json.dumps(_BANK))
@@ -676,10 +693,16 @@ def test_small_design_file_is_well_formed(tmp_path):
      "design file: the response is not finite on the grid"),
     ("response", dict(_BANK, a=[0.0, -0.5]),
      "design file: a must be monic (a[0] = 1), got [0.0, -0.5]"),
+    ("response", dict(_BW1, ts_sec=1e-300),
+     "design file: the response is not finite on the grid"),
+    ("response", dict(_BW1, b=[[1e308, 1e308] + _BW1["b"][0][2:]]
+                      + _BW1["b"][1:]),
+     "design file: the response is not finite on the grid"),
 ], ids=["config-array", "config-null", "config-missing-keys",
         "design-array", "design-null", "design-missing-keys",
         "design-poles-not-pairs", "design-empty-b", "design-null-ts",
-        "design-unit-circle-pole", "design-non-monic-a"])
+        "design-unit-circle-pole", "design-non-monic-a", "design-tiny-ts",
+        "design-huge-b"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_design_file_exit_code(tmp_path, capsys, command,
                                          document, message):
@@ -689,7 +712,9 @@ def test_malformed_design_file_exit_code(tmp_path, capsys, command,
     poles that are not pairs and a null ts_sec, while an empty b ended in
     an IndexError traceback.  A pole on the unit circle wrote inf and nan
     rows after two RuntimeWarnings, and a non-monic a wrote the response
-    of a filter that run_filter refuses, both with exit code 0."""
+    of a filter that run_filter refuses, both with exit code 0.  BW1's
+    file with a T_s of 1e-300 or two b entries of 1e308 printed overflow
+    RuntimeWarnings before its error."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(document))
     flag = "--config" if command == "design" else "--design"

@@ -666,7 +666,7 @@ def test_one_assembly_per_design(monkeypatch, solve, spec):
         calls.append(args)
         return from_poles(*args, **kwargs)
     monkeypatch.setattr(ConstraintBasis, "from_poles", spy)
-    design_module._memo_basis.cache_clear()
+    _clear_design_memos()
     solve(spec)
     assert len(calls) == 1
     solve(spec)
@@ -693,7 +693,13 @@ def test_assemble_system_equals_basis_system(spec):
 
 
 # ---------------------------------------------------------------------------
-# The basis memo
+# The memos of bases and of solved banks
+
+
+def _clear_design_memos():
+    """Empty both design memos, so that the next design is built cold."""
+    design_module._memo_basis.cache_clear()
+    design_module._memo_banks.cache_clear()
 
 
 def _sweep_grid_specs():
@@ -719,8 +725,9 @@ def _sweep_grid_specs():
 def _sweep_specs():
     """The benchmark's design-sweep grid, the 32 specs it draws for seed 3,
     round 0 (one of them rejected), a spec with a delay-independent WNG,
-    and a twin whose F_s is a float32 of the same value (other poles, so
-    another memo entry)."""
+    a twin whose F_s is a float32 of the same value (other poles, so
+    another memo entry), and a causal and a two-sided spec designed at
+    q = 0.0 and then -0.0, which share a memo entry."""
     specs = _sweep_grid_specs()
     rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0,)))
     drawn = []
@@ -742,6 +749,11 @@ def _sweep_specs():
     specs.append(DesignSpec(f_s=1.0, f_wb=0.05, k_w_dc=1, k_t=1))
     for f_s in (1000.0, np.float32(1000.0)):
         specs.append(DesignSpec(f_s=f_s, f_wb=0.25, k_w_dc=3, k_t=1))
+    for causal in (True, False):
+        for q in (0.0, -0.0):
+            specs.append(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07,
+                                    k_w_dc=4, k_w_nb=1, k_t=2, group_delay=q,
+                                    causal=causal))
     return specs
 
 
@@ -762,14 +774,14 @@ def _outcome(spec):
 
 @pytest.fixture(scope="module")
 def sweep_outcomes():
-    """Each spec designed cold (memo cleared first), then the whole list
-    twice with the memo kept, as the benchmark's rounds run it."""
+    """Each spec designed cold (both memos cleared first), then the whole
+    list twice with the memos kept, as the benchmark's rounds run it."""
     specs = _sweep_specs()
     cold = []
     for spec in specs:
-        design_module._memo_basis.cache_clear()
+        _clear_design_memos()
         cold.append(_outcome(spec))
-    design_module._memo_basis.cache_clear()
+    _clear_design_memos()
     warm = [[_outcome(spec) for spec in specs] for _ in range(2)]
     return cold, warm
 
@@ -798,7 +810,7 @@ def test_memo_designs_warn_as_cold_designs(sweep_outcomes):
 ], ids=["causal", "two-sided"])
 def test_memo_hands_out_copies(spec):
     """Writing into one design's arrays leaves the next design of the same
-    spec, and the memo, unchanged."""
+    spec, and the memos, unchanged; what the memos store is read-only."""
     solve = design_filterbank if spec.causal else noncausal_design
     first = solve(spec)
     first = first if isinstance(first, tuple) else (first,)
@@ -811,19 +823,25 @@ def test_memo_hands_out_copies(spec):
     basis = constraint_basis(spec)
     for array in (basis.poles, basis.psi, basis.s):
         assert array is None or not array.flags.writeable
+    banks = design_module._memo_banks(*design_module._set_key(spec),
+                                      first[0].q, spec.k_t)
+    assert len(banks) == len(first)
+    for bank in banks:
+        assert not any(array.flags.writeable for array in bank)
 
 
 def test_memo_key_ignores_f_nb_without_narrowband_constraints():
-    design_module._memo_basis.cache_clear()
+    _clear_design_memos()
     for f_nb in (None, 0.3):
         design_filterbank(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=f_nb,
                                      k_w_dc=3, k_t=2))
-    info = design_module._memo_basis.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    for memo in (design_module._memo_basis, design_module._memo_banks):
+        info = memo.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
 
 
 def test_memo_is_bounded():
-    design_module._memo_basis.cache_clear()
+    _clear_design_memos()
     n = design_module._MEMO_SIZE + 20
     for f_wb in np.linspace(0.01, 0.4, n):
         design_filterbank(DesignSpec(f_s=1.0, f_wb=float(f_wb), k_w_dc=2,
@@ -831,22 +849,27 @@ def test_memo_is_bounded():
     info = design_module._memo_basis.cache_info()
     assert info.misses == n
     assert info.currsize == info.maxsize == design_module._MEMO_SIZE
+    # One solved bank per constraint set, delay and K_t.
+    m = design_module._BANK_MEMO_SIZE + 20
+    for q in np.linspace(0.0, 10.0, m):
+        design_filterbank(DesignSpec(f_s=1.0, f_wb=0.4, k_w_dc=2, k_t=1,
+                                     group_delay=float(q)))
+    info = design_module._memo_banks.cache_info()
+    assert info.misses == n + m
+    assert info.currsize == info.maxsize == design_module._BANK_MEMO_SIZE
     # Sets of more than _MEMO_MAX_K constraints are never stored.
+    memos = (design_module._memo_basis, design_module._memo_banks)
+    before = [memo.cache_info() for memo in memos]
     big = DesignSpec(f_s=1.0, f_wb=0.45, k_w_dc=design_module._MEMO_MAX_K + 2,
                      k_t=1, group_delay=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedSystem)
         design_filterbank(big)
-    assert design_module._memo_basis.cache_info().misses == n
+    assert [memo.cache_info() for memo in memos] == before
 
 
 # ---------------------------------------------------------------------------
-# The pole-set tables of transfer_coefficients
-
-
-def _expansion_bytes(c, poles):
-    b, a = transfer_coefficients(c, poles)
-    return b.tobytes(), a.tobytes()
+# Every bank is the expansion of its own coefficients
 
 
 def _backward_c_hp(spec):
@@ -861,13 +884,11 @@ def _backward_c_hp(spec):
 
 @pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
 @pytest.mark.filterwarnings("ignore:delay-independent WNG")
-def test_expansion_memo_cold_equals_warm_and_designs_expand_with_it():
-    """For every design-sweep grid spec, the expansion from a cleared memo
-    and from a warm one agree bit for bit, and every bank's b/a are
+def test_designs_expand_their_own_coefficients():
+    """For every design-sweep grid spec, every bank's b/a are
     transfer_coefficients of its own coefficients over its poles: (c,
     poles) for causal banks and the forward half, (-c r in extended
     precision, r) one sample late for the backward half."""
-    memo = design_module._memo_pole_tables
     designed = 0
     for spec in _sweep_grid_specs():
         try:
@@ -876,53 +897,15 @@ def test_expansion_memo_cold_equals_warm_and_designs_expand_with_it():
         except ValueError:  # a grid spec the design rejects
             continue
         designed += 1
-        inputs = [(d.c, d.poles) for d in banks]
+        expected = [transfer_coefficients(banks[0].c, banks[0].poles)]
         if not spec.causal:
-            inputs.append((_backward_c_hp(spec), banks[1].poles))
-        for c, poles in inputs:
-            memo.cache_clear()
-            cold = _expansion_bytes(c, poles)
-            assert memo.cache_info().misses == 1
-            assert _expansion_bytes(c, poles) == cold
-            assert memo.cache_info().hits == 1
-        expected = [transfer_coefficients(c, p) for c, p in inputs[:1]]
-        if not spec.causal:
-            b_z, a_b = transfer_coefficients(*inputs[2])
+            b_z, a_b = transfer_coefficients(_backward_c_hp(spec),
+                                             banks[1].poles)
             expected.append((np.roll(b_z, 1, axis=1), a_b))
         for d, (b, a) in zip(banks, expected):
             assert np.array_equal(np.array(d.b), b), spec
             assert np.array_equal(d.a, a), spec
     assert designed > len(_sweep_grid_specs()) // 2
-
-
-def test_expansion_memo_is_bounded_and_read_only():
-    """The memo keeps at most _MEMO_SIZE pole sets, its tables cannot be
-    written, and each call hands out its own denominator.  Pole sets it
-    cannot key exactly (extended precision, or more than _MEMO_MAX_K
-    poles) are expanded afresh, to the same bits as complex128 poles."""
-    memo = design_module._memo_pole_tables
-    memo.cache_clear()
-    n = design_module._MEMO_SIZE + 20
-    c = np.array([0.25, 0.5 + 0.1j, 0.5 - 0.1j])
-    for radius in np.linspace(0.1, 0.9, n):
-        transfer_coefficients(c, radius * np.array([1.0, 1j, -1j]))
-    info = memo.cache_info()
-    assert info.misses == n
-    assert info.currsize == info.maxsize == design_module._MEMO_SIZE
-    poles = np.array([0.5, 0.25 + 0.5j, 0.25 - 0.5j])
-    a_table, _, factors = memo(poles.tobytes())
-    assert not a_table.flags.writeable and not factors.flags.writeable
-    b, a = transfer_coefficients(c, poles)
-    assert a.flags.writeable and a is not a_table
-    a[...] = 7.0
-    assert np.array_equal(transfer_coefficients(c, poles)[1], a_table)
-    misses = memo.cache_info().misses
-    fresh = transfer_coefficients(c, poles.astype(np.clongdouble))
-    assert np.array_equal(fresh[0], b) and np.array_equal(fresh[1], a_table)
-    big = 0.9 * np.exp(2j * np.pi * np.arange(design_module._MEMO_MAX_K + 1)
-                       / (design_module._MEMO_MAX_K + 1))
-    transfer_coefficients(np.ones(len(big)) / len(big), big)
-    assert memo.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
