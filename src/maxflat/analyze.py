@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -140,85 +140,77 @@ def noncausal_response(forward: FilterbankDesign, backward: FilterbankDesign,
             + frequency_response(backward.b[k_t], backward.a, -w))
 
 
-def _bank_derivatives(design: FilterbankDesign, omegas: np.ndarray,
-                      n: int) -> np.ndarray:
-    """Frequency derivatives 0..n-1 (axis 1) of every output (axis 2) at
-    each of omegas (axis 0), from the partial-fraction (basis)
-    representation.
-
-    Row k is i^k sum_l alpha_{k,l} (-1)^l psi^{l+1} C, with psi the basis
-    functions z / (z - p) of all poles at z = e^{i omega_d}.
-    """
-    z = np.exp(1j * omegas)[:, None]
-    if np.any(np.abs(z - design.poles) < 1e-12):
-        raise NumericalError("singular basis evaluation: pole on the unit "
-                             "circle at a constraint frequency")
-    psi = z / (z - design.poles)
-    orders = np.arange(n)
-    powers = psi[:, None, :] ** (orders[:, None] + 1) \
-        * (-1.0) ** orders[:, None]
-    return (1j ** orders)[:, None] * (alpha_table(n) @ powers @ design.c)
-
-
-def _fd_samples(design: FilterbankDesign,
-                omegas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Responses H = B(z)/A(z) of every output (axis 0) at the stencil
-    points (axis 2) around each of omegas (axis 1), and the rounding-noise
-    scale of each.
-
-    Each response sample carries relative rounding noise amplified by the
-    evaluation condition number of the two polynomials (sum of absolute
-    coefficients over the achieved value).  A stencil divides that noise by
-    h^order; below the resulting scale an estimate carries no information.
-    """
-    z = np.exp(1j * (omegas[:, None] + FD_STEP * _FD_OFFSETS)).ravel()
-    coeffs = np.vstack(design.b + (design.a,))
-    vals = _horner(coeffs, z)  # every numerator and the denominator
-    a_val = vals[-1]
-    h = vals[:-1] / a_val
-    sums = np.sum(np.abs(coeffs), axis=1)
-    noise = COEFF_EPS * (sums[:-1, None] + np.abs(h) * sums[-1]) \
-        / np.abs(a_val)
-    shape = (len(h), len(omegas), len(_FD_OFFSETS))
-    return h.reshape(shape), noise.reshape(shape)
-
-
 def _abs(x: np.ndarray) -> np.ndarray:
     """|x| as hypot(re, im), the rounding of Python's abs(complex)."""
     return np.hypot(x.real, x.imag)
+
+
+@functools.cache
+def _check_tables(width: int) -> tuple:
+    """The factors of verify_constraints' n = width + 3 orders k, as
+    columns: k + 1, (-1)^k and i^k; and the stencil weights of its n_fd
+    finite-difference orders, their magnitudes and their scales h^k."""
+    orders = np.arange(width + 3)[:, None]
+    n_fd = min(FD_MAX_ORDER + 1, width)
+    return (orders + 1, (-1.0) ** orders, 1j ** orders, n_fd,
+            _FD_WEIGHTS[:n_fd].T, np.abs(_FD_WEIGHTS[:n_fd]).T,
+            _FD_SCALES[:n_fd])
 
 
 def verify_constraints(spec: DesignSpec,
                        design: FilterbankDesign) -> List[ConstraintCheck]:
     """Re-derive every design constraint two independent ways.
 
-    The analytic path evaluates the basis-derivative expansion; the
-    finite-difference path probes the realized transfer function directly
-    (orders 0..3).  Both are compared to the constraint targets.  All
-    constraint frequencies are checked in one pass for all outputs: one
+    The analytic path evaluates the basis-derivative expansion
+    i^k sum_l alpha_{k,l} (-1)^l psi^{l+1} C, with psi the basis functions
+    z / (z - p) of all poles at z = e^{i omega_d}; the finite-difference
+    path probes the realized transfer function directly (orders 0..3).
+    Both are compared to the constraint targets.  All constraint
+    frequencies are checked in one pass for all outputs: one
     alpha_table(n) @ powers @ C product over the (blocks, n, K) stack of
     basis powers (n = the largest block count + 3) gives the analytic
     derivatives, one Horner pass over blocks x 5 stencil points the
     response samples, and one stencil-weight matrix the finite
     differences.  The report lists the checks by output, then block, then
     order.
+
+    Each response sample carries relative rounding noise amplified by the
+    evaluation condition number of the two polynomials (sum of absolute
+    coefficients over the achieved value).  A stencil divides that noise by
+    h^order; below the resulting scale an estimate carries no information.
     """
     blocks = constraint_blocks(spec)
     omegas = np.array([w_d for w_d, _ in blocks])
     width = max(count for _, count in blocks)
+    powers, signs, units, n_fd, weights, abs_weights, scales = \
+        _check_tables(width)
+    # The stencil points around each omega_d; offset 0 is e^{i omega_d}.
+    z = np.exp(1j * (omegas[:, None] + FD_STEP * _FD_OFFSETS))
+    z_d = z[:, 2:3]
+    gap = z_d - design.poles
+    if (np.abs(gap) < 1e-12).any():
+        raise NumericalError("singular basis evaluation: pole on the unit "
+                             "circle at a constraint frequency")
     # Axes (output, block, order) from here on.
-    analytic = _bank_derivatives(design, omegas, width + 3).transpose(2, 0, 1)
+    analytic = (units * (alpha_table(width + 3)
+                         @ ((z_d / gap)[:, None, :] ** powers * signs)
+                         @ design.c)).transpose(2, 0, 1)
     target = np.zeros((spec.k_t, len(blocks), width), dtype=complex)
-    for kt in range(spec.k_t):
-        target[kt, omegas == 0.0, :spec.k_w_dc] = dc_targets(
-            design.q, design.t_s, spec.k_w_dc, kt)
+    for kt in range(spec.k_t):  # the dc block comes first
+        target[kt, 0, :spec.k_w_dc] = dc_targets(design.q, design.t_s,
+                                                 spec.k_w_dc, kt)
     scale = 1.0 + _abs(target)
     a_ok = _abs(analytic[..., :width] - target) <= 1e-6 * scale
 
-    n_fd = min(FD_MAX_ORDER + 1, width)
-    h, noise = _fd_samples(design, omegas)
-    fd = (h @ _FD_WEIGHTS[:n_fd].T) / _FD_SCALES[:n_fd]
-    fd_noise = (noise @ np.abs(_FD_WEIGHTS[:n_fd]).T) / _FD_SCALES[:n_fd]
+    coeffs = np.array(design.b + (design.a,))
+    vals = _horner(coeffs, z.ravel())  # every numerator and the denominator
+    h = vals[:-1] / vals[-1]
+    sums = np.abs(coeffs).sum(axis=1)
+    noise = COEFF_EPS * (sums[:-1, None] + np.abs(h) * sums[-1]) \
+        / np.abs(vals[-1])
+    shape = (spec.k_t, len(blocks), len(_FD_OFFSETS))
+    fd = (h.reshape(shape) @ weights) / scales
+    fd_noise = (noise.reshape(shape) @ abs_weights) / scales
     # A second-order-accurate stencil carries truncation error
     # ~ h^2 |f^(k+2)| plus the rounding noise of the sampled responses;
     # neither is resolvable, so both enter the acceptance bound.  Order 0
@@ -230,15 +222,16 @@ def verify_constraints(spec: DesignSpec,
 
     analytic, target = analytic.tolist(), target.tolist()
     a_ok, fd, fd_ok = a_ok.tolist(), fd.tolist(), fd_ok.tolist()
+    make = ConstraintCheck._make
     report: List[ConstraintCheck] = []
     for kt in range(spec.k_t):
         for j, (w_d, count) in enumerate(blocks):
-            for kw in range(count):
-                has_fd = kw < n_fd
-                report.append(ConstraintCheck(
-                    w_d, kw, kt, target[kt][j][kw], analytic[kt][j][kw],
-                    fd[kt][j][kw] if has_fd else None, a_ok[kt][j][kw],
-                    fd_ok[kt][j][kw] if has_fd else True))
+            t, an, ok = target[kt][j], analytic[kt][j], a_ok[kt][j]
+            # No finite difference past order n_fd - 1.
+            f = fd[kt][j] + [None] * (count - n_fd)
+            f_ok = fd_ok[kt][j] + [True] * (count - n_fd)
+            report += [make((w_d, kw, kt, t[kw], an[kw], f[kw], ok[kw],
+                             f_ok[kw])) for kw in range(count)]
     return report
 
 

@@ -63,4 +63,10 @@ def full_z_poles(K: int, omega_c: float, t_s: float) -> np.ndarray:
     """z-plane poles exp(T_s * s_k) over all 2K s-poles (K inside, K outside)."""
     _check_nyquist(omega_c, t_s)
     s = butterworth_s_poles(K, omega_c)
+    if len(s) != 2 * K:
+        # The coefficient (-1/omega_c^2)^K underflows to 0 at extreme
+        # omega_c, and np.roots drops the roots it leads.
+        raise NumericalError("pole count must equal the constraint count "
+                             f"2K: np.roots found {len(s)} of the {2 * K} "
+                             "Butterworth poles")
     return np.exp(t_s * s)

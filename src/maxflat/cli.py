@@ -244,7 +244,8 @@ def cmd_response(args: argparse.Namespace) -> int:
     table = np.column_stack(cols)
     if not np.all(np.isfinite(table)):
         raise ValueError("design file: the response is not finite on the "
-                         "grid, as for a pole on the unit circle")
+                         "grid: a pole lies on the unit circle, or ts_sec, "
+                         "a or b is so far out of range that it overflows")
     _write_csv(args.output, header, table)
     print(f"wrote {args.output}")
     return EXIT_OK

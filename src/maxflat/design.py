@@ -227,9 +227,13 @@ def basis_derivative_column(p, omega_d: float, K: int) -> np.ndarray:
     which gives a (K, len(p)) array with the column of p[j] in column j.
     Entry k equals (d/dw)^k psi(w) |_{w=omega_d}, computed as
     i^k * sum_l (-1)^l alpha_{k,l} psi^{l+1}.  psi and its powers are
-    formed for all poles at once, but each entry keeps its own np.dot:
-    a single alpha @ powers product would round differently and move the
-    optimal delay of the worst-conditioned specs.
+    formed for all poles at once, and each alpha row meets the powers of
+    all poles in one stacked matmul of (1 x L)(L x 1) products, which NumPy
+    hands to the BLAS dot that np.dot of the two vectors calls: each entry
+    is bit for bit its own np.dot (verified with NumPy 2.4.6 and its
+    OpenBLAS).  A single alpha @ powers product would take the gemm path,
+    which rounds differently and moves the optimal delay of the
+    worst-conditioned specs.
     """
     z = np.exp(1j * omega_d)
     p = np.asarray(p, dtype=complex)
@@ -237,11 +241,9 @@ def basis_derivative_column(p, omega_d: float, K: int) -> np.ndarray:
         raise NumericalError("singular basis evaluation: pole on the unit "
                              "circle at a constraint frequency")
     psi = z / (z - p)
-    # Row j holds psi_j^1, ..., psi_j^K, so each dot reads a contiguous
-    # prefix of it.
+    # Row j holds psi_j^1, ..., psi_j^K; row k of alpha reads a prefix.
     powers = psi.reshape(-1, 1) ** np.arange(1, K + 1)
-    dot = np.dot
-    out = np.array([[dot(row, pw[:len(row)]) for pw in powers]
+    out = np.array([np.matmul(row, powers[:, :len(row), None])[:, 0]
                     for row in _alpha_rows(K)])
     out *= (1j ** np.arange(K))[:, None]
     return out.reshape((K,) + p.shape)
@@ -428,8 +430,15 @@ def _real_wng(values: np.ndarray) -> np.ndarray:
 
 
 def white_noise_gain(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """White-noise cross-gain matrix Sigma = C^H S C, coerced to real."""
-    return _real_wng(c.conj().T @ s @ c)
+    """White-noise cross-gain matrix Sigma = C^H S C, coerced to real.  A
+    Sigma out of floating-point range raises NumericalError, not a
+    warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = c.conj().T @ s @ c
+    if not np.isfinite(sigma).all():
+        raise NumericalError("white-noise gain C^H S C overflows: the "
+                             "coefficients are out of floating-point range")
+    return _real_wng(sigma)
 
 
 def wng_polynomial(basis: ConstraintBasis,
@@ -619,8 +628,13 @@ def _solve_banks(basis: ConstraintBasis, q: float, k_t: int) -> tuple:
 
 def _build_banks(*key) -> tuple:
     """_solve_banks on the basis of the set key[:-2] for the delay and
-    K_t key[-2:], every array read-only."""
-    banks = _solve_banks(_memo_basis(*key[:-2]), *key[-2:])
+    K_t key[-2:], every array read-only; or its NumericalError as
+    (class, message), which holds no traceback."""
+    basis = _memo_basis(*key[:-2])
+    try:
+        banks = _solve_banks(basis, *key[-2:])
+    except NumericalError as exc:
+        return type(exc), str(exc)
     for bank in banks:
         for array in bank:
             array.flags.writeable = False
@@ -633,9 +647,11 @@ def _build_banks(*key) -> tuple:
 #: K = K_t = 16; causal 12 KB; measured with tracemalloc), so the memo
 #: never holds more than 4.1 MB; the grid and 32 drawn specs hold 0.3 MB.
 _BANK_MEMO_SIZE = 256
-# Keyed, typed, by the basis memo's key, the delay and K_t; a failing
-# solve is not stored.  Warnings come from constraint_basis and
-# optimal_delay, which run before it on every call.
+# Keyed, typed, by the basis memo's key, the delay and K_t.  A failing
+# solve is stored as its error's class and message, and every call raises
+# a fresh error of them, so a spec that fails each round solves once.
+# Warnings come from constraint_basis and optimal_delay, which run before
+# it on every call; the solve itself raises none.
 _memo_banks = functools.lru_cache(maxsize=_BANK_MEMO_SIZE,
                                   typed=True)(_build_banks)
 
@@ -648,6 +664,8 @@ def _designs(spec: DesignSpec, basis: ConstraintBasis,
         banks = _solve_banks(basis, q, spec.k_t)
     else:
         banks = _memo_banks(*_set_key(spec), q, spec.k_t)
+        if isinstance(banks[0], type):  # a stored failure
+            raise banks[0](banks[1])
     return tuple(FilterbankDesign(poles=poles.copy(), c=c.copy(), q=q,
                                   sigma=sigma.copy(), a=a.copy(),
                                   b=tuple(b.copy()), t_s=spec.t_s,

@@ -1,5 +1,9 @@
 """Shared fixtures: the expensive designs are solved once per session."""
 
+import importlib
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -33,3 +37,13 @@ def tracker_specs():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's workload module, for its spec generators."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module("workloads")

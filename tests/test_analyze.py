@@ -281,6 +281,104 @@ def test_verify_constraints_matches_per_order_check(k_w_dc):
     assert checked
 
 
+# The constraint check as it was before it took e^{i omega_d} from the
+# stencil points and built its per-order tables once per size: the oracle
+# of test_verify_constraints_equals_its_oracle_bit_for_bit.
+
+def _bank_derivatives_oracle(design, omegas, n):
+    z = np.exp(1j * omegas)[:, None]
+    psi = z / (z - design.poles)
+    orders = np.arange(n)
+    powers = psi[:, None, :] ** (orders[:, None] + 1) \
+        * (-1.0) ** orders[:, None]
+    return (1j ** orders)[:, None] * (alpha_table(n) @ powers @ design.c)
+
+
+def _fd_samples_oracle(design, omegas):
+    z = np.exp(1j * (omegas[:, None]
+                     + FD_STEP * analyze._FD_OFFSETS)).ravel()
+    coeffs = np.vstack(design.b + (design.a,))
+    vals = analyze._horner(coeffs, z)
+    a_val = vals[-1]
+    h = vals[:-1] / a_val
+    sums = np.sum(np.abs(coeffs), axis=1)
+    noise = COEFF_EPS * (sums[:-1, None] + np.abs(h) * sums[-1]) \
+        / np.abs(a_val)
+    shape = (len(h), len(omegas), len(analyze._FD_OFFSETS))
+    return h.reshape(shape), noise.reshape(shape)
+
+
+def _verify_constraints_oracle(spec, design):
+    _abs, weights = analyze._abs, analyze._FD_WEIGHTS
+    blocks = constraint_blocks(spec)
+    omegas = np.array([w_d for w_d, _ in blocks])
+    width = max(count for _, count in blocks)
+    analytic = _bank_derivatives_oracle(design, omegas,
+                                        width + 3).transpose(2, 0, 1)
+    target = np.zeros((spec.k_t, len(blocks), width), dtype=complex)
+    for kt in range(spec.k_t):
+        target[kt, omegas == 0.0, :spec.k_w_dc] = dc_targets(
+            design.q, design.t_s, spec.k_w_dc, kt)
+    scale = 1.0 + _abs(target)
+    a_ok = _abs(analytic[..., :width] - target) <= 1e-6 * scale
+
+    n_fd = min(FD_MAX_ORDER + 1, width)
+    h, noise = _fd_samples_oracle(design, omegas)
+    fd = (h @ weights[:n_fd].T) / analyze._FD_SCALES[:n_fd]
+    fd_noise = (noise @ np.abs(weights[:n_fd]).T) / analyze._FD_SCALES[:n_fd]
+    trunc = FD_STEP ** 2 * _abs(analytic[..., 2:n_fd + 2])
+    trunc[..., 0] = 0.0
+    fd_ok = _abs(fd - target[..., :n_fd]) \
+        <= FD_RTOL * scale[..., :n_fd] + trunc + 10.0 * fd_noise
+
+    analytic, target = analytic.tolist(), target.tolist()
+    a_ok, fd, fd_ok = a_ok.tolist(), fd.tolist(), fd_ok.tolist()
+    report = []
+    for kt in range(spec.k_t):
+        for j, (w_d, count) in enumerate(blocks):
+            for kw in range(count):
+                has_fd = kw < n_fd
+                report.append(ConstraintCheck(
+                    w_d, kw, kt, target[kt][j][kw], analytic[kt][j][kw],
+                    fd[kt][j][kw] if has_fd else None, a_ok[kt][j][kw],
+                    fd_ok[kt][j][kw] if has_fd else True))
+    return report
+
+
+def _bits(value):
+    """A value's type and bits: floats and complex by their hex digits."""
+    if isinstance(value, complex):
+        return type(value), value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return type(value), value.hex()
+    return type(value), value
+
+
+@pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
+@pytest.mark.filterwarnings("ignore:delay-independent WNG")
+def test_verify_constraints_equals_its_oracle_bit_for_bit(bench_workloads):
+    """Every field of every check, on the causal design-sweep grid and the
+    specs drawn for two seeds, has the type and bits of the oracle's."""
+    wl = bench_workloads
+    specs = [s for s in wl.grid_specs(False) if s.causal]
+    for seed in (11, 12):
+        specs += wl.drawn_specs(np.random.default_rng(seed), 200)
+    checked = 0
+    for spec in specs:
+        try:
+            d = design_filterbank(spec)
+        except ValueError:  # a spec the design rejects
+            continue
+        report = verify_constraints(spec, d)
+        expected = _verify_constraints_oracle(spec, d)
+        assert len(report) == len(expected)
+        for chk, ref in zip(report, expected):
+            assert type(chk) is ConstraintCheck
+            assert list(map(_bits, chk)) == list(map(_bits, ref)), spec
+        checked += 1
+    assert checked > 500
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_verify_constraints_rejects_pole_at_constraint_frequency(block):
     """A hand-built design with a pole on the unit circle at one of the

@@ -585,6 +585,7 @@ _BW1_FLAGS = ["--fs", "1000", "--fwb", "0.05", "--fnb", "0.07", "--knb", "3",
 
 
 @pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("flags, message", [
     (_BW1_FLAGS + ["--kdc", "13"],
      "pole count must equal the constraint count K"),
@@ -593,9 +594,12 @@ _BW1_FLAGS = ["--fs", "1000", "--fwb", "0.05", "--fnb", "0.07", "--knb", "3",
     (["--q", "1e200"], "dc constraint target (-q)^k_w (1/T_s)^k_t overflows"),
     (["--fs", "1e-200"], "(-1/omega_c^2)^K is out of floating-point range"),
     (["--fs", "1e300"], "(-1/omega_c^2)^K is out of floating-point range"),
+    (["--noncausal", "--kdc", "4", "--kt", "1", "--q", "0", "--fs", "1e100"],
+     "np.roots found 0 of the 4 Butterworth poles"),
+    (["--q", "1e150"], "white-noise gain C^H S C overflows"),
 ], ids=["13-pole count must equal the constraint count K",
         "14-transfer coefficients have imaginary residue",
-        "q-1e200", "fs-1e-200", "fs-1e300"])
+        "q-1e200", "fs-1e-200", "fs-1e300", "noncausal-fs-1e100", "q-1e150"])
 def test_numerical_failure_of_valid_spec_exit_code(tmp_path, capsys, flags,
                                                    message):
     """Valid specs whose numerics fail used to exit 2 like invalid ones:
@@ -603,7 +607,9 @@ def test_numerical_failure_of_valid_spec_exit_code(tmp_path, capsys, flags,
     and at K = 20 the expansion leaves an imaginary residue.  A delay of
     1e200 overflowed the dc targets, and F_s of 1e-200 or 1e300 the
     Butterworth polynomial, in OverflowError and ZeroDivisionError
-    tracebacks."""
+    tracebacks.  At F_s of 1e100 a two-sided design found no Butterworth
+    poles and exited 2, and a delay of 1e150 printed overflow
+    RuntimeWarnings from the white-noise gain."""
     out = tmp_path / "d.json"
     rc = cli.main(["design", *flags, "-o", str(out)])
     assert rc == 3
@@ -661,6 +667,12 @@ _BANK = {"q_smp": 0.0, "poles_re_im": [[0.5, 0.0]], "c_re_im": [[[0.5, 0.0]]],
          "ts_sec": 1.0}
 
 
+#: The refusal of a design file whose response overflows.
+_OVERFLOW = ("design file: the response is not finite on the grid: a pole "
+             "lies on the unit circle, or ts_sec, a or b is so far out of "
+             "range that it overflows")
+
+
 #: The design file of BW1, the README's design.
 _BW1 = cli.design_to_payload(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07,
                                         k_w_dc=3, k_w_nb=3, k_t=3))
@@ -693,11 +705,9 @@ def test_small_design_file_is_well_formed(tmp_path):
      "design file: the response is not finite on the grid"),
     ("response", dict(_BANK, a=[0.0, -0.5]),
      "design file: a must be monic (a[0] = 1), got [0.0, -0.5]"),
-    ("response", dict(_BW1, ts_sec=1e-300),
-     "design file: the response is not finite on the grid"),
+    ("response", dict(_BW1, ts_sec=1e-300), _OVERFLOW),
     ("response", dict(_BW1, b=[[1e308, 1e308] + _BW1["b"][0][2:]]
-                      + _BW1["b"][1:]),
-     "design file: the response is not finite on the grid"),
+                      + _BW1["b"][1:]), _OVERFLOW),
 ], ids=["config-array", "config-null", "config-missing-keys",
         "design-array", "design-null", "design-missing-keys",
         "design-poles-not-pairs", "design-empty-b", "design-null-ts",

@@ -868,6 +868,38 @@ def test_memo_is_bounded():
     assert [memo.cache_info() for memo in memos] == before
 
 
+#: A design-sweep grid spec whose solve fails (its expansion leaves an
+#: imaginary residue) in every round.
+_FAILING_GRID_SPEC = DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=8,
+                                k_w_nb=3, k_t=3, group_delay=5.0)
+
+
+def test_memo_keeps_failed_solves(monkeypatch):
+    """A failing solve raises the same error, with the same warnings,
+    cold, warm and after the memos are cleared; a warm call does not
+    solve again, and the memo keeps the error's class and message only,
+    no exception and so no traceback."""
+    solves = []
+    solve = design_module._solve_banks
+    monkeypatch.setattr(design_module, "_solve_banks",
+                        lambda *args: solves.append(args) or solve(*args))
+    _clear_design_memos()
+    cold = _outcome(_FAILING_GRID_SPEC)
+    assert cold[0] == (NumericalError, cold[0][1])
+    assert "transfer coefficients have imaginary residue" in cold[0][1]
+    assert [category for category, _ in cold[1]] == [IllConditionedSystem]
+    assert len(solves) == 1
+    assert _outcome(_FAILING_GRID_SPEC) == cold
+    assert len(solves) == 1
+    stored = design_module._memo_banks(
+        *design_module._set_key(_FAILING_GRID_SPEC), 5.0, 3)
+    assert stored == (NumericalError, cold[0][1])
+    assert not any(isinstance(x, BaseException) for x in stored)
+    _clear_design_memos()
+    assert _outcome(_FAILING_GRID_SPEC) == cold
+    assert len(solves) == 2
+
+
 # ---------------------------------------------------------------------------
 # Every bank is the expansion of its own coefficients
 
@@ -959,36 +991,23 @@ def _wng_polynomial_oracle(basis, k_t):
     return sigma_poly, np.atleast_1d(p_poly)
 
 
-def _bench_workloads():
-    """The benchmark's workload module, for its spec generators."""
-    import importlib
-    import os
-    import sys
-    bench = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "bench")
-    if bench not in sys.path:
-        sys.path.insert(0, bench)
-    return importlib.import_module("workloads")
-
-
-def _oracle_specs():
+def _oracle_specs(wl):
     """The design-sweep grid and the specs it draws in round 0 of seeds
-    0, 3 and 7."""
-    wl = _bench_workloads()
+    0, 3 and 7 (wl: the benchmark's workload module)."""
     specs = wl.grid_specs(False)
     for seed in (0, 3, 7):
         specs += wl.drawn_specs(wl.round_rng(seed, 0), wl.DRAWN_PER_ROUND)
     return specs
 
 
-def test_design_path_equals_its_oracles_bit_for_bit():
+def test_design_path_equals_its_oracles_bit_for_bit(bench_workloads):
     """Psi, the WNG polynomial of every output and its optimal delay equal
     the per-column and per-term oracles bit for bit on every design-sweep
     grid spec and on the drawn specs of three seeds."""
     causal = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for spec in _oracle_specs():
+        for spec in _oracle_specs(bench_workloads):
             basis = constraint_basis(spec)
             assert np.array_equal(basis.psi, _psi_oracle(spec, basis.poles))
             if not spec.causal:
@@ -1018,6 +1037,33 @@ def test_basis_columns_of_a_pole_array_equal_single_pole_columns():
                 assert col.shape == (K,)
                 assert np.array_equal(block[:, j], col)
                 assert np.array_equal(col, _basis_column_oracle(p, omega, K))
+
+
+def _basis_block_dot_oracle(p, omega_d, K):
+    """basis_derivative_column with each entry its own np.dot of an alpha
+    row and one pole's powers."""
+    z = np.exp(1j * omega_d)
+    powers = (z / (z - p)).reshape(-1, 1) ** np.arange(1, K + 1)
+    out = np.array([[np.dot(row, pw[:len(row)]) for pw in powers]
+                    for row in design_module._alpha_rows(K)])
+    return out * (1j ** np.arange(K))[:, None]
+
+
+def test_basis_columns_equal_per_entry_dot_over_random_poles():
+    """The stacked matmul of each alpha row gives every entry bit for bit
+    as its own np.dot, for K up to 16 over random poles inside and
+    outside the unit circle and random constraint frequencies."""
+    rng = np.random.default_rng(2024)
+    for K in range(1, 17):
+        for n_poles in (1, 2, K, 2 * K):
+            for _ in range(4):
+                poles = rng.uniform(0.05, 1.6, n_poles) \
+                    * np.exp(1j * rng.uniform(-np.pi, np.pi, n_poles))
+                omega = float(rng.choice([0.0, np.pi,
+                                          rng.uniform(-np.pi, np.pi)]))
+                assert np.array_equal(
+                    basis_derivative_column(poles, omega, K),
+                    _basis_block_dot_oracle(poles, omega, K)), (K, n_poles)
 
 
 @pytest.mark.parametrize("block", range(3))
