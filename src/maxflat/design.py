@@ -322,7 +322,8 @@ class ConstraintBasis:
     entry of blocks (see constraint_blocks), with its condition estimate;
     s is the Gram matrix of a causal set (None for a two-sided one).  spec
     fixes the set; its K_t and group delay are not read.  The optimal delay
-    of each output is searched on its first request and kept.
+    of each output is searched on its first request and kept, and so are
+    the banks solved on the basis for its last few (q, K_t) pairs.
     """
 
     spec: DesignSpec
@@ -333,6 +334,8 @@ class ConstraintBasis:
     s: Optional[np.ndarray]
     _optima: Dict[int, Optional[float]] = field(default_factory=dict,
                                                 init=False, repr=False)
+    _solved: Dict[Tuple[float, int], tuple] = field(default_factory=dict,
+                                                    init=False, repr=False)
 
     @classmethod
     def from_poles(cls, spec: DesignSpec,
@@ -375,6 +378,30 @@ class ConstraintBasis:
                           "returning 0", UserWarning)
             return 0.0
         return q
+
+    def _banks(self, q: float, k_t: int) -> tuple:
+        """_solve_banks(self, q, k_t), every array read-only, kept for the
+        last _BANKS_PER_BASIS (q, k_t) pairs, oldest out first.  A failing
+        solve is kept as its NumericalError's class and message, which hold
+        no traceback, and every call raises a fresh error of them.  Warnings
+        come from constraint_basis and optimal_delay, which run before it
+        on every call; the solve itself raises none."""
+        banks = self._solved.get((q, k_t))
+        if banks is None:
+            try:
+                banks = _solve_banks(self, q, k_t)
+            except NumericalError as exc:
+                banks = type(exc), str(exc)
+            else:
+                for bank in banks:
+                    for array in bank:
+                        array.flags.writeable = False
+            if len(self._solved) == _BANKS_PER_BASIS:
+                del self._solved[next(iter(self._solved))]
+            self._solved[q, k_t] = banks
+        if isinstance(banks[0], type):  # a stored failure
+            raise banks[0](banks[1])
+        return banks
 
 
 def assemble_system(spec: DesignSpec, poles: np.ndarray,
@@ -509,8 +536,8 @@ def transfer_coefficients(c: np.ndarray,
 
     The expansion runs in extended precision, because the product
     accumulation is the accuracy bottleneck for clustered pole sets.  The
-    designs reach it only on a miss of their memo of solved banks (see
-    design_filterbank).
+    designs reach it only when their basis has not kept their solved banks
+    (see design_filterbank).
     """
     poles_hp = np.asarray(poles, dtype=np.clongdouble)
     K = len(poles_hp)
@@ -566,22 +593,22 @@ def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
 #: Bases with at most this many constraints are memoized, and so are the
 #: banks solved on them.
 _MEMO_MAX_K = 16
-#: The memo holds at most this many bases, least recently used out first.
-#: A causal entry of K = 16 holds 9.5 KB (Psi and S 4 KB each; measured
-#: with tracemalloc), so the memo never holds more than 0.92 MB.  The
-#: benchmark's design-sweep grid has 44 constraint sets and each round
-#: adds 32 drawn ones, which fit beside them.
+#: The memo holds at most this many bases, least recently used out first,
+#: and each basis keeps the banks of its last _BANKS_PER_BASIS (q, K_t)
+#: pairs (ConstraintBasis._banks), which go with it.  Measured with
+#: tracemalloc, a basis of K = 16 holds at most 10.3 KB (causal: Psi and
+#: S 4 KB each) and a bank at most 15 KB (two-sided, K = K_t = 16), so
+#: the memo never holds more than 96 x (10.3 + 6 x 15) KB, about 9.3 MB.
+#: The benchmark's design-sweep grid has 44 constraint sets of at most 6
+#: (q, K_t) pairs each, and each round adds 32 drawn sets, which fit
+#: beside them: after three rounds the memo holds 0.69 MB.
 _MEMO_SIZE = 96
+_BANKS_PER_BASIS = 6
 # typed: equal numbers of other types (1000 and np.float32(1000)) compute
-# other poles.  Exceptions are not stored, so a failing set fails each time.
+# other poles.  A basis build that raises is not stored, so a set whose
+# basis fails fails each time.
 _memo_basis = functools.lru_cache(maxsize=_MEMO_SIZE,
                                   typed=True)(_build_basis)
-
-
-def _set_key(spec: DesignSpec) -> tuple:
-    """The arguments of _build_basis that fix spec's constraint set."""
-    return (spec.f_s, spec.f_wb, spec.f_nb if spec.k_w_nb > 0 else None,
-            spec.k_w_dc, spec.k_w_nb, spec.k_w_pi, spec.causal)
 
 
 def constraint_basis(spec: DesignSpec) -> ConstraintBasis:
@@ -594,7 +621,9 @@ def constraint_basis(spec: DesignSpec) -> ConstraintBasis:
     """
     build = _memo_basis if spec.total_constraints <= _MEMO_MAX_K \
         else _build_basis
-    basis = build(*_set_key(spec))
+    basis = build(spec.f_s, spec.f_wb,
+                  spec.f_nb if spec.k_w_nb > 0 else None, spec.k_w_dc,
+                  spec.k_w_nb, spec.k_w_pi, spec.causal)
     _warn_ill_conditioned(basis.condition)
     return basis
 
@@ -626,51 +655,15 @@ def _solve_banks(basis: ConstraintBasis, q: float, k_t: int) -> tuple:
             (r, c_b, sigma_b, a_b, np.roll(b_z, 1, axis=1)))
 
 
-def _build_banks(*key) -> tuple:
-    """_solve_banks on the basis of the set key[:-2] for the delay and
-    K_t key[-2:], every array read-only; or its NumericalError as
-    (class, message), which holds no traceback."""
-    basis = _memo_basis(*key[:-2])
-    try:
-        banks = _solve_banks(basis, *key[-2:])
-    except NumericalError as exc:
-        return type(exc), str(exc)
-    for bank in banks:
-        for array in bank:
-            array.flags.writeable = False
-    return banks
-
-
-#: The memo of solved banks holds at most this many, least recently used
-#: out first: the benchmark's design-sweep grid (192 specs) beside one
-#: round's 32 drawn ones.  An entry holds at most 16 KB (two-sided,
-#: K = K_t = 16; causal 12 KB; measured with tracemalloc), so the memo
-#: never holds more than 4.1 MB; the grid and 32 drawn specs hold 0.3 MB.
-_BANK_MEMO_SIZE = 256
-# Keyed, typed, by the basis memo's key, the delay and K_t.  A failing
-# solve is stored as its error's class and message, and every call raises
-# a fresh error of them, so a spec that fails each round solves once.
-# Warnings come from constraint_basis and optimal_delay, which run before
-# it on every call; the solve itself raises none.
-_memo_banks = functools.lru_cache(maxsize=_BANK_MEMO_SIZE,
-                                  typed=True)(_build_banks)
-
-
 def _designs(spec: DesignSpec, basis: ConstraintBasis,
              q: float) -> tuple:
-    """The banks of spec solved on its basis at delay q, from the memo of
-    solved banks when K is small, each array a writeable copy."""
-    if spec.total_constraints > _MEMO_MAX_K:
-        banks = _solve_banks(basis, q, spec.k_t)
-    else:
-        banks = _memo_banks(*_set_key(spec), q, spec.k_t)
-        if isinstance(banks[0], type):  # a stored failure
-            raise banks[0](banks[1])
+    """The banks of spec solved on its basis at delay q, kept by the basis
+    (ConstraintBasis._banks), each array a writeable copy."""
     return tuple(FilterbankDesign(poles=poles.copy(), c=c.copy(), q=q,
                                   sigma=sigma.copy(), a=a.copy(),
                                   b=tuple(b.copy()), t_s=spec.t_s,
                                   condition=basis.condition)
-                 for poles, c, sigma, a, b in banks)
+                 for poles, c, sigma, a, b in basis._banks(q, spec.k_t))
 
 
 def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
@@ -684,8 +677,8 @@ def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
     for output k_t alone.
 
     Designs that share a constraint set share its memoized basis, and
-    those that also share q and K_t share their solved c, sigma, a and b
-    through a second bounded memo.  The basis and the delay are taken on
+    those that also share q and K_t share the c, sigma, a and b that the
+    basis keeps for them.  The basis and the delay are taken on
     every call, so outputs, warnings and errors are those of a fresh build,
     and every array of the design is its own writeable copy.
     """
@@ -715,8 +708,8 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
 
     The 2K poles and Psi come from constraint_basis(spec), and the
     coefficients from solve_coefficients(basis.system(q, K_t)), as in
-    design_filterbank; both banks come from its memo of solved banks, as
-    one entry, and are handed out as writeable copies.
+    design_filterbank; the basis keeps both banks as one entry, and they
+    are handed out as writeable copies.
     """
     if spec.causal:
         raise ValueError("noncausal_design requires a causal=False spec")

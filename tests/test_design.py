@@ -693,13 +693,13 @@ def test_assemble_system_equals_basis_system(spec):
 
 
 # ---------------------------------------------------------------------------
-# The memos of bases and of solved banks
+# The memo of bases and the solved banks each basis keeps
 
 
 def _clear_design_memos():
-    """Empty both design memos, so that the next design is built cold."""
+    """Empty the design memo, and with its bases the banks they keep, so
+    that the next design is built cold."""
     design_module._memo_basis.cache_clear()
-    design_module._memo_banks.cache_clear()
 
 
 def _sweep_grid_specs():
@@ -774,8 +774,8 @@ def _outcome(spec):
 
 @pytest.fixture(scope="module")
 def sweep_outcomes():
-    """Each spec designed cold (both memos cleared first), then the whole
-    list twice with the memos kept, as the benchmark's rounds run it."""
+    """Each spec designed cold (the memo cleared first), then the whole
+    list twice with the memo kept, as the benchmark's rounds run it."""
     specs = _sweep_specs()
     cold = []
     for spec in specs:
@@ -810,7 +810,7 @@ def test_memo_designs_warn_as_cold_designs(sweep_outcomes):
 ], ids=["causal", "two-sided"])
 def test_memo_hands_out_copies(spec):
     """Writing into one design's arrays leaves the next design of the same
-    spec, and the memos, unchanged; what the memos store is read-only."""
+    spec, and the memo, unchanged; what the memo stores is read-only."""
     solve = design_filterbank if spec.causal else noncausal_design
     first = solve(spec)
     first = first if isinstance(first, tuple) else (first,)
@@ -823,24 +823,34 @@ def test_memo_hands_out_copies(spec):
     basis = constraint_basis(spec)
     for array in (basis.poles, basis.psi, basis.s):
         assert array is None or not array.flags.writeable
-    banks = design_module._memo_banks(*design_module._set_key(spec),
-                                      first[0].q, spec.k_t)
+    banks = basis._solved[first[0].q, spec.k_t]
     assert len(banks) == len(first)
     for bank in banks:
         assert not any(array.flags.writeable for array in bank)
 
 
-def test_memo_key_ignores_f_nb_without_narrowband_constraints():
+def _count_solves(monkeypatch):
+    """A list that gets the arguments of every _solve_banks call."""
+    solves = []
+    solve = design_module._solve_banks
+    monkeypatch.setattr(design_module, "_solve_banks",
+                        lambda *args: solves.append(args) or solve(*args))
+    return solves
+
+
+def test_memo_key_ignores_f_nb_without_narrowband_constraints(monkeypatch):
+    solves = _count_solves(monkeypatch)
     _clear_design_memos()
     for f_nb in (None, 0.3):
         design_filterbank(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=f_nb,
                                      k_w_dc=3, k_t=2))
-    for memo in (design_module._memo_basis, design_module._memo_banks):
-        info = memo.cache_info()
-        assert (info.currsize, info.misses) == (1, 1)
+    info = design_module._memo_basis.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert len(solves) == 1
 
 
-def test_memo_is_bounded():
+def test_memo_is_bounded(monkeypatch):
+    solves = _count_solves(monkeypatch)
     _clear_design_memos()
     n = design_module._MEMO_SIZE + 20
     for f_wb in np.linspace(0.01, 0.4, n):
@@ -849,23 +859,48 @@ def test_memo_is_bounded():
     info = design_module._memo_basis.cache_info()
     assert info.misses == n
     assert info.currsize == info.maxsize == design_module._MEMO_SIZE
-    # One solved bank per constraint set, delay and K_t.
-    m = design_module._BANK_MEMO_SIZE + 20
-    for q in np.linspace(0.0, 10.0, m):
-        design_filterbank(DesignSpec(f_s=1.0, f_wb=0.4, k_w_dc=2, k_t=1,
-                                     group_delay=float(q)))
-    info = design_module._memo_banks.cache_info()
-    assert info.misses == n + m
-    assert info.currsize == info.maxsize == design_module._BANK_MEMO_SIZE
-    # Sets of more than _MEMO_MAX_K constraints are never stored.
-    memos = (design_module._memo_basis, design_module._memo_banks)
-    before = [memo.cache_info() for memo in memos]
+    # A basis keeps the banks of its last _BANKS_PER_BASIS (q, K_t) pairs.
+    m = design_module._BANKS_PER_BASIS + 20
+    delays = [float(q) for q in np.linspace(0.0, 10.0, m)]
+    for q in delays:
+        spec = DesignSpec(f_s=1.0, f_wb=0.4, k_w_dc=2, k_t=1, group_delay=q)
+        design_filterbank(spec)
+    assert len(solves) == n + m
+    kept = constraint_basis(spec)._solved
+    assert list(kept) == [(q, 1) for q in
+                          delays[-design_module._BANKS_PER_BASIS:]]
+    design_filterbank(spec)
+    assert len(solves) == n + m
+    # Sets of more than _MEMO_MAX_K constraints are never stored, and
+    # neither are their banks: each design solves again.
+    before = design_module._memo_basis.cache_info()
     big = DesignSpec(f_s=1.0, f_wb=0.45, k_w_dc=design_module._MEMO_MAX_K + 2,
                      k_t=1, group_delay=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedSystem)
-        design_filterbank(big)
-    assert [memo.cache_info() for memo in memos] == before
+        for _ in range(2):
+            design_filterbank(big)
+    assert design_module._memo_basis.cache_info() == before
+    assert len(solves) == n + m + 2
+
+
+def test_evicted_basis_drops_its_banks(monkeypatch):
+    """Once the memo has evicted a constraint set's basis, the next design
+    of that set builds its basis and solves again, to the same bits."""
+    solves = _count_solves(monkeypatch)
+    _clear_design_memos()
+    spec = DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=3, k_w_nb=3,
+                      k_t=3)
+    before = _outcome(spec)
+    assert _outcome(spec) == before
+    assert len(solves) == 1
+    for f_wb in np.linspace(0.01, 0.4, design_module._MEMO_SIZE):
+        design_filterbank(DesignSpec(f_s=1.0, f_wb=float(f_wb), k_w_dc=2,
+                                     k_t=1))
+    misses = design_module._memo_basis.cache_info().misses
+    assert _outcome(spec) == before
+    assert design_module._memo_basis.cache_info().misses == misses + 1
+    assert len(solves) == design_module._MEMO_SIZE + 2
 
 
 #: A design-sweep grid spec whose solve fails (its expansion leaves an
@@ -876,13 +911,10 @@ _FAILING_GRID_SPEC = DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=8,
 
 def test_memo_keeps_failed_solves(monkeypatch):
     """A failing solve raises the same error, with the same warnings,
-    cold, warm and after the memos are cleared; a warm call does not
-    solve again, and the memo keeps the error's class and message only,
-    no exception and so no traceback."""
-    solves = []
-    solve = design_module._solve_banks
-    monkeypatch.setattr(design_module, "_solve_banks",
-                        lambda *args: solves.append(args) or solve(*args))
+    cold, warm and after the memo is cleared; a warm call does not solve
+    again, and the basis keeps the error's class and message only, no
+    exception and so no traceback."""
+    solves = _count_solves(monkeypatch)
     _clear_design_memos()
     cold = _outcome(_FAILING_GRID_SPEC)
     assert cold[0] == (NumericalError, cold[0][1])
@@ -891,8 +923,9 @@ def test_memo_keeps_failed_solves(monkeypatch):
     assert len(solves) == 1
     assert _outcome(_FAILING_GRID_SPEC) == cold
     assert len(solves) == 1
-    stored = design_module._memo_banks(
-        *design_module._set_key(_FAILING_GRID_SPEC), 5.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedSystem)
+        stored = constraint_basis(_FAILING_GRID_SPEC)._solved[5.0, 3]
     assert stored == (NumericalError, cold[0][1])
     assert not any(isinstance(x, BaseException) for x in stored)
     _clear_design_memos()
