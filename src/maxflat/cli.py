@@ -234,8 +234,7 @@ def cmd_response(args: argparse.Namespace) -> int:
             h = analyze.frequency_response(design.b[kt], design.a, omegas)
             ideal = analyze.ideal_response(kt, design.q, design.t_s, omegas)
             phase = np.unwrap(np.angle(h))
-            gd = analyze.measured_group_delay(design.b[kt], design.a,
-                                              omegas)
+            gd = -np.gradient(phase, omegas)
             header += [f"re_{kt}", f"im_{kt}", f"magnitude_{kt}",
                        f"phase_unwrapped_{kt}",
                        f"complex_error_vs_ideal_{kt}", f"group_delay_{kt}"]

@@ -16,12 +16,10 @@ delay q; its minimizer gives the optimal delay for a given pole set.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -155,7 +153,9 @@ class FilterbankDesign:
     a two-sided design holds it one sample late, first entry zero).  sigma
     is the real white-noise cross-gain matrix.  condition is the condition
     estimate of Psi in the design's ConstraintBasis (None for a design read
-    back from JSON).
+    back from JSON).  A design of design_filterbank or noncausal_design is
+    kept by its basis and handed to every caller as it is, so each of its
+    arrays is read-only.
     """
 
     poles: np.ndarray
@@ -257,27 +257,16 @@ def dc_targets(q: float, t_s: float, k_w_dc: int, k_t: int) -> np.ndarray:
     """
     if not 0 <= k_t < k_w_dc:
         raise ValueError("require 0 <= k_t < K_w_dc")
-    units, ratios = _dc_factors(k_w_dc, k_t)
-    powers = map(pow, itertools.repeat(-q), range(k_w_dc - k_t))
-    # The entry's four factors, multiplied left to right in Python's own
-    # scalar arithmetic, so its bits are those of the formula above.
+    d = np.zeros(k_w_dc, dtype=complex)
     try:
-        terms = list(map(mul, map(mul, map(mul, units, powers),
-                                  itertools.repeat((1.0 / t_s) ** k_t)),
-                         ratios))
+        for kw in range(k_t, k_w_dc):
+            ratio = math.factorial(kw) // math.factorial(kw - k_t)
+            d[kw] = ((1j) ** kw * (-q) ** (kw - k_t) * (1.0 / t_s) ** k_t
+                     * ratio)
     except OverflowError as exc:
         raise NumericalError("dc constraint target (-q)^k_w (1/T_s)^k_t "
                              f"overflows at q = {q!r}, T_s = {t_s!r}") from exc
-    return np.array([0j] * k_t + terms)
-
-
-@functools.cache
-def _dc_factors(k_w_dc: int, k_t: int) -> Tuple[tuple, tuple]:
-    """i^{k_w} as Python's (1j) ** k_w, signed zeros included, and the
-    integer k_w!/(k_w-k_t)!, for k_w = k_t..K_w_dc-1."""
-    kw = range(k_t, k_w_dc)
-    return (tuple((1j) ** k for k in kw),
-            tuple(math.factorial(k) // math.factorial(k - k_t) for k in kw))
+    return d
 
 
 def constraint_blocks(spec: DesignSpec) -> Tuple[Tuple[float, int], ...]:
@@ -323,7 +312,7 @@ class ConstraintBasis:
     s is the Gram matrix of a causal set (None for a two-sided one).  spec
     fixes the set; its K_t and group delay are not read.  The optimal delay
     of each output is searched on its first request and kept, and so are
-    the banks solved on the basis for its last few (q, K_t) pairs.
+    the designs solved on it for its last few (q, K_t) pairs.
     """
 
     spec: DesignSpec
@@ -334,8 +323,8 @@ class ConstraintBasis:
     s: Optional[np.ndarray]
     _optima: Dict[int, Optional[float]] = field(default_factory=dict,
                                                 init=False, repr=False)
-    _solved: Dict[Tuple[float, int], tuple] = field(default_factory=dict,
-                                                    init=False, repr=False)
+    _solved: Dict[Tuple[float, float, int], tuple] = field(
+        default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_poles(cls, spec: DesignSpec,
@@ -379,26 +368,25 @@ class ConstraintBasis:
             return 0.0
         return q
 
-    def _banks(self, q: float, k_t: int) -> tuple:
-        """_solve_banks(self, q, k_t), every array read-only, kept for the
-        last _BANKS_PER_BASIS (q, k_t) pairs, oldest out first.  A failing
-        solve is kept as its NumericalError's class and message, which hold
-        no traceback, and every call raises a fresh error of them.  Warnings
-        come from constraint_basis and optimal_delay, which run before it
-        on every call; the solve itself raises none."""
-        banks = self._solved.get((q, k_t))
+    def _banks(self, q: float, k_t: int) -> Tuple[FilterbankDesign, ...]:
+        """The designs _solve_banks(self, q, k_t), kept as they are for the
+        last _BANKS_PER_BASIS (q, K_t) pairs, oldest out first, and handed
+        out to every caller.  The key holds q's sign too, so that a design
+        at q = -0.0 keeps its -0.0.  A failing solve is kept as its
+        NumericalError's class and message, which hold no traceback, and
+        every call raises a fresh error of them.  Warnings come from
+        constraint_basis and optimal_delay, which run before it on every
+        call; the solve itself raises none."""
+        key = q, math.copysign(1.0, q), k_t
+        banks = self._solved.get(key)
         if banks is None:
             try:
                 banks = _solve_banks(self, q, k_t)
             except NumericalError as exc:
                 banks = type(exc), str(exc)
-            else:
-                for bank in banks:
-                    for array in bank:
-                        array.flags.writeable = False
             if len(self._solved) == _BANKS_PER_BASIS:
                 del self._solved[next(iter(self._solved))]
-            self._solved[q, k_t] = banks
+            self._solved[key] = banks
         if isinstance(banks[0], type):  # a stored failure
             raise banks[0](banks[1])
         return banks
@@ -536,8 +524,8 @@ def transfer_coefficients(c: np.ndarray,
 
     The expansion runs in extended precision, because the product
     accumulation is the accuracy bottleneck for clustered pole sets.  The
-    designs reach it only when their basis has not kept their solved banks
-    (see design_filterbank).
+    designs reach it only when their basis has not kept them (see
+    design_filterbank).
     """
     poles_hp = np.asarray(poles, dtype=np.clongdouble)
     K = len(poles_hp)
@@ -591,17 +579,18 @@ def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
 
 
 #: Bases with at most this many constraints are memoized, and so are the
-#: banks solved on them.
+#: designs solved on them.
 _MEMO_MAX_K = 16
 #: The memo holds at most this many bases, least recently used out first,
-#: and each basis keeps the banks of its last _BANKS_PER_BASIS (q, K_t)
+#: and each basis keeps the designs of its last _BANKS_PER_BASIS (q, K_t)
 #: pairs (ConstraintBasis._banks), which go with it.  Measured with
 #: tracemalloc, a basis of K = 16 holds at most 10.3 KB (causal: Psi and
-#: S 4 KB each) and a bank at most 15 KB (two-sided, K = K_t = 16), so
-#: the memo never holds more than 96 x (10.3 + 6 x 15) KB, about 9.3 MB.
-#: The benchmark's design-sweep grid has 44 constraint sets of at most 6
+#: S 4 KB each) and a kept entry at most 19 KB (the two halves of a
+#: two-sided design of K = K_t = 16, with a view per row of b), so the
+#: memo never holds more than 96 x (10.3 + 6 x 19) KB, about 12 MB.  The
+#: benchmark's design-sweep grid has 44 constraint sets of at most 6
 #: (q, K_t) pairs each, and each round adds 32 drawn sets, which fit
-#: beside them: after three rounds the memo holds 0.69 MB.
+#: beside them: after three rounds the memo holds 0.78 MB.
 _MEMO_SIZE = 96
 _BANKS_PER_BASIS = 6
 # typed: equal numbers of other types (1000 and np.float32(1000)) compute
@@ -628,15 +617,23 @@ def constraint_basis(spec: DesignSpec) -> ConstraintBasis:
     return basis
 
 
-def _solve_banks(basis: ConstraintBasis, q: float, k_t: int) -> tuple:
-    """The bank of a causal basis solved for delay q and k_t outputs, or
-    the (forward, backward) banks of a two-sided one (noncausal_design),
-    each as (poles, c, sigma, a, b)."""
+def _solve_banks(basis: ConstraintBasis, q: float,
+                 k_t: int) -> Tuple[FilterbankDesign, ...]:
+    """The design of a causal basis solved for delay q and k_t outputs, or
+    the (forward, backward) halves of a two-sided one (noncausal_design),
+    every array read-only."""
+    def bank(poles, c, sigma, a, b):
+        for array in (poles, c, sigma, a, b):
+            array.flags.writeable = False
+        return FilterbankDesign(poles=poles, c=c, q=q, sigma=sigma, a=a,
+                                b=tuple(b), t_s=basis.spec.t_s,
+                                condition=basis.condition)
+
     c = solve_coefficients(basis.system(q, k_t))
     if basis.s is not None:
         sigma = white_noise_gain(c, basis.s)
         b, a = transfer_coefficients(c, basis.poles)
-        return ((basis.poles, c, sigma, a, b),)
+        return (bank(basis.poles, c, sigma, a, b),)
 
     inside = np.abs(basis.poles) < 1.0
     p_in, c_in = basis.poles[inside], c[inside, :]
@@ -651,19 +648,8 @@ def _solve_banks(basis: ConstraintBasis, q: float, k_t: int) -> tuple:
     # The expansion of sum_k c_b z/(z - r) ends in an exact 0, so the
     # one-sample delay is a roll.
     b_z, a_b = transfer_coefficients(c_b_hp, r)
-    return ((p_in, c_in, sigma_f, a_f, b_f),
-            (r, c_b, sigma_b, a_b, np.roll(b_z, 1, axis=1)))
-
-
-def _designs(spec: DesignSpec, basis: ConstraintBasis,
-             q: float) -> tuple:
-    """The banks of spec solved on its basis at delay q, kept by the basis
-    (ConstraintBasis._banks), each array a writeable copy."""
-    return tuple(FilterbankDesign(poles=poles.copy(), c=c.copy(), q=q,
-                                  sigma=sigma.copy(), a=a.copy(),
-                                  b=tuple(b.copy()), t_s=spec.t_s,
-                                  condition=basis.condition)
-                 for poles, c, sigma, a, b in basis._banks(q, spec.k_t))
+    return (bank(p_in, c_in, sigma_f, a_f, b_f),
+            bank(r, c_b, sigma_b, a_b, np.roll(b_z, 1, axis=1)))
 
 
 def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
@@ -677,10 +663,10 @@ def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
     for output k_t alone.
 
     Designs that share a constraint set share its memoized basis, and
-    those that also share q and K_t share the c, sigma, a and b that the
-    basis keeps for them.  The basis and the delay are taken on
-    every call, so outputs, warnings and errors are those of a fresh build,
-    and every array of the design is its own writeable copy.
+    those that also share q and K_t are one design, which the basis keeps
+    and hands out as it is, every array read-only.  The basis and the
+    delay are taken on every call, so outputs, warnings and errors are
+    those of a fresh build.
     """
     if not spec.causal:
         raise ValueError("use noncausal_design for causal=False specs")
@@ -689,7 +675,7 @@ def design_filterbank(spec: DesignSpec) -> FilterbankDesign:
         q = basis.optimal_delay()
     else:
         q = float(spec.group_delay)
-    return _designs(spec, basis, q)[0]
+    return basis._banks(q, spec.k_t)[0]
 
 
 def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
@@ -708,8 +694,8 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
 
     The 2K poles and Psi come from constraint_basis(spec), and the
     coefficients from solve_coefficients(basis.system(q, K_t)), as in
-    design_filterbank; the basis keeps both banks as one entry, and they
-    are handed out as writeable copies.
+    design_filterbank; the basis keeps both halves as one entry and hands
+    them out as they are, every array read-only.
     """
     if spec.causal:
         raise ValueError("noncausal_design requires a causal=False spec")
@@ -722,4 +708,4 @@ def noncausal_design(spec: DesignSpec) -> Tuple[FilterbankDesign,
                          "(conventionally 0)")
     q = float(spec.group_delay)
     basis = constraint_basis(spec)
-    return _designs(spec, basis, q)
+    return basis._banks(q, spec.k_t)

@@ -115,17 +115,14 @@ def discretize_process(params: ProcessParams, t_s: float) -> DiscreteProcess:
     return DiscreteProcess(g=np.array(g), h=np.array(h), c=c, t_s=t_s)
 
 
-def _zoh(s, w, t_s: float, input_only: bool = False):
+def _zoh(s, w, t_s: float):
     """Entries of the exact zero-order-hold G (2 x 2) and H (2) over one
-    T_s, elementwise over scalar or array sigma_c and Omega_c; with
-    input_only, H alone, bit for bit the same."""
+    T_s, elementwise over scalar or array sigma_c and Omega_c."""
     e = np.exp(s * t_s)
     cw, sw = np.cos(w * t_s), np.sin(w * t_s)
     r2 = s * s + w * w
     g0 = (e * (cw - (s / w) * sw), (1.0 / w) * e * sw)
     h = ((1.0 - g0[0]) / r2, g0[1])
-    if input_only:
-        return h
     return (g0, (-(r2 / w) * e * sw, e * (cw + (s / w) * sw))), h
 
 
@@ -140,9 +137,9 @@ def oscillator_response(tau_c: np.ndarray, lambda_c: np.ndarray, t_s: float,
     = e^{sigma k T_s} [cos(Omega k T_s) I + sin(Omega k T_s)/Omega (A - sigma I)],
     so the response to a unit input is C G^k H = b0 Re(beta e^{mu k}) with
     mu = (sigma + i Omega) T_s, beta = h_0 - i (h_1 - sigma h_0) / Omega
-    and H the exact ZOH input vector of ``discretize_process``, computed
-    without G.  Summing over the input, y[k] = Re(e^{mu k} P_min(k, L-1))
-    with P_j = b0 beta sum_{m <= j} u[m] e^{-mu m}.  It agrees with the
+    and H the exact ZOH input vector of ``discretize_process``.  Summing
+    over the input, y[k] = Re(e^{mu k} P_min(k, L-1)) with
+    P_j = b0 beta sum_{m <= j} u[m] e^{-mu m}.  It agrees with the
     state recursion w[n] = G w[n-1] + H u[n], y[n] = C w[n] to about 1e-14
     of each row's peak.  sigma_c, Omega_c and b0 are formed elementwise by
     the operations of ``ProcessParams``, and every tau_c and lambda_c
@@ -159,7 +156,7 @@ def oscillator_response(tau_c: np.ndarray, lambda_c: np.ndarray, t_s: float,
     n_in = u.shape[-1]
     if not n_in <= n_samples:
         raise ValueError("require input length <= n_samples")
-    h0, h1 = _zoh(s, w, t_s, input_only=True)
+    h0, h1 = _zoh(s, w, t_s)[1]
     mu = ((s + 1j * w) * t_s)[:, None]
     beta = (b0 * (h0 - 1j * (h1 - s * h0) / w))[:, None]
     partial = beta * np.cumsum(u * np.exp(-mu * np.arange(float(n_in))),

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, serialization round trips, outputs,
 and which subcommands load SciPy."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -528,6 +529,19 @@ print(json.dumps([cold, homes, sorted(set(maxflat.__all__) - set(ns)),
     assert modules == ["maxflat.realize", "maxflat.procsim",
                        "maxflat.detector", "maxflat.tracker"]
     assert version == "1.0.0"
+
+
+def test_public_functions_are_plain_functions():
+    """Every callable of __all__ that is not a class is a plain Python
+    function.  bench/spans.py's tracer wraps only those, so a public
+    function behind functools.cache or lru_cache would drop out of every
+    per-layer metric without a sign."""
+    names = [name for name in maxflat.__all__
+             if callable(getattr(maxflat, name))
+             and not inspect.isclass(getattr(maxflat, name))]
+    assert names
+    assert [name for name in names
+            if not inspect.isfunction(getattr(maxflat, name))] == []
 
 
 # ---------------------------------------------------------------------------
