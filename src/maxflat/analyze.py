@@ -202,7 +202,7 @@ def verify_constraints(spec: DesignSpec,
     scale = 1.0 + _abs(target)
     a_ok = _abs(analytic[..., :width] - target) <= 1e-6 * scale
 
-    coeffs = np.array(design.b + (design.a,))
+    coeffs = np.concatenate((design.b, design.a[None]))
     vals = _horner(coeffs, z.ravel())  # every numerator and the denominator
     h = vals[:-1] / vals[-1]
     sums = np.abs(coeffs).sum(axis=1)

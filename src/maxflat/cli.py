@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import json
 import sys
+import warnings
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -186,7 +187,7 @@ def bank_from_payload(payload: Dict[str, Any]) -> FilterbankDesign:
     return FilterbankDesign(
         poles=poles_re_im.view(complex)[:, 0],
         c=c_re_im.view(complex)[:, :, 0].T, q=float(q), sigma=sigma, a=a,
-        b=tuple(b), t_s=float(t_s))
+        b=b, t_s=float(t_s))
 
 
 # --------------------------------------------------------------------------
@@ -528,6 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # One stderr line per warning; callers that record them get them all.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *_: \
+        f"warning: {category.__name__}: {message}\n"
     try:
         return args.func(args)
     except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -536,6 +541,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

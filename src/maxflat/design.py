@@ -148,14 +148,14 @@ class FilterbankDesign:
     """A solved filterbank: basis poles, coefficients, and realizable forms.
 
     c is the K x K_t coefficient matrix (column k_t drives derivative order
-    k_t).  a is the shared monic denominator (length K+1); b[k_t] is the
-    matching numerator (length K+1, last entry zero; the backward half of
-    a two-sided design holds it one sample late, first entry zero).  sigma
-    is the real white-noise cross-gain matrix.  condition is the condition
-    estimate of Psi in the design's ConstraintBasis (None for a design read
-    back from JSON).  A design of design_filterbank or noncausal_design is
-    kept by its basis and handed to every caller as it is, so each of its
-    arrays is read-only.
+    k_t).  a is the shared monic denominator (length K+1); b is the float64
+    K_t x (K+1) numerator matrix, row k_t for output k_t (last column zero;
+    the backward half of a two-sided design holds it one sample late, first
+    column zero).  sigma is the real white-noise cross-gain matrix.
+    condition is the condition estimate of Psi in the design's
+    ConstraintBasis (None for a design read back from JSON).  A design is a
+    read-only value, designed or read from JSON: it holds read-only views
+    of poles, c, sigma, a and b.
     """
 
     poles: np.ndarray
@@ -163,9 +163,15 @@ class FilterbankDesign:
     q: float
     sigma: np.ndarray
     a: np.ndarray
-    b: Tuple[np.ndarray, ...]
+    b: np.ndarray
     t_s: float
     condition: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("poles", "c", "sigma", "a", "b"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def order(self) -> int:
@@ -209,31 +215,19 @@ def alpha_table(K: int) -> np.ndarray:
     return table
 
 
-@functools.cache
-def _alpha_rows(K: int) -> Tuple[np.ndarray, ...]:
-    """Complex alpha rows of K, built once beside alpha_table's tables:
-    entry k of the tuple is (-1)^l alpha_{k,l}, l = 0..k, read-only."""
-    signed = alpha_table(K) * (-1.0) ** np.arange(K)
-    rows = tuple(signed[k, :k + 1].astype(complex) for k in range(K))
-    for row in rows:
-        row.flags.writeable = False
-    return rows
-
-
 def basis_derivative_column(p, omega_d: float, K: int) -> np.ndarray:
     """Frequency derivatives 0..K-1 of psi(w) = e^{iw}/(e^{iw}-p) at omega_d.
 
-    p is one pole, which gives a length-K column, or an array of poles,
-    which gives a (K, len(p)) array with the column of p[j] in column j.
-    Entry k equals (d/dw)^k psi(w) |_{w=omega_d}, computed as
-    i^k * sum_l (-1)^l alpha_{k,l} psi^{l+1}.  psi and its powers are
-    formed for all poles at once, and each alpha row meets the powers of
-    all poles in one stacked matmul of (1 x L)(L x 1) products, which NumPy
-    hands to the BLAS dot that np.dot of the two vectors calls: each entry
-    is bit for bit its own np.dot (verified with NumPy 2.4.6 and its
-    OpenBLAS).  A single alpha @ powers product would take the gemm path,
-    which rounds differently and moves the optimal delay of the
-    worst-conditioned specs.
+    p is an array of P poles; the result is (K, P), with the column of
+    p[j] in column j.  Entry k equals (d/dw)^k psi(w) |_{w=omega_d},
+    computed as i^k * sum_l (-1)^l alpha_{k,l} psi^{l+1}.  psi and its
+    powers are formed for all poles at once, and each signed row of
+    alpha_table(K) meets the powers of all poles in one stacked matmul of
+    (1 x L)(L x 1) products, which NumPy hands to the BLAS dot that np.dot
+    of the two vectors calls: each entry is bit for bit its own np.dot
+    (verified with NumPy 2.4.6 and its OpenBLAS).  A single alpha @ powers
+    product would take the gemm path, which rounds differently and moves
+    the optimal delay of the worst-conditioned specs.
     """
     z = np.exp(1j * omega_d)
     p = np.asarray(p, dtype=complex)
@@ -243,10 +237,11 @@ def basis_derivative_column(p, omega_d: float, K: int) -> np.ndarray:
     psi = z / (z - p)
     # Row j holds psi_j^1, ..., psi_j^K; row k of alpha reads a prefix.
     powers = psi.reshape(-1, 1) ** np.arange(1, K + 1)
-    out = np.array([np.matmul(row, powers[:, :len(row), None])[:, 0]
-                    for row in _alpha_rows(K)])
+    alpha = (alpha_table(K) * (-1.0) ** np.arange(K)).astype(complex)
+    out = np.array([np.matmul(alpha[k, :k + 1], powers[:, :k + 1, None])[:, 0]
+                    for k in range(K)])
     out *= (1j ** np.arange(K))[:, None]
-    return out.reshape((K,) + p.shape)
+    return out
 
 
 def dc_targets(q: float, t_s: float, k_w_dc: int, k_t: int) -> np.ndarray:
@@ -517,10 +512,9 @@ def transfer_coefficients(c: np.ndarray,
                           poles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Expand sum_k c_k z / (z - p_k) into numerator/denominator polynomials.
 
-    c is a length-K vector, or a K x K_t matrix with one column per output.
-    Returns (b, a) in descending powers of z: a is real, monic and of length
-    K+1; b is real with last entry 0, of length K+1 for a vector c and
-    K_t x (K+1) (one row per output) for a matrix.
+    c is a K x K_t matrix with one column per output.  Returns (b, a) in
+    descending powers of z: a is real, monic and of length K+1; b is real,
+    K_t x (K+1) with one row per output, and its last column is 0.
 
     The expansion runs in extended precision, because the product
     accumulation is the accuracy bottleneck for clustered pole sets.  The
@@ -534,7 +528,7 @@ def transfer_coefficients(c: np.ndarray,
         a_hp = np.convolve(a_hp, np.array([1.0, -p], dtype=np.clongdouble))
     a = np.asarray(a_hp.real, dtype=float)
     a[0] = 1.0
-    cols = np.asarray(c, dtype=np.clongdouble).reshape(K, -1).T
+    cols = np.asarray(c, dtype=np.clongdouble).T
     # terms[:, :, k] is [c_k, 0] times each (z - p_j), j != k, in
     # increasing j, for all outputs at once (expanding the cofactor first
     # and scaling it by c_k would round differently).  Step s multiplies
@@ -555,7 +549,7 @@ def transfer_coefficients(c: np.ndarray,
                              f"{resid:.3e} — design inconsistency")
     b = np.asarray(b.real, dtype=float)
     b[:, K] = 0.0
-    return (b[0] if np.ndim(c) == 1 else b), a
+    return b, a
 
 
 def _build_basis(f_s: float, f_wb: float, f_nb: Optional[float],
@@ -585,12 +579,12 @@ _MEMO_MAX_K = 16
 #: and each basis keeps the designs of its last _BANKS_PER_BASIS (q, K_t)
 #: pairs (ConstraintBasis._banks), which go with it.  Measured with
 #: tracemalloc, a basis of K = 16 holds at most 10.3 KB (causal: Psi and
-#: S 4 KB each) and a kept entry at most 19 KB (the two halves of a
-#: two-sided design of K = K_t = 16, with a view per row of b), so the
-#: memo never holds more than 96 x (10.3 + 6 x 19) KB, about 12 MB.  The
-#: benchmark's design-sweep grid has 44 constraint sets of at most 6
-#: (q, K_t) pairs each, and each round adds 32 drawn sets, which fit
-#: beside them: after three rounds the memo holds 0.78 MB.
+#: S 4 KB each) and a kept entry at most 16.7 KB (the two halves of a
+#: two-sided design of K = K_t = 16), so the memo never holds more than
+#: 96 x (10.3 + 6 x 16.7) KB, about 10.6 MB.  The benchmark's design-sweep
+#: grid has 44 constraint sets of at most 6 (q, K_t) pairs each, and each
+#: round adds 32 drawn sets, which fit beside them: after three rounds
+#: the memo holds 0.85 MB.
 _MEMO_SIZE = 96
 _BANKS_PER_BASIS = 6
 # typed: equal numbers of other types (1000 and np.float32(1000)) compute
@@ -620,14 +614,10 @@ def constraint_basis(spec: DesignSpec) -> ConstraintBasis:
 def _solve_banks(basis: ConstraintBasis, q: float,
                  k_t: int) -> Tuple[FilterbankDesign, ...]:
     """The design of a causal basis solved for delay q and k_t outputs, or
-    the (forward, backward) halves of a two-sided one (noncausal_design),
-    every array read-only."""
+    the (forward, backward) halves of a two-sided one (noncausal_design)."""
     def bank(poles, c, sigma, a, b):
-        for array in (poles, c, sigma, a, b):
-            array.flags.writeable = False
-        return FilterbankDesign(poles=poles, c=c, q=q, sigma=sigma, a=a,
-                                b=tuple(b), t_s=basis.spec.t_s,
-                                condition=basis.condition)
+        return FilterbankDesign(poles=poles, c=c, q=q, sigma=sigma, a=a, b=b,
+                                t_s=basis.spec.t_s, condition=basis.condition)
 
     c = solve_coefficients(basis.system(q, k_t))
     if basis.s is not None:

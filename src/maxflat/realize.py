@@ -96,7 +96,7 @@ def to_ccf(design: FilterbankDesign) -> StateSpaceRealization:
         g[1:, :-1] = np.eye(K - 1)
     h = np.zeros(K)
     h[0] = 1.0
-    c = np.vstack([b[:K] for b in design.b])
+    c = design.b[:, :K]  # a read-only view: b without its zero column
     return StateSpaceRealization(CCF, g, h, c, complex_arithmetic=False)
 
 
@@ -194,7 +194,7 @@ def run_bank(design: FilterbankDesign, x: np.ndarray,
 
     The outputs share the denominator a, so one all-pole pass
     w = ``run_filter([1], a, x)`` serves them all.  Output k_t is then
-    sum_j b[k_t][j] w[n - j], with w zero before n = 0, formed for every
+    sum_j b[k_t, j] w[n - j], with w zero before n = 0, formed for every
     output in one matrix product of the taps and a stack of delayed w, one
     row per tap and one column per output sample.  A spare zero column,
     and a spare zero row for a one-output bank, give the product at least
@@ -203,7 +203,7 @@ def run_bank(design: FilterbankDesign, x: np.ndarray,
     samples are bit for bit those of the whole rows, however far x runs
     and wherever first lies (verified with NumPy 2.4.6 and its OpenBLAS).
     A single row or column would take the gemv path, which rounds
-    differently.  Trailing zero taps (b[k_t][K] of a causal bank) are
+    differently.  Trailing zero taps (column K of a causal bank's b) are
     skipped, so a bank whose numerators are all zero has no taps and gives
     zeros.  first must satisfy 0 <= first < n; otherwise ValueError.
     """
@@ -212,12 +212,11 @@ def run_bank(design: FilterbankDesign, x: np.ndarray,
     if not 0 <= first < n:
         raise ValueError(f"first sample {first} does not lie within the "
                          f"{n} samples of a row")
-    b = np.asarray(design.b, dtype=float)
-    kt, m = len(b), n - first
-    used = b.any(axis=0).nonzero()[0]
+    kt, m = len(design.b), n - first
+    used = design.b.any(axis=0).nonzero()[0]
     n_taps = int(used[-1]) + 1 if len(used) else 0
     taps = np.zeros((max(kt, 2), n_taps))
-    taps[:kt] = b[:, :n_taps]
+    taps[:kt] = design.b[:, :n_taps]
     w = run_filter([1.0], design.a, x)
     cols = m * (x.size // n)
     stack = np.empty((n_taps, cols + 1))

@@ -188,8 +188,8 @@ _STENCILS_BY_OFFSET = {
 
 
 def _bank_derivative_per_pole(design, omega_d, k_t, n):
-    cols = np.column_stack([basis_derivative_column(p, omega_d, n)
-                            for p in design.poles])
+    cols = np.hstack([basis_derivative_column([p], omega_d, n)
+                      for p in design.poles])
     return cols @ design.c[:, k_t]
 
 
@@ -297,7 +297,7 @@ def _bank_derivatives_oracle(design, omegas, n):
 def _fd_samples_oracle(design, omegas):
     z = np.exp(1j * (omegas[:, None]
                      + FD_STEP * analyze._FD_OFFSETS)).ravel()
-    coeffs = np.vstack(design.b + (design.a,))
+    coeffs = np.vstack((design.b, design.a))
     vals = analyze._horner(coeffs, z)
     a_val = vals[-1]
     h = vals[:-1] / a_val

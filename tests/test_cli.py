@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import maxflat
 from maxflat import cli, detector, tracker
-from maxflat.design import DesignSpec, NumericalError
+from maxflat.design import (DesignSpec, IllConditionedSystem, NumericalError,
+                            design_filterbank, noncausal_design)
 
 
 def _read(path):
@@ -218,6 +220,38 @@ def test_design_payload_round_trip(bw1_spec, bw1_design):
     assert np.array_equal(d.c, bw1_design.c)
     assert np.array_equal(d.sigma, bw1_design.sigma)
     assert d.q == bw1_design.q and d.t_s == bw1_design.t_s
+
+
+@pytest.mark.parametrize("half", [None, 0, 1],
+                         ids=["BW1", "two-sided forward",
+                              "two-sided backward"])
+def test_bank_read_from_json_is_the_designed_read_only_value(bw1_spec,
+                                                             half):
+    """BW1 and each half of the README's two-sided design come back from
+    design_to_payload, JSON and bank_from_payload as the value the design
+    step hands out: b one float64 (K_t, K+1) array, every array read-only
+    and each equal to the designed one bit for bit."""
+    if half is None:
+        spec, designed = bw1_spec, design_filterbank(bw1_spec)
+    else:
+        spec = DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=4,
+                          k_w_nb=2, k_t=1, group_delay=0.0, causal=False)
+        designed = noncausal_design(spec)[half]
+    payload = json.loads(cli.dumps_json(cli.design_to_payload(spec)))
+    if half is not None:
+        payload = payload[("forward", "backward")[half]]
+    d = cli.bank_from_payload(payload)
+    assert d.b.dtype == np.float64
+    assert d.b.shape == (d.n_outputs, d.order + 1)
+    for name in ("poles", "c", "sigma", "a", "b"):
+        got, want = getattr(d, name), getattr(designed, name)
+        assert not got.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 7.0
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    assert float(d.q).hex() == float(designed.q).hex()
+    assert d.t_s == designed.t_s
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +670,42 @@ def test_validation_error_exit_code(tmp_path, capsys):
                    "-o", str(tmp_path / "d.json")])
     assert rc == 2
     assert "K_w_dc >= K_t violated" in capsys.readouterr().err
+
+
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    """Python's own way to show a warning, which pytest's warning capture
+    replaces: the formatted warning on stderr."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+
+@pytest.mark.parametrize("flags, category, line", [
+    (["--kdc", "12", "--kt", "3", "--fs", "1"], IllConditionedSystem,
+     "warning: IllConditionedSystem: ill-conditioned constraint system: "
+     "condition estimate "),
+    (["--kdc", "1", "--kt", "1"], UserWarning,
+     "warning: UserWarning: delay-independent WNG — any q admissible; "
+     "returning 0\n"),
+], ids=["ill-conditioned", "delay-independent"])
+def test_design_warning_prints_as_one_line(tmp_path, capsys, flags,
+                                           category, line):
+    """A design that warns exits 0 and prints its warning as one stderr
+    line, without the source path and the echoed warnings.warn line of
+    Python's format; a caller that records warnings still gets the
+    warning object, and the format is Python's again after the call."""
+    argv = ["design", *flags, "-o", str(tmp_path / "d.json")]
+    formatwarning = warnings.formatwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        assert cli.main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1, err
+    assert warnings.formatwarning is formatwarning
+    with pytest.warns(category):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flags, message", [

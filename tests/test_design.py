@@ -141,26 +141,13 @@ def test_alpha_table_is_read_only_and_nested():
         assert np.array_equal(alp[:n, :n], alpha_table(n)), n
 
 
-def test_alpha_rows_are_read_only_and_shared():
-    """basis_derivative_column's signed complex rows of alpha_table(K) are
-    built once per K and shared, so they must not be writable."""
-    K = 6
-    rows = design_module._alpha_rows(K)
-    assert design_module._alpha_rows(K) is rows
-    for k, row in enumerate(rows):
-        assert np.array_equal(row, alpha_table(K)[k, :k + 1]
-                              * (-1.0) ** np.arange(k + 1)), k
-        with pytest.raises(ValueError, match="read-only"):
-            row[0] = 2.0
-
-
 @pytest.mark.parametrize("p", [0.3 + 0.0j, 0.6 + 0.5j, -0.2 + 0.8j])
 @pytest.mark.parametrize("omega", [0.0, 0.7, np.pi])
 def test_basis_derivatives_match_finite_differences(p, omega):
     """The closed-form frequency derivatives of e^{iw}/(e^{iw}-p) must agree
     with high-order central differences of a direct evaluation."""
     K = 4
-    col = basis_derivative_column(p, omega, K)
+    col = basis_derivative_column([p], omega, K)[:, 0]
     f = lambda w: np.exp(1j * w) / (np.exp(1j * w) - p)
     h = 1e-3
     assert col[0] == pytest.approx(f(omega), rel=1e-12)
@@ -175,7 +162,7 @@ def test_basis_derivatives_match_finite_differences(p, omega):
 
 def test_basis_evaluation_singular_on_unit_circle_pole():
     with pytest.raises(ValueError, match="singular basis evaluation"):
-        basis_derivative_column(np.exp(0.4j), 0.4, 3)
+        basis_derivative_column([np.exp(0.4j)], 0.4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +392,22 @@ def test_white_noise_gain_rejects_inconsistent_input():
 
 
 def test_transfer_coefficients_first_order():
-    b, a = transfer_coefficients(np.array([0.25 + 0j]),
+    b, a = transfer_coefficients(np.array([[0.25 + 0j]]),
                                  np.array([0.5 + 0j]))
     assert np.allclose(a, [1.0, -0.5])
-    assert np.allclose(b, [0.25, 0.0])
+    assert b.shape == (1, 2) and np.allclose(b, [[0.25, 0.0]])
 
 
 def test_transfer_coefficients_matrix_equals_per_column(bw1_design):
-    """A K x K_t coefficient matrix expands exactly as one call per column."""
+    """A K x K_t coefficient matrix expands exactly as one call per
+    one-column slice."""
     d = bw1_design
     b, a = transfer_coefficients(d.c, d.poles)
     assert b.shape == (d.n_outputs, d.order + 1)
     for kt in range(d.n_outputs):
-        b_kt, a_kt = transfer_coefficients(d.c[:, kt], d.poles)
-        assert np.array_equal(b[kt], b_kt)
+        b_kt, a_kt = transfer_coefficients(d.c[:, kt:kt + 1], d.poles)
+        assert b_kt.shape == (1, d.order + 1)
+        assert np.array_equal(b[kt:kt + 1], b_kt)
         assert np.array_equal(a, a_kt)
 
 
@@ -426,7 +415,7 @@ def _transfer_coefficients_per_term(c, poles):
     """transfer_coefficients as it was: one cofactor expansion per k."""
     poles_hp = np.asarray(poles, dtype=np.clongdouble)
     K = len(poles_hp)
-    cols = np.asarray(c, dtype=np.clongdouble).reshape(K, -1).T
+    cols = np.asarray(c, dtype=np.clongdouble).T
     a = np.ones(1, dtype=np.clongdouble)
     for p in poles_hp:
         a = np.convolve(a, np.array([1.0, -p], dtype=np.clongdouble))
@@ -444,7 +433,7 @@ def _transfer_coefficients_per_term(c, poles):
     b = np.asarray(b.real, dtype=float)
     a[0] = 1.0
     b[:, K] = 0.0
-    return (b[0] if np.ndim(c) == 1 else b), a
+    return b, a
 
 
 def _backward_half_input():
@@ -472,7 +461,7 @@ def test_transfer_coefficients_bit_identical_to_per_term(case, bw1_design,
     elif case == "backward half":
         c, poles = _backward_half_input()
     else:
-        c, poles = bw1_design.c[:, 1], bw1_design.poles
+        c, poles = bw1_design.c[:, 1:2], bw1_design.poles
     b, a = transfer_coefficients(c, poles)
     b_ref, a_ref = _transfer_coefficients_per_term(c, poles)
     assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
@@ -822,7 +811,8 @@ def test_memo_hands_out_its_own_read_only_designs(spec):
     for array in (basis.poles, basis.psi, basis.s):
         assert array is None or not array.flags.writeable
     for d in halves:
-        for array in (d.poles, d.c, d.sigma, d.a) + d.b:
+        assert d.b.dtype == float and d.b.shape == (spec.k_t, d.order + 1)
+        for array in (d.poles, d.c, d.sigma, d.a, d.b):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 7.0
@@ -1082,19 +1072,22 @@ def test_basis_columns_of_a_pole_array_equal_single_pole_columns():
             block = basis_derivative_column(poles, omega, K)
             assert block.shape == (K, len(poles))
             for j, p in enumerate(poles):
-                col = basis_derivative_column(p, omega, K)
-                assert col.shape == (K,)
-                assert np.array_equal(block[:, j], col)
-                assert np.array_equal(col, _basis_column_oracle(p, omega, K))
+                col = basis_derivative_column(poles[j:j + 1], omega, K)
+                assert col.shape == (K, 1)
+                assert np.array_equal(block[:, j:j + 1], col)
+                assert np.array_equal(col[:, 0],
+                                      _basis_column_oracle(p, omega, K))
 
 
 def _basis_block_dot_oracle(p, omega_d, K):
-    """basis_derivative_column with each entry its own np.dot of an alpha
-    row and one pole's powers."""
+    """basis_derivative_column with each entry its own np.dot of a signed
+    complex alpha row and one pole's powers."""
     z = np.exp(1j * omega_d)
     powers = (z / (z - p)).reshape(-1, 1) ** np.arange(1, K + 1)
+    rows = [(alpha_table(K)[k, :k + 1] * (-1.0) ** np.arange(k + 1))
+            .astype(complex) for k in range(K)]
     out = np.array([[np.dot(row, pw[:len(row)]) for pw in powers]
-                    for row in design_module._alpha_rows(K)])
+                    for row in rows])
     return out * (1j ** np.arange(K))[:, None]
 
 

@@ -22,7 +22,7 @@ def _first_order_design(p=0.5, c=0.5):
     return FilterbankDesign(
         poles=np.array([p + 0j]), c=np.array([[c + 0j]]), q=0.0,
         sigma=np.array([[sigma]]),
-        a=np.array([1.0, -p]), b=(np.array([c, 0.0]),), t_s=1.0)
+        a=np.array([1.0, -p]), b=np.array([[c, 0.0]]), t_s=1.0)
 
 
 def test_first_order_impulse_response():
@@ -296,7 +296,7 @@ def test_run_bank_all_zero_and_one_output_banks(banks, rows):
         assert got.shape == (1,) + shape
         assert np.all(np.abs(got[0] - want[..., first:]) <= 1e-9 * peak)
         for d in (banks["BW1"], one):
-            zero = replace(d, b=tuple(np.zeros_like(b) for b in d.b))
+            zero = replace(d, b=np.zeros_like(d.b))
             got = run_bank(zero, x, first)
             assert got.shape == (d.n_outputs,) + shape and not got.any()
 
