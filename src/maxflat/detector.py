@@ -52,19 +52,21 @@ P_SIG = 1.0
 P_INT = 0.1
 #: Trials that ``run_detection_mc`` filters and scores together.  A block's
 #: working arrays are (2 BLOCK, DETECT_N) float64, 16 kB per trial each,
-#: and a detector holds a few of them at once.  Time per trial was lowest
-#: at 8-16 and grew again at 32 and 64 as the arrays outgrew the CPU
-#: caches (2-core x86-64 VM); the peak resident memory of a run grows
-#: with the block too, by about 1.2 MB at 16.
-BLOCK = 16
-#: Simulated blocks that ``block_statistics`` keeps, least recently used
-#: out first.  A full block is (2 BLOCK, DETECT_N) float64, 256 kB, so the
-#: memo holds at most 4.1 MB: 256 trials of one seed and signal kind.
-#: Detectors compared on the same trials of up to that many, as the
+#: and a detector holds a few of them at once.  A block pays its fixed
+#: costs once: seed hashing, oscillator set-up, one interference filter
+#: and two calls per detector.  32 ran detect-mc ×1.06 faster than 16 for
+#: +1.1 % peak memory; 48 and 64 ran no faster than 32 for +2.2 and +3.1 %
+#: (2-core x86-64 VM; README § detection has the sweep).
+BLOCK = 32
+#: Simulated trials that ``block_statistics`` keeps, as MEMO_BLOCKS whole
+#: blocks, least recently used out first.  A trial's rows are 16 kB, so the
+#: memo holds at most 4.1 MB, whatever BLOCK is.  Detectors compared on the
+#: same trials of one seed and signal kind, up to that many, as the
 #: benchmark's five detectors at 200 trials are, simulate them once.  A
-#: longer run (criterion 10 and ``detect-sim`` at 2,000 trials) cycles its
-#: 125 blocks through the memo and reuses none of them.
-MEMO_BLOCKS = 16
+#: longer run (criterion 10 and ``detect-sim`` at 2,000 trials, 63 blocks)
+#: cycles its blocks through the memo and reuses none of them.
+MEMO_TRIALS = 256
+MEMO_BLOCKS = MEMO_TRIALS // BLOCK
 
 
 @dataclass(frozen=True)
@@ -432,12 +434,12 @@ def block_statistics(detector: Callable[..., np.ndarray],
     twice: on the signal rows with TRUE_WINDOW and on the
     interference-only rows with FALSE_WINDOW.
 
-    The stacked rows come from a memo of MEMO_BLOCKS blocks keyed by
-    (seed, first, count, signal kind), so detectors scored on the same
-    trials share one simulation.  seed, first and count must be
-    non-negative integers: None, a bool, a float or a negative number
-    raises ValueError.  The rows are read-only, and a detector that writes
-    into its input raises ValueError.
+    The stacked rows come from a memo of MEMO_BLOCKS blocks (MEMO_TRIALS
+    trials) keyed by (seed, first, count, signal kind), so detectors
+    scored on the same trials share one simulation.  seed, first and
+    count must be non-negative integers: None, a bool, a float or a
+    negative number raises ValueError.  The rows are read-only, and a
+    detector that writes into its input raises ValueError.
     """
     seed = check_nonnegative_int(seed, "seed")
     first = check_nonnegative_int(first, "first")
@@ -488,7 +490,7 @@ def run_detection_mc(detector: Callable[..., np.ndarray],
 
     Trials run in blocks of BLOCK through ``block_statistics``, whose
     statistics do not depend on the block size.  The simulated blocks are
-    memoized (see MEMO_BLOCKS), so a second detector run on the same seed,
+    memoized (see MEMO_TRIALS), so a second detector run on the same seed,
     signal kind and at most MEMO_BLOCKS * BLOCK trials pays only for its
     own filtering and scoring.  seed and trials must be integers, trials
     at least 1.

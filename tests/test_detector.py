@@ -323,12 +323,14 @@ def detectors():
 
 @pytest.mark.parametrize("deterministic_signal", [True, False])
 @pytest.mark.parametrize("tag", DETECTOR_TAGS)
-@pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                    2 * BLOCK + 3])
+@pytest.mark.parametrize("trials", [1, BLOCK // 2 - 1, BLOCK // 2,
+                                    BLOCK // 2 + 1, BLOCK - 1, BLOCK,
+                                    BLOCK + 1, BLOCK + 3, 2 * BLOCK + 3])
 def test_block_statistics_equal_single_trials(monkeypatch, detectors, tag,
                                               trials, deterministic_signal):
     """However trials fall into blocks, each trial's statistics are those
-    of a block of one."""
+    of a block of one: one partial block, one full block, and a full
+    block and more."""
     det = detectors[tag]
     stat_true, stat_false = _mc_statistics(monkeypatch, det, trials, 7,
                                            deterministic_signal)
@@ -491,7 +493,8 @@ def _per_trial_generator_block(seed, first, count, deterministic_signal):
 
 
 @pytest.mark.parametrize("deterministic_signal", [True, False])
-@pytest.mark.parametrize("seed, first, count", [(0, 0, BLOCK),
+@pytest.mark.parametrize("seed, first, count", [(0, 0, BLOCK // 2),
+                                                (0, 0, BLOCK),
                                                 (2**64 + 5, 2**32 - 2, 4),
                                                 (2**128 + 7, 2**32 - 2, 4)])
 def test_simulated_block_equals_per_trial_generators(
@@ -584,9 +587,9 @@ def _bare_wrapper(pipeline, calls):
 
 @pytest.mark.parametrize("wrap, count", [
     pytest.param(_wraps_wrapper, count, id=str(count))
-    for count in (1, 5, BLOCK)] + [
+    for count in (1, 5, BLOCK // 2, BLOCK)] + [
     pytest.param(_bare_wrapper, count, id=f"bare-{count}")
-    for count in (1, 5, BLOCK)])
+    for count in (1, 5, BLOCK // 2, BLOCK)])
 def test_wrapper_is_called_for_every_scoring_call(detectors, wrap, count):
     """A functools.wraps wrapper, such as the benchmark's tracer, and a
     bare lambda both get every scoring call: the signal rows with

@@ -4,6 +4,7 @@ import pathlib
 import re
 
 from maxflat import design_filterbank
+from maxflat.detector import BLOCK
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +26,10 @@ def test_readme_python_blocks_run_and_match_their_comments():
     reference = design_filterbank(spec).c
     assert c.dtype == reference.dtype
     assert c.tobytes() == reference.tobytes()
+
+
+def test_readme_block_size_is_detector_block():
+    """The block size README § detection states is ``detector.BLOCK``."""
+    text = README.read_text(encoding="utf-8")
+    sizes = re.findall(r"blocks\s+of\s+(\d+)\s+\(`detector\.BLOCK`\)", text)
+    assert sizes == [str(BLOCK)]

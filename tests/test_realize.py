@@ -12,7 +12,8 @@ from scipy.signal import lfilter
 
 import maxflat
 from maxflat.design import DesignSpec, FilterbankDesign
-from maxflat.detector import bw1_nc_smoother
+from maxflat.detector import (BLOCK, DETECT_N, FALSE_WINDOW, TRUE_WINDOW,
+                              bw1_nc_smoother)
 from maxflat.realize import (run_bank, run_filter, run_lss, run_noncausal,
                              to_ccf, to_dcf, to_dsf)
 
@@ -238,13 +239,21 @@ def test_run_bank_equals_per_output_run_filter(banks, name, rows):
 @pytest.mark.parametrize("name", BANKS)
 def test_run_bank_window_equals_whole_rows(banks, name):
     """A window's samples are bit for bit those of the whole rows, also a
-    single sample of a single row, whose product would be a gemv."""
+    single sample of a single row, whose product would be a gemv.  The
+    inputs include the BLOCK rows of DETECT_N samples that IIR_BW1 scores
+    per call and a whole block's 2 BLOCK rows, with the detection windows."""
     d = banks[name]
-    x = np.random.default_rng(11).normal(size=(4, 300))
-    for rows in (x, x[:1], x[2]):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(4, 300))
+    blocks = [rng.normal(size=(m, DETECT_N)) for m in (BLOCK, 2 * BLOCK)]
+    for rows in [x, x[:1], x[2]] + blocks:
+        n = rows.shape[-1]
         full = run_bank(d, rows)
-        for lo, hi in ((0, 0), (1, 1), (5, 5), (299, 299), (0, 298),
-                       (7, 120), (100, 299)):
+        windows = [(0, 0), (1, 1), (5, 5), (n - 1, n - 1), (0, n - 2),
+                   (7, 120), (100, n - 1)]
+        if n == DETECT_N:
+            windows += [TRUE_WINDOW, FALSE_WINDOW]
+        for lo, hi in windows:
             assert np.array_equal(run_bank(d, rows[..., :hi + 1], lo),
                                   full[..., lo:hi + 1]), (lo, hi, rows.shape)
 
