@@ -14,8 +14,8 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .design import (DesignSpec, FilterbankDesign, NumericalError,
-                     alpha_table, constraint_blocks, dc_targets)
+from .design import (DesignSpec, FilterbankDesign, alpha_table,
+                     constraint_blocks, constraint_gap, dc_targets)
 
 #: Step for finite-difference verification of derivative constraints.
 FD_STEP = 1e-3
@@ -187,10 +187,7 @@ def verify_constraints(spec: DesignSpec,
     # The stencil points around each omega_d; offset 0 is e^{i omega_d}.
     z = np.exp(1j * (omegas[:, None] + FD_STEP * _FD_OFFSETS))
     z_d = z[:, 2:3]
-    gap = z_d - design.poles
-    if (np.abs(gap) < 1e-12).any():
-        raise NumericalError("singular basis evaluation: pole on the unit "
-                             "circle at a constraint frequency")
+    gap = constraint_gap(z_d, design.poles)
     # Axes (output, block, order) from here on.
     analytic = (units * (alpha_table(width + 3)
                          @ ((z_d / gap)[:, None, :] ** powers * signs)

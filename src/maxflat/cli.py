@@ -38,8 +38,9 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from .design import (DETECTOR_TAGS, TRACKER_CONFIGS, DesignSpec,
-                     FilterbankDesign, NumericalError, design_filterbank,
-                     noncausal_design)
+                     FilterbankDesign, NumericalError, check_monic,
+                     design_filterbank, noncausal_design,
+                     unstable_reflection)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -173,9 +174,13 @@ def bank_from_payload(payload: Dict[str, Any]) -> FilterbankDesign:
                            f"K_t >= 1 columns of {K} finite [re, im] pairs")
     k_t = len(c_re_im)
     a = _bank_floats(payload, "a", (K + 1,), f"{K + 1} finite numbers")
-    if abs(a[0] - 1.0) > 1e-12:  # realize.run_filter's rule
-        raise ValueError(f"design file: a must be monic (a[0] = 1), got "
-                         f"{json.dumps(payload['a'])[:40]}")
+    check_monic(a, f"design file: a must be monic (a[0] = 1), got "
+                   f"{json.dumps(payload['a'])[:40]}")
+    k = unstable_reflection(a)
+    if k is not None:
+        raise ValueError(f"design file: a must have every root inside the "
+                         f"unit circle, got a step-down reflection "
+                         f"coefficient of {k:.6g}")
     b = _bank_floats(payload, "b", (k_t, K + 1),
                      f"{k_t} rows of {K + 1} finite numbers")
     sigma = _bank_floats(payload, "sigma", (k_t, k_t),
@@ -228,7 +233,7 @@ def cmd_response(args: argparse.Namespace) -> int:
     omegas = np.linspace(0.0, np.pi, args.grid)
     header = ["f_cyc_per_smp"]
     cols = [omegas / (2.0 * np.pi)]
-    # A pole on the unit circle divides by zero, and a T_s or b out of
+    # bank_from_payload admits only a stable a, but a T_s or b out of
     # range overflows; the check below says so.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for kt in range(design.n_outputs):
@@ -244,8 +249,8 @@ def cmd_response(args: argparse.Namespace) -> int:
     table = np.column_stack(cols)
     if not np.all(np.isfinite(table)):
         raise ValueError("design file: the response is not finite on the "
-                         "grid: a pole lies on the unit circle, or ts_sec, "
-                         "a or b is so far out of range that it overflows")
+                         "grid: ts_sec or b is so far out of range that it "
+                         "overflows")
     _write_csv(args.output, header, table)
     print(f"wrote {args.output}")
     return EXIT_OK

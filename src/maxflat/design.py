@@ -38,6 +38,15 @@ TOL_WNG = 1.0e-6
 RESIDUAL_RTOL = 1.0e-8
 #: Condition-number threshold above which the constraint system is flagged.
 COND_WARN = 1.0e12
+#: unstable_reflection's float64 step-down trusts a reflection coefficient
+#: k when 1 - |k| exceeds this times sum |a_j| times the error growth of
+#: the steps before k, the product of their 1 / (1 - |k|); otherwise exact
+#: arithmetic decides.  Over 4,944 rounded denominators (the benchmark's
+#: grid and 4,000 drawn specs, BW1's and trackers A-D's counts oversampled
+#: up to 64 times, and Butterworth sets of K = 2-20 at f_wb = 0.002-0.2)
+#: no float64 k was further than 0.19 eps sum |a_j| times that growth from
+#: the exact one: the margin is 21 times that.
+STEP_DOWN_MARGIN = 4 * 2.0 ** -52
 
 OPTIMAL = "optimal"
 
@@ -215,6 +224,62 @@ def alpha_table(K: int) -> np.ndarray:
     return table
 
 
+def constraint_gap(z, p) -> np.ndarray:
+    """z - p, broadcast, for z = e^{i omega_d} at constraint frequencies;
+    NumericalError if a pole p lies within 1e-12 of one."""
+    gap = z - p
+    if (np.abs(gap) < 1e-12).any():
+        raise NumericalError("singular basis evaluation: pole on the unit "
+                             "circle at a constraint frequency")
+    return gap
+
+
+def check_monic(a: np.ndarray, message: str) -> None:
+    """ValueError(message) unless a[0] lies within 1e-12 of 1: the rule of
+    ``realize.run_filter`` and ``cli.bank_from_payload``."""
+    if abs(a[0] - 1.0) > 1e-12:
+        raise ValueError(message)
+
+
+def unstable_reflection(a: np.ndarray) -> Optional[float]:
+    """None when every root of the polynomial a (descending powers, a[0]
+    nonzero) lies inside the unit circle, that is when each reflection
+    coefficient k of its step-down (Schur-Cohn) recursion has |k| < 1;
+    otherwise the first k with |k| >= 1.  The float64 step-down decides
+    that a is stable, unless a k comes within its error bound
+    (STEP_DOWN_MARGIN) of 1; then the exact step-down decides, so the
+    answer is exact for the float64 a."""
+    a = np.asarray(a, dtype=float).tolist()
+    coeffs = [v / a[0] for v in a]
+    bound = STEP_DOWN_MARGIN * sum(map(abs, coeffs))
+    for m in range(len(a) - 1, 0, -1):
+        k = coeffs[m]
+        gap = 1.0 - abs(k)
+        if gap <= bound:
+            return _exact_unstable_reflection(a)
+        bound /= gap
+        coeffs = [(coeffs[j] - k * coeffs[m - j]) / (1.0 - k * k)
+                  for j in range(m)]
+    return None
+
+
+def _exact_unstable_reflection(a: list) -> Optional[float]:
+    """unstable_reflection in exact arithmetic: the float64 entries of a as
+    integers over their common power-of-two denominator, and the step-down
+    fraction-free, each step divided by the gcd of its coefficients (about
+    a tenth of the time of the same step-down on Fractions)."""
+    ratios = [v.as_integer_ratio() for v in a]
+    scale = max(den for _, den in ratios)
+    n = [num * (scale // den) for num, den in ratios]
+    for m in range(len(n) - 1, 0, -1):
+        if abs(n[m]) >= abs(n[0]):
+            return n[m] / n[0]
+        n = [n[0] * n[j] - n[m] * n[m - j] for j in range(m)]
+        gcd = math.gcd(*n)
+        n = [v // gcd for v in n]
+    return None
+
+
 def basis_derivative_column(p, omega_d: float, K: int) -> np.ndarray:
     """Frequency derivatives 0..K-1 of psi(w) = e^{iw}/(e^{iw}-p) at omega_d.
 
@@ -230,11 +295,7 @@ def basis_derivative_column(p, omega_d: float, K: int) -> np.ndarray:
     the optimal delay of the worst-conditioned specs.
     """
     z = np.exp(1j * omega_d)
-    p = np.asarray(p, dtype=complex)
-    if np.any(np.abs(z - p) < 1e-12):
-        raise NumericalError("singular basis evaluation: pole on the unit "
-                             "circle at a constraint frequency")
-    psi = z / (z - p)
+    psi = z / constraint_gap(z, np.asarray(p, dtype=complex))
     # Row j holds psi_j^1, ..., psi_j^K; row k of alpha reads a prefix.
     powers = psi.reshape(-1, 1) ** np.arange(1, K + 1)
     alpha = (alpha_table(K) * (-1.0) ** np.arange(K)).astype(complex)
@@ -614,8 +675,17 @@ def constraint_basis(spec: DesignSpec) -> ConstraintBasis:
 def _solve_banks(basis: ConstraintBasis, q: float,
                  k_t: int) -> Tuple[FilterbankDesign, ...]:
     """The design of a causal basis solved for delay q and k_t outputs, or
-    the (forward, backward) halves of a two-sided one (noncausal_design)."""
-    def bank(poles, c, sigma, a, b):
+    the (forward, backward) halves of a two-sided one (noncausal_design).
+    A bank whose rounded a fails the step-down test (unstable_reflection)
+    raises NumericalError, although its poles lie inside the unit circle:
+    at poles this close to z = 1, a's float64 rounding moves them out."""
+    def bank(poles, c, sigma, a, b, half=""):
+        k = unstable_reflection(a)
+        if k is not None:
+            raise NumericalError(
+                f"unstable design: the float64 denominator a{half} has a "
+                f"root on or outside the unit circle (step-down reflection "
+                f"coefficient {k:.6g})")
         return FilterbankDesign(poles=poles, c=c, q=q, sigma=sigma, a=a, b=b,
                                 t_s=basis.spec.t_s, condition=basis.condition)
 
@@ -638,8 +708,9 @@ def _solve_banks(basis: ConstraintBasis, q: float,
     # The expansion of sum_k c_b z/(z - r) ends in an exact 0, so the
     # one-sample delay is a roll.
     b_z, a_b = transfer_coefficients(c_b_hp, r)
-    return (bank(p_in, c_in, sigma_f, a_f, b_f),
-            bank(r, c_b, sigma_b, a_b, np.roll(b_z, 1, axis=1)))
+    return (bank(p_in, c_in, sigma_f, a_f, b_f, " of the forward half"),
+            bank(r, c_b, sigma_b, a_b, np.roll(b_z, 1, axis=1),
+                 " of the backward half"))
 
 
 def design_filterbank(spec: DesignSpec) -> FilterbankDesign:

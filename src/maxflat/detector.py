@@ -18,7 +18,7 @@ Five detector pipelines are provided:
   by non-causal TK.
 
 The Monte-Carlo study measures detectability of a damped-oscillator pulse
-of unknown frequency buried in narrowband interference at 0.07 cyc/smp.
+of unknown frequency buried in narrowband interference at INTERFERENCE_F_C.
 """
 
 from __future__ import annotations
@@ -33,23 +33,12 @@ import numpy as np
 from .butter import butterworth_s_poles
 from .design import DETECTOR_TAGS, DesignSpec, FilterbankDesign, \
     design_filterbank, noncausal_design
-from .procsim import SIGNAL_F_C, check_nonnegative_int, \
-    detect_signal_response, discretize_process, scenario_params
+from .procsim import DETECT_FS, DETECT_N, FALSE_WINDOW, INTERFERENCE_F_C, \
+    P_INT, P_SIG, PULSE_SAMPLE, SIGNAL_F_C, TRUE_WINDOW, \
+    check_nonnegative_int, detect_signal_response, discretize_process, \
+    scenario_params
 from .realize import run_bank, run_filter, run_noncausal
 
-#: Sampling rate of the detection study (Hz).
-DETECT_FS = 1000.0
-#: Samples per Monte-Carlo instance.
-DETECT_N = 1000
-#: Deterministic pulse arrival sample.
-PULSE_SAMPLE = 400
-#: True-detection search window (inclusive).
-TRUE_WINDOW = (400, 500)
-#: False-alarm search window (inclusive).
-FALSE_WINDOW = (200, 800)
-#: Pulse and interference powers.
-P_SIG = 1.0
-P_INT = 0.1
 #: Trials that ``run_detection_mc`` filters and scores together.  A block's
 #: working arrays are (2 BLOCK, DETECT_N) float64, 16 kB per trial each,
 #: and a detector holds a few of them at once.  A block pays its fixed
@@ -149,7 +138,7 @@ def _bilinear_allpole(s_poles: np.ndarray, t_s: float) -> Tuple[np.ndarray,
 
 def bw0_reference(causal: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Butterworth reference smoother coefficients (bilinear method), with
-    the cutoff at 0.05 cyc/smp of DETECT_FS.
+    the cutoff at SIGNAL_F_C of DETECT_FS.
 
     The causal reference is the stable half of a 2K = 12 zero-phase
     prototype (a 6th-order lowpass); the non-causal reference is the causal
@@ -157,7 +146,7 @@ def bw0_reference(causal: bool) -> Tuple[np.ndarray, np.ndarray]:
     and backward so the net response is its squared magnitude.
     """
     t_s = 1.0 / DETECT_FS
-    w_c = 2.0 * np.pi * 0.05 * DETECT_FS
+    w_c = 2.0 * np.pi * SIGNAL_F_C * DETECT_FS
     order = 6 if causal else 4
     s_poles = butterworth_s_poles(order, w_c)
     lhp = s_poles[s_poles.real < 0]
@@ -167,15 +156,15 @@ def bw0_reference(causal: bool) -> Tuple[np.ndarray, np.ndarray]:
 def bw1_filterbank() -> FilterbankDesign:
     """The K = 9 causal filterbank of the detection study."""
     return design_filterbank(DesignSpec(
-        f_s=DETECT_FS, f_wb=0.05, f_nb=0.07, k_w_dc=3, k_w_nb=3, k_w_pi=0,
-        k_t=3, group_delay="optimal"))
+        f_s=DETECT_FS, f_wb=SIGNAL_F_C, f_nb=INTERFERENCE_F_C, k_w_dc=3,
+        k_w_nb=3, k_w_pi=0, k_t=3, group_delay="optimal"))
 
 
 def bw1_nc_smoother() -> Tuple[FilterbankDesign, FilterbankDesign]:
     """Zero-delay two-sided smoother: K_w_dc = 4, K_w_nb = 2, 2K = 8 poles."""
     return noncausal_design(DesignSpec(
-        f_s=DETECT_FS, f_wb=0.05, f_nb=0.07, k_w_dc=4, k_w_nb=2, k_w_pi=0,
-        k_t=1, group_delay=0.0, causal=False))
+        f_s=DETECT_FS, f_wb=SIGNAL_F_C, f_nb=INTERFERENCE_F_C, k_w_dc=4,
+        k_w_nb=2, k_w_pi=0, k_t=1, group_delay=0.0, causal=False))
 
 
 def build_detector(tag: str) -> Callable[..., np.ndarray]:
@@ -339,8 +328,9 @@ def _trial_seed_states(seed: int, first: int, count: int) -> np.ndarray:
 @functools.cache
 def _generator_from_state():
     """A function from PCG64 seed words to a Generator.  ``numpy.random``
-    is imported here, on the first simulation, so that ``import maxflat``
-    does not pay for it."""
+    is imported here, on the first simulation, so that neither
+    ``import maxflat.detector`` nor building the detectors (detect-mc's
+    set-up) loads it."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -513,7 +503,7 @@ def detector_metrics(tag: str) -> Dict[str, float]:
     from .analyze import frequency_response, measured_group_delay, \
         noncausal_response
 
-    w_wb, w_nb = 2 * np.pi * 0.05, 2 * np.pi * 0.07
+    w_wb, w_nb = 2 * np.pi * SIGNAL_F_C, 2 * np.pi * INTERFERENCE_F_C
     if tag == "IIR_BW1":
         d = bw1_filterbank()
         q = d.q

@@ -228,8 +228,14 @@ def generate_waveform(process: DiscreteProcess, inp: InputSpec,
 
 
 #: Centre frequencies of the signal and the interference, in cyc/smp, in
-#: both studies.
+#: both studies, and every study filter's band edge and null.
 SIGNAL_F_C, INTERFERENCE_F_C = 0.05, 0.07
+#: The studies' sampling rates (Hz); detection's samples per instance,
+#: pulse sample, search windows (inclusive) and powers; tracking's powers.
+DETECT_FS, TRACK_FS = 1000.0, 10.0
+DETECT_N, PULSE_SAMPLE = 1000, 400
+TRUE_WINDOW, FALSE_WINDOW = (400, 500), (200, 800)
+P_SIG, P_INT, P_SIG_TRACK, P_INT_TRACK = 1.0, 0.1, 1.0e4, 1.0e2
 
 
 def _detect_times(f_c, f_tilde, t_s: float):
@@ -242,14 +248,14 @@ def _detect_times(f_c, f_tilde, t_s: float):
 def scenario_params(section: Literal["detect", "track"],
                     role: Literal["signal", "interference"],
                     gain: Literal["lo", "hi"] = "lo",
-                    f_s: float = 1000.0) -> ProcessParams:
+                    f_s: float = DETECT_FS) -> ProcessParams:
     """Process parameters for the detection and tracking studies.
 
-    Detection (F_s = 1000 Hz): alpha_tau = 4; the signal centre frequency is
-    0.05 cyc/smp, the interference centre frequency 0.07 cyc/smp.  The
-    study's signals have an unknown frequency f~ ~ Uniform(0, 0.05),
-    which ``detector._simulate_block`` draws per trial for
-    ``detect_signal_response``.  Tracking (T_s = 0.1 s): alpha_tau = 8
+    Detection (F_s = DETECT_FS): alpha_tau = 4; the centre frequency is
+    SIGNAL_F_C (signal) or INTERFERENCE_F_C.  The study's signals have an
+    unknown frequency f~ ~ Uniform(0, SIGNAL_F_C), which
+    ``detector._simulate_block`` draws per trial for
+    ``detect_signal_response``.  Tracking (TRACK_FS): alpha_tau = 8
     and lambda = alpha_lambda T_s / f_c with alpha_lambda = 8 (low-gain
     signal), 2 (high-gain signal), or 1 (interference).  Any other
     section, role or gain raises ValueError.

@@ -27,7 +27,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
-from .design import TOL_CPX, FilterbankDesign
+from .design import TOL_CPX, FilterbankDesign, check_monic
 
 
 def _load_sigtools():
@@ -161,8 +161,7 @@ def run_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if not (a.ndim == 1 and a.size > 0):
         raise ValueError("Parameter a is not a non-empty 1d array, "
                          f"since {a.shape=}!")
-    if abs(a[0] - 1.0) > 1e-12:
-        raise ValueError("denominator must be monic (a[0] = 1)")
+    check_monic(a, "denominator must be monic (a[0] = 1)")
     return _linear_filter(b, a, np.asarray(x, dtype=float), -1)
 
 

@@ -21,17 +21,14 @@ from .analyze import NULL_RADIUS_TOL, OrbitError, check_orbit_radius, \
     check_orbit_rate, frequency_response, response_orbit_error
 from .design import TRACKER_CONFIGS, DesignSpec, FilterbankDesign, \
     design_filterbank
-from .procsim import check_nonnegative_int, discretize_process, \
+from .procsim import INTERFERENCE_F_C, P_INT_TRACK, P_SIG_TRACK, \
+    SIGNAL_F_C, TRACK_FS, check_nonnegative_int, discretize_process, \
     scenario_params
 from .realize import run_filter
 
-#: Sampling rate of the tracking study (Hz): T_s = 0.1 s.
-TRACK_FS = 10.0
 #: Default orbit turn-rate grid (cycles/sample): passband, band edge, null.
-DEFAULT_ORBIT_RATES = (0.001, 0.005, 0.01, 0.025, 0.05, 0.07)
-#: Scenario powers.
-P_SIG_TRACK = 1.0e4
-P_INT_TRACK = 1.0e2
+DEFAULT_ORBIT_RATES = (0.001, 0.005, 0.01, 0.025, SIGNAL_F_C,
+                       INTERFERENCE_F_C)
 #: Simulated scenarios that ``run_tracking_mc`` keeps, least recently used
 #: out first.  An entry is the truth and the measurement, two (2, N) float64
 #: arrays: 3.2 MB at 1e5 samples (tracemalloc).  Trackers compared on the
@@ -52,8 +49,8 @@ def tracker_spec(tag: str) -> DesignSpec:
         raise ValueError(f"unknown tracker tag {tag!r}; supported tags: "
                          + ", ".join(TRACKER_CONFIGS))
     k_w_dc, k_w_nb = TRACKER_CONFIGS[tag]
-    return DesignSpec(f_s=TRACK_FS, f_wb=0.05,
-                      f_nb=0.07 if k_w_nb else None,
+    return DesignSpec(f_s=TRACK_FS, f_wb=SIGNAL_F_C,
+                      f_nb=INTERFERENCE_F_C if k_w_nb else None,
                       k_w_dc=k_w_dc, k_w_nb=k_w_nb, k_w_pi=0, k_t=3,
                       group_delay="optimal")
 

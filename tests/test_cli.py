@@ -752,9 +752,8 @@ _BANK = {"q_smp": 0.0, "poles_re_im": [[0.5, 0.0]], "c_re_im": [[[0.5, 0.0]]],
 
 
 #: The refusal of a design file whose response overflows.
-_OVERFLOW = ("design file: the response is not finite on the grid: a pole "
-             "lies on the unit circle, or ts_sec, a or b is so far out of "
-             "range that it overflows")
+_OVERFLOW = ("design file: the response is not finite on the grid: "
+             "ts_sec or b is so far out of range that it overflows")
 
 
 #: The design file of BW1, the README's design.
@@ -786,16 +785,21 @@ def test_small_design_file_is_well_formed(tmp_path):
     ("response", dict(_BANK, ts_sec=None),
      "design file: ts_sec must be a finite positive number, got null"),
     ("response", dict(_BANK, poles_re_im=[[1.0, 0.0]], a=[1.0, -1.0]),
-     "design file: the response is not finite on the grid"),
+     "design file: a must have every root inside the unit circle, got a "
+     "step-down reflection coefficient of -1"),
     ("response", dict(_BANK, a=[0.0, -0.5]),
      "design file: a must be monic (a[0] = 1), got [0.0, -0.5]"),
+    ("response", dict(_BANK, a=[1.0, -2.0]),
+     "design file: a must have every root inside the unit circle, got a "
+     "step-down reflection coefficient of -2"),
     ("response", dict(_BW1, ts_sec=1e-300), _OVERFLOW),
     ("response", dict(_BW1, b=[[1e308, 1e308] + _BW1["b"][0][2:]]
                       + _BW1["b"][1:]), _OVERFLOW),
 ], ids=["config-array", "config-null", "config-missing-keys",
         "design-array", "design-null", "design-missing-keys",
         "design-poles-not-pairs", "design-empty-b", "design-null-ts",
-        "design-unit-circle-pole", "design-non-monic-a", "design-tiny-ts",
+        "design-unit-circle-pole", "design-non-monic-a",
+        "design-root-outside-circle", "design-tiny-ts",
         "design-huge-b"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_design_file_exit_code(tmp_path, capsys, command,
@@ -805,8 +809,9 @@ def test_malformed_design_file_exit_code(tmp_path, capsys, command,
     arguments"; a design file of [1] in a TypeError traceback, and so did
     poles that are not pairs and a null ts_sec, while an empty b ended in
     an IndexError traceback.  A pole on the unit circle wrote inf and nan
-    rows after two RuntimeWarnings, and a non-monic a wrote the response
-    of a filter that run_filter refuses, both with exit code 0.  BW1's
+    rows after two RuntimeWarnings (it is now refused as an unstable a,
+    before its response), and a non-monic a wrote the response of a
+    filter that run_filter refuses, both with exit code 0.  BW1's
     file with a T_s of 1e-300 or two b entries of 1e308 printed overflow
     RuntimeWarnings before its error."""
     path = tmp_path / "in.json"
@@ -833,6 +838,22 @@ def test_numerical_error_exit_code(tmp_path, monkeypatch, capsys):
     rc = cli.main(["design", "-o", str(tmp_path / "d.json")])
     assert rc == 3
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_oversampled_unstable_design_exit_code(tmp_path, capsys):
+    """BW1's counts at 16 times its rate, with its bands fixed in Hz, wrote
+    an a whose largest root has radius 1.0115, with exit code 0.  Its
+    rounded a is now refused in one line: exit 3, nothing written."""
+    out = tmp_path / "d.json"
+    rc = cli.main(["design", "--fs", "16000", "--fwb", "0.003125", "--fnb",
+                   "0.004375", "--kdc", "3", "--knb", "3", "--kt", "3",
+                   "-o", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unstable design: the float64 denominator "
+                          "a has a root on or outside the unit circle")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_degenerate_narrowband_frequency_exit_code(tmp_path, capsys):

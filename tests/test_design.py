@@ -2,8 +2,10 @@
 coefficients, and the non-causal split."""
 
 import dataclasses
+import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ import pytest
 from maxflat import cli
 from maxflat import design as design_module
 from maxflat.butter import causal_z_poles, full_z_poles
-from maxflat.design import (ConstraintBasis, DesignSpec, NumericalError,
-                            IllConditionedSystem, alpha_table,
+from maxflat.design import (TRACKER_CONFIGS, ConstraintBasis, DesignSpec,
+                            IllConditionedSystem, NumericalError, alpha_table,
                             assemble_system, basis_derivative_column,
                             constraint_basis, dc_targets, design_filterbank,
                             gram_matrix, noncausal_design,
@@ -163,6 +165,160 @@ def test_basis_derivatives_match_finite_differences(p, omega):
 def test_basis_evaluation_singular_on_unit_circle_pole():
     with pytest.raises(ValueError, match="singular basis evaluation"):
         basis_derivative_column([np.exp(0.4j)], 0.4, 3)
+
+
+# ---------------------------------------------------------------------------
+# The rules that design holds for its callers: a pole on the unit circle at
+# a constraint frequency, a monic denominator, and a stable one
+
+
+_SINGULAR = ("singular basis evaluation: pole on the unit circle at a "
+             "constraint frequency")
+
+
+@pytest.mark.parametrize("offset", [0.5e-12, 2e-12])
+def test_pole_gap_rule_is_shared(offset):
+    """basis_derivative_column and analyze.verify_constraints refuse a pole
+    within 1e-12 of e^{i omega_d}, with one message, and evaluate one
+    further off."""
+    from maxflat.analyze import verify_constraints
+
+    spec = DesignSpec(f_s=1.0, f_wb=0.05, k_w_dc=2, k_t=1, group_delay=1.0)
+    d = design_filterbank(spec)
+    pole = 1.0 - offset
+    bank = dataclasses.replace(d, poles=np.array([pole, d.poles[1]]))
+    calls = [lambda: basis_derivative_column([pole], 0.0, 2),
+             lambda: verify_constraints(spec, bank)]
+    for call in calls:
+        if offset < 1e-12:
+            with pytest.raises(NumericalError) as info:
+                call()
+            assert str(info.value) == _SINGULAR
+        else:
+            call()
+
+
+@pytest.mark.parametrize("offset", [0.5e-12, 2e-12])
+def test_monic_rule_is_shared(offset, tmp_path, capsys):
+    """realize.run_filter and cli.bank_from_payload accept a[0] within
+    1e-12 of 1 and refuse it further off, each with its own message."""
+    from maxflat.realize import run_filter
+
+    a = [1.0 + offset, -0.5]
+    doc = {"q_smp": 0.0, "poles_re_im": [[0.5, 0.0]],
+           "c_re_im": [[[0.5, 0.0]]], "a": a, "b": [[0.5, 0.0]],
+           "sigma": [[1 / 3]], "ts_sec": 1.0}
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(doc))
+    argv = ["response", "--design", str(path), "--grid", "4",
+            "-o", str(tmp_path / "r.csv")]
+    if offset < 1e-12:
+        run_filter([1.0], a, np.ones(3))
+        assert cli.main(argv) == 0
+    else:
+        with pytest.raises(ValueError) as info:
+            run_filter([1.0], a, np.ones(3))
+        assert str(info.value) == "denominator must be monic (a[0] = 1)"
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: design file: a must be monic (a[0] = 1), got "
+            + json.dumps(a)[:40] + "\n")
+
+
+def _step_down(a, exact=True):
+    """The step-down reflection coefficients of a, in Fraction arithmetic
+    (the oracle) or in float64, up to the first of magnitude >= 1."""
+    c = [Fraction(v) for v in a] if exact else list(a)
+    c = [v / c[0] for v in c]
+    ks = []
+    for m in range(len(c) - 1, 0, -1):
+        ks.append(c[m])
+        if abs(c[m]) >= 1:
+            break
+        c = [(c[j] - c[m] * c[m - j]) / (1 - c[m] ** 2) for j in range(m)]
+    return ks
+
+
+@pytest.mark.parametrize("roots, k", [
+    ([0.5, -0.3], None), ([0.9 * np.exp(0.3j), 0.9 * np.exp(-0.3j)], None),
+    ([2.0, 0.5], 1.0), ([1.0], -1.0), ([-1.5, 0.2, 0.1], 2.275182892515476),
+    ([0.999], None), ([1.001], -1.001)])
+def test_unstable_reflection_examples(roots, k):
+    """None for roots inside the unit circle; else the first step-down
+    reflection coefficient of magnitude >= 1: a[-1] of a monic a when
+    |a[-1]| >= 1, as for roots 2 and 0.5 or a root on the circle, and a
+    later one when a root outside meets roots near 0."""
+    a = np.poly(roots).real
+    got = design_module.unstable_reflection(a)
+    ks = _step_down(a.tolist())
+    if k is None:
+        assert got is None and all(abs(v) < 1 for v in ks)
+    else:
+        assert abs(k) >= 1 and got == float(ks[-1]) == pytest.approx(k)
+
+
+def test_unstable_reflection_is_exact_near_the_circle():
+    """Near the unit circle the float64 step-down cannot decide and the
+    exact one does.  BW1's counts oversampled 8 times give an a whose
+    float64 step-down meets |k| > 1, but every exact |k| is below 1; at 12
+    times, an exact |k| reaches 1.  Random polynomials agree with the
+    exact step-down whichever path decides."""
+    def bw1_a(ratio):
+        spec = DesignSpec(f_s=1000.0 * ratio, f_wb=0.05 / ratio,
+                          f_nb=0.07 / ratio, k_w_dc=3, k_w_nb=3, k_t=3)
+        return transfer_coefficients(np.zeros((9, 1)),
+                                     constraint_basis(spec).poles)[1]
+
+    a8, a12 = bw1_a(8), bw1_a(12)
+    assert design_module.unstable_reflection(a8) is None
+    assert all(abs(k) < 1 for k in _step_down(a8.tolist()))
+    assert max(abs(k) for k in _step_down(a8.tolist(), exact=False)) > 1
+    k = design_module.unstable_reflection(a12)
+    assert k == float(_step_down(a12.tolist())[-1]) and abs(k) >= 1
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        K = int(rng.integers(1, 10))
+        roots = rng.uniform(0.8, 1.2, K) * np.exp(1j * rng.uniform(0, 3, K))
+        a = np.poly(np.concatenate([roots, roots.conj()])).real
+        ks = _step_down(a.tolist())
+        got = design_module.unstable_reflection(a)
+        assert got == (float(ks[-1]) if abs(ks[-1]) >= 1 else None)
+
+
+#: The oversampling ratios R of the sweep, and the smallest R of each set of
+#: counts whose rounded a is refused (None: none is).
+_RATIOS = (1, 2, 4, 8, 12, 16, 32, 64)
+_FIRST_REFUSED = {"BW1": 12, "A": None, "B": None, "C": 16, "D": 32}
+
+
+@pytest.mark.filterwarnings("ignore::maxflat.design.IllConditionedSystem")
+@pytest.mark.parametrize("name", list(_FIRST_REFUSED))
+def test_oversampled_designs_are_stable_or_refused(name):
+    """BW1's counts at f_s = 1000 R and trackers A-D's at f_s = 10 R, with
+    the bands fixed in Hz (f_wb = 0.05 / R, f_nb = 0.07 / R): each design
+    is either returned with finite run_filter output for every output, or
+    raises NumericalError because its rounded a is not stable.  Which R
+    are refused is pinned: README states the range."""
+    from maxflat.realize import run_filter
+
+    k_w_dc, k_w_nb = (3, 3) if name == "BW1" else TRACKER_CONFIGS[name]
+    f_s = 1000.0 if name == "BW1" else 10.0
+    x = np.random.default_rng(0).standard_normal(20_000)
+    refused = []
+    for ratio in _RATIOS:
+        spec = DesignSpec(f_s=f_s * ratio, f_wb=0.05 / ratio,
+                          f_nb=0.07 / ratio if k_w_nb else None,
+                          k_w_dc=k_w_dc, k_w_nb=k_w_nb, k_t=3)
+        try:
+            d = design_filterbank(spec)
+        except NumericalError as exc:
+            assert "unstable design" in str(exc)
+            refused.append(ratio)
+            continue
+        for b in d.b:
+            assert np.isfinite(run_filter(b, d.a, x)).all(), (name, ratio)
+    first = _FIRST_REFUSED[name]
+    assert refused == [r for r in _RATIOS if first is not None and r >= first]
 
 
 # ---------------------------------------------------------------------------

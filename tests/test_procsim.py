@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from maxflat import procsim
 from maxflat.procsim import (DiscreteProcess, InputSpec, ProcessParams,
                              discretize_process, generate_waveform,
                              impulse_energy_closed_form, oscillator_response,
@@ -236,6 +237,76 @@ def test_scenario_params_tracking():
     assert intf.lambda_c == pytest.approx(1.0 * 0.1 / 0.07)
     # Low-gain signal centre frequency in cycles/sample.
     assert 0.1 / lo.lambda_c == pytest.approx(6.25e-3)
+
+
+#: scenario_params' (tau_c, lambda_c) before the study numbers moved beside
+#: it, by (section, role, gain) and f_s; repr round-trips each float.
+_SCENARIO_PARAMS = {
+    ("detect", "signal"): {1000.0: (0.08, 0.02), 10.0: (8.0, 2.0)},
+    ("detect", "interference"): {
+        1000.0: (0.05714285714285714, 0.014285714285714285),
+        10.0: (5.714285714285714, 1.4285714285714286)},
+    ("track", "signal", "lo"): {1000.0: (0.16, 0.16), 10.0: (16.0, 16.0)},
+    ("track", "signal", "hi"): {1000.0: (0.16, 0.04), 10.0: (16.0, 4.0)},
+    ("track", "interference"): {
+        1000.0: (0.11428571428571428, 0.014285714285714285),
+        10.0: (11.428571428571429, 1.4285714285714286)},
+}
+
+
+@pytest.mark.parametrize("section", ["detect", "track"])
+@pytest.mark.parametrize("role", ["signal", "interference"])
+@pytest.mark.parametrize("gain", ["lo", "hi"])
+@pytest.mark.parametrize("f_s", [1000.0, 10.0])
+def test_scenario_params_bit_for_bit(section, role, gain, f_s):
+    """Every (section, role, gain) at both study rates gives the floats it
+    gave with the centre frequencies and rates spelled out in place; the
+    default rate is DETECT_FS."""
+    key = (section, role, gain) if (section, role) == ("track", "signal") \
+        else (section, role)
+    p = scenario_params(section, role, gain, f_s)
+    assert (p.tau_c, p.lambda_c) == _SCENARIO_PARAMS[key][f_s]
+    assert scenario_params(section, role, gain) \
+        == scenario_params(section, role, gain, procsim.DETECT_FS)
+
+
+def test_study_filters_use_the_centre_frequencies(monkeypatch):
+    """Every study filter's band edge is SIGNAL_F_C and its null
+    INTERFERENCE_F_C: BW0's Butterworth cutoff, BW1's and BW1_NC's specs,
+    the frequencies detector_metrics reads, every tracker's spec and the
+    last two orbit rates."""
+    from maxflat import analyze, detector, tracker
+
+    f_c, f_i = procsim.SIGNAL_F_C, procsim.INTERFERENCE_F_C
+    cutoffs, specs, omegas = [], [], set()
+    real_poles = detector.butterworth_s_poles
+    monkeypatch.setattr(detector, "butterworth_s_poles", lambda n, w_c: (
+        cutoffs.append(w_c), real_poles(n, w_c))[1])
+    for name in ("design_filterbank", "noncausal_design"):
+        real = getattr(detector, name)
+        monkeypatch.setattr(detector, name, lambda spec, real=real: (
+            specs.append(spec), real(spec))[1])
+    real_response = analyze.frequency_response
+    monkeypatch.setattr(analyze, "frequency_response", lambda b, a, w: (
+        omegas.update(np.atleast_1d(w).tolist()), real_response(b, a, w))[1])
+    for tag in detector.DETECTOR_TAGS:
+        detector.detector_metrics(tag)
+    assert set(cutoffs) == {2.0 * np.pi * f_c * procsim.DETECT_FS}
+    assert len(specs) == 2 and all(
+        (s.f_s, s.f_wb, s.f_nb) == (procsim.DETECT_FS, f_c, f_i)
+        for s in specs)
+    assert {2 * np.pi * f_c, 2 * np.pi * f_i} <= omegas
+    for tag, (_, k_w_nb) in tracker.TRACKER_CONFIGS.items():
+        spec = tracker.tracker_spec(tag)
+        assert (spec.f_s, spec.f_wb, spec.f_nb) \
+            == (procsim.TRACK_FS, f_c, f_i if k_w_nb else None)
+    assert tracker.DEFAULT_ORBIT_RATES[-2:] == (f_c, f_i)
+    # detector and tracker re-export procsim's numbers.
+    for name in ("DETECT_FS", "DETECT_N", "PULSE_SAMPLE", "TRUE_WINDOW",
+                 "FALSE_WINDOW", "P_SIG", "P_INT"):
+        assert getattr(detector, name) is getattr(procsim, name)
+    for name in ("TRACK_FS", "P_SIG_TRACK", "P_INT_TRACK"):
+        assert getattr(tracker, name) is getattr(procsim, name)
 
 
 @pytest.mark.parametrize("section", ["detect", "track"])
