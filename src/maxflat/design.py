@@ -368,7 +368,9 @@ class ConstraintBasis:
     s is the Gram matrix of a causal set (None for a two-sided one).  spec
     fixes the set; its K_t and group delay are not read.  The optimal delay
     of each output is searched on its first request and kept, and so are
-    the designs solved on it for its last few (q, K_t) pairs.
+    the designs solved on it for its last few (q, K_t) pairs, and the
+    step-down verdict (unstable_reflection) of each half's rounded a,
+    which depends on the poles alone.
     """
 
     spec: DesignSpec
@@ -380,6 +382,8 @@ class ConstraintBasis:
     _optima: Dict[int, Optional[float]] = field(default_factory=dict,
                                                 init=False, repr=False)
     _solved: Dict[Tuple[float, float, int], tuple] = field(
+        default_factory=dict, init=False, repr=False)
+    _reflections: Dict[str, Optional[float]] = field(
         default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -678,9 +682,13 @@ def _solve_banks(basis: ConstraintBasis, q: float,
     the (forward, backward) halves of a two-sided one (noncausal_design).
     A bank whose rounded a fails the step-down test (unstable_reflection)
     raises NumericalError, although its poles lie inside the unit circle:
-    at poles this close to z = 1, a's float64 rounding moves them out."""
+    at poles this close to z = 1, a's float64 rounding moves them out.
+    Each half's a depends on the basis's poles alone, so the basis keeps
+    each half's verdict and tests each a once, whatever q and K_t."""
     def bank(poles, c, sigma, a, b, half=""):
-        k = unstable_reflection(a)
+        if half not in basis._reflections:
+            basis._reflections[half] = unstable_reflection(a)
+        k = basis._reflections[half]
         if k is not None:
             raise NumericalError(
                 f"unstable design: the float64 denominator a{half} has a "

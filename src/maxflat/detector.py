@@ -48,14 +48,20 @@ from .realize import run_bank, run_filter, run_noncausal
 #: (2-core x86-64 VM; README § detection has the sweep).
 BLOCK = 32
 #: Simulated trials that ``block_statistics`` keeps, as MEMO_BLOCKS whole
-#: blocks, least recently used out first.  A trial's rows are 16 kB, so the
-#: memo holds at most 4.1 MB, whatever BLOCK is.  Detectors compared on the
-#: same trials of one seed and signal kind, up to that many, as the
-#: benchmark's five detectors at 200 trials are, simulate them once.  A
-#: longer run (criterion 10 and ``detect-sim`` at 2,000 trials, 63 blocks)
-#: cycles its blocks through the memo and reuses none of them.
+#: blocks of full rows, least recently used out first.  A trial's rows are
+#: 16 kB, so the memo holds at most 4.1 MB, whatever BLOCK is.  Detectors
+#: compared on the same trials of one seed and signal kind, up to that
+#: many, as the benchmark's five detectors at 200 trials are, simulate
+#: them once.  A longer run (criterion 10 and ``detect-sim`` at 2,000
+#: trials, 63 blocks) could reuse none of its blocks, so unless its
+#: detector reads whole rows it bypasses the memo and simulates each
+#: block's rows only as far as the detector reads them (the pipeline's
+#: ``reads``, see ``build_detector``).
 MEMO_TRIALS = 256
 MEMO_BLOCKS = MEMO_TRIALS // BLOCK
+#: The ``reads`` of a detector that reads whole rows: DETECT_N samples of
+#: a signal row and of an interference-only row.
+_FULL_ROWS = (DETECT_N, DETECT_N)
 
 
 @dataclass(frozen=True)
@@ -190,14 +196,28 @@ def build_detector(tag: str) -> Callable[..., np.ndarray]:
     element-wise TK arithmetic compute each sample with the same
     operations, however far they run.  Each design is built once, here.
     Every pipeline is built at DETECT_FS, the rate of the scenario that
-    ``block_statistics`` simulates, which calls it with its windows."""
+    ``block_statistics`` simulates, which calls it with its windows.
+
+    The callable's ``reads`` attribute holds the samples it reads of a
+    signal row and of an interference-only row at TRUE_WINDOW and
+    FALSE_WINDOW: their ends plus one for IIR_BW0 and IIR_BW1 (501 and
+    801), plus two for FIR_NUL_NC (502 and 802), whose energy reads the
+    next sample, and DETECT_N for the two-sided pipelines, whose backward
+    passes start at the row end.  A run of more than MEMO_TRIALS trials
+    simulates its rows only that far (``run_detection_mc``)."""
     t_s = 1.0 / DETECT_FS
+    # Samples past its window's end that a one-sided pipeline reads; None
+    # for the two-sided ones, which read whole rows.
+    ahead = None
     if tag == "FIR_NUL_NC":
+        ahead = 1
+
         def detect(x: np.ndarray, window=None) -> np.ndarray:
             x, lo, hi = _rows_and_window(x, window)
             return _tk_window(x, 0, lo, hi, causal=False, t_s=t_s)
     elif tag == "IIR_BW0":
         b, a = bw0_reference(causal=True)
+        ahead = 0
 
         def detect(x: np.ndarray, window=None) -> np.ndarray:
             x, lo, hi = _rows_and_window(x, window)
@@ -205,6 +225,7 @@ def build_detector(tag: str) -> Callable[..., np.ndarray]:
             return _tk_window(y, 0, lo, hi, causal=True, t_s=t_s)
     elif tag == "IIR_BW1":
         d = bw1_filterbank()
+        ahead = 0
 
         def detect(x: np.ndarray, window=None) -> np.ndarray:
             x, lo, hi = _rows_and_window(x, window)
@@ -234,6 +255,8 @@ def build_detector(tag: str) -> Callable[..., np.ndarray]:
     else:
         raise ValueError(f"unknown detector tag {tag!r}; supported tags: "
                          + ", ".join(DETECTOR_TAGS))
+    detect.reads = _FULL_ROWS if ahead is None else tuple(
+        hi + 1 + ahead for _, hi in (TRUE_WINDOW, FALSE_WINDOW))
     return detect
 
 
@@ -358,24 +381,29 @@ def _interference_transfer() -> Tuple[np.ndarray, np.ndarray]:
     return b, a
 
 
-@functools.lru_cache(maxsize=MEMO_BLOCKS, typed=True)
-def _simulate_block(seed: int, first: int, count: int,
-                    deterministic_signal: bool) -> np.ndarray:
-    """The detector inputs of trials first, ..., first + count - 1: rows
-    0 .. count - 1 are signal + interference, rows count .. 2 count - 1
-    interference only.  A trial builds its three generators and draws:
-    the signal frequency f~ ~ Uniform(0, SIGNAL_F_C), drawn here only,
-    the stochastic pulse and the two interference rows.  The oscillators
-    of the block's signals are formed once, as arrays, from the f~ of its
-    trials (``procsim.detect_signal_response``).  The array is read-only,
-    because the memo hands the same one to every detector."""
+def _simulate_rows(seed: int, first: int, count: int,
+                   deterministic_signal: bool,
+                   reads: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The detector inputs of trials first, ..., first + count - 1, as
+    (signal + interference rows, interference-only rows), over the first
+    reads[0] >= PULSE_SAMPLE and reads[1] samples of their rows.  A trial
+    builds its three generators and draws: the signal frequency f~ ~
+    Uniform(0, SIGNAL_F_C), drawn here only, the stochastic pulse and the
+    two interference rows, each only as far as its rows run.  The
+    oscillators of the block's signals are formed once, as arrays, from
+    the f~ of its trials (``procsim.detect_signal_response``).  The normal
+    draws, the interference filter and the oscillator response compute
+    each sample with the same operations however far a row runs, so a row
+    is bit for bit the start of the full row.  Both arrays are read-only,
+    so that a detector that writes into its input fails alike on every
+    path."""
     t_s = 1.0 / DETECT_FS
     n_pulse = 1 if deterministic_signal else 51
     pulse_scale = np.sqrt(P_SIG / t_s)
     int_scale = np.sqrt((P_INT if deterministic_signal else 1.0) / t_s)
     pulse = np.full((count, n_pulse), pulse_scale)
     f_tilde = np.empty(count)
-    x = np.empty((2 * count, DETECT_N))
+    signal, noise = (np.empty((count, n)) for n in reads)
     generator = _generator_from_state()
     states = _trial_seed_states(seed, first, count)
     for i in range(count):
@@ -384,21 +412,32 @@ def _simulate_block(seed: int, first: int, count: int,
         f_tilde[i] = SIGNAL_F_C * rng_sig.random()
         if not deterministic_signal:
             pulse[i] = rng_sig.normal(0.0, pulse_scale, n_pulse)
-        rng_int1.standard_normal(out=x[i])
-        rng_int2.standard_normal(out=x[count + i])
+        rng_int1.standard_normal(out=signal[i])
+        rng_int2.standard_normal(out=noise[i])
     # normal(0, s) draws s times the standard normal, the same numbers.
-    x *= int_scale
+    signal *= int_scale
+    noise *= int_scale
+    b, a = _interference_transfer()
+    signal, noise = run_filter(b, a, signal), run_filter(b, a, noise)
+    signal[:, PULSE_SAMPLE:] += detect_signal_response(
+        f_tilde, t_s, pulse, reads[0] - PULSE_SAMPLE)
+    signal.flags.writeable = noise.flags.writeable = False
+    return signal, noise
 
-    x = run_filter(*_interference_transfer(), x)
-    x[:count, PULSE_SAMPLE:] += detect_signal_response(
-        f_tilde, t_s, pulse, DETECT_N - PULSE_SAMPLE)
-    x.flags.writeable = False
-    return x
+
+@functools.lru_cache(maxsize=MEMO_BLOCKS, typed=True)
+def _simulate_block(seed: int, first: int, count: int,
+                    deterministic_signal: bool
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """``_simulate_rows`` over whole rows, which the memo hands to every
+    detector scored on the same trials."""
+    return _simulate_rows(seed, first, count, deterministic_signal,
+                          _FULL_ROWS)
 
 
 def block_statistics(detector: Callable[..., np.ndarray],
                      seed: int, first: int, count: int,
-                     deterministic_signal: bool = True
+                     deterministic_signal: bool = True, memo: bool = True
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """True and false statistics of trials first, ..., first + count - 1.
 
@@ -411,8 +450,9 @@ def block_statistics(detector: Callable[..., np.ndarray],
     streams are hashed in one array pass that repeats SeedSequence's
     arithmetic, with the seed's own words mixed once per seed, and each
     stream's Generator is built from its seed.  The rest is done once per
-    block too: the interference process is filtered over all 2 * count
-    rows in one call, and each signal is the closed-form response of its
+    block too: the interference process is filtered over the count
+    signal rows in one call and over the count interference-only rows in
+    another, and each signal is the closed-form response of its
     trial's oscillator (``procsim.detect_signal_response``).  The inputs
     follow ``procsim.generate_waveform``: a pulse of height
     sqrt(P_SIG / T_s) at PULSE_SAMPLE, or Normal(0, P_SIG / T_s) over
@@ -424,9 +464,18 @@ def block_statistics(detector: Callable[..., np.ndarray],
     twice: on the signal rows with TRUE_WINDOW and on the
     interference-only rows with FALSE_WINDOW.
 
-    The stacked rows come from a memo of MEMO_BLOCKS blocks (MEMO_TRIALS
-    trials) keyed by (seed, first, count, signal kind), so detectors
-    scored on the same trials share one simulation.  seed, first and
+    With memo true, the full rows come from a memo of MEMO_BLOCKS blocks
+    (MEMO_TRIALS trials) keyed by (seed, first, count, signal kind), so
+    detectors scored on the same trials share one simulation;
+    ``run_detection_mc`` takes this path for runs of at most MEMO_TRIALS
+    trials and for detectors that read whole rows.  With memo false, as
+    for its longer runs, the rows are simulated for this call alone: the
+    signal rows over their first detector.reads[0] samples and the
+    interference-only rows over their first detector.reads[1] (whole rows
+    for a detector without ``reads``).  Each sample is bit for bit that of
+    the full row, so the statistics are too, as long as the detector reads
+    no further.  A ``reads`` that is not two counts, each past its
+    window's end and at most DETECT_N, raises ValueError.  seed, first and
     count must be non-negative integers: None, a bool, a float or a
     negative number raises ValueError.  The rows are read-only, and a
     detector that writes into its input raises ValueError.
@@ -436,9 +485,19 @@ def block_statistics(detector: Callable[..., np.ndarray],
     count = check_nonnegative_int(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
-    x = _simulate_block(seed, first, count, bool(deterministic_signal))
-    return (detector(x[:count], TRUE_WINDOW).max(axis=-1),
-            detector(x[count:], FALSE_WINDOW).max(axis=-1))
+    if memo:
+        rows = _simulate_block(seed, first, count, bool(deterministic_signal))
+    else:
+        reads = tuple(getattr(detector, "reads", _FULL_ROWS))
+        if len(reads) != 2 or not all(hi < n <= DETECT_N for n, (_, hi) in
+                                      zip(reads, (TRUE_WINDOW, FALSE_WINDOW))):
+            raise ValueError(f"a detector's reads must be two sample counts "
+                             f"past its windows' ends, at most {DETECT_N}; "
+                             f"got {reads!r}")
+        rows = _simulate_rows(seed, first, count, bool(deterministic_signal),
+                              reads)
+    return (detector(rows[0], TRUE_WINDOW).max(axis=-1),
+            detector(rows[1], FALSE_WINDOW).max(axis=-1))
 
 
 def roc_from_statistics(stat_true: np.ndarray,
@@ -479,18 +538,26 @@ def run_detection_mc(detector: Callable[..., np.ndarray],
     2000 trials).
 
     Trials run in blocks of BLOCK through ``block_statistics``, whose
-    statistics do not depend on the block size.  The simulated blocks are
-    memoized (see MEMO_TRIALS), so a second detector run on the same seed,
-    signal kind and at most MEMO_BLOCKS * BLOCK trials pays only for its
-    own filtering and scoring.  seed and trials must be integers, trials
-    at least 1.
+    statistics do not depend on the block size.  A run of at most
+    MEMO_TRIALS trials takes its blocks from the memo, so a second
+    detector run on the same seed and signal kind pays only for its own
+    filtering and scoring.  A longer run could reuse none of its blocks:
+    it bypasses the memo and simulates each block's rows only as far as
+    the detector's ``reads``, the same statistics bit for bit.  A detector
+    that reads whole rows keeps the memo's path: it would simulate the
+    same samples, and rows freed as soon as their block is scored are
+    paged in afresh for the next (16,700 more minor page faults in a
+    2,000-trial IIR_BW1_NC run, 20 % slower on a 2-core x86-64 VM).  seed
+    and trials must be integers, trials at least 1.
     """
     trials = check_nonnegative_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    memo = trials <= MEMO_TRIALS or tuple(
+        getattr(detector, "reads", _FULL_ROWS)) == _FULL_ROWS
     blocks = [block_statistics(detector, seed, first,
                                min(BLOCK, trials - first),
-                               deterministic_signal)
+                               deterministic_signal, memo)
               for first in range(0, trials, BLOCK)]
     stat_true, stat_false = (np.concatenate(s) for s in zip(*blocks))
     return roc_from_statistics(stat_true, stat_false)

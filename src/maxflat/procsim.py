@@ -127,10 +127,12 @@ def _zoh(s, w, t_s: float):
 
 
 def oscillator_response(tau_c: np.ndarray, lambda_c: np.ndarray, t_s: float,
-                        u: np.ndarray, n_samples: int) -> np.ndarray:
+                        u: np.ndarray, n_samples: int,
+                        n_out: Optional[int] = None) -> np.ndarray:
     """Outputs of the discretized processes of parameters tau_c[i] and
     lambda_c[i] (1-D arrays), row i driven from rest by the input row u[i]
-    over samples [0, L), returned over n_samples >= L.
+    over samples [0, L): the first n_out samples (all by default) of the
+    response over n_samples >= L, 0 <= n_out <= n_samples.
 
     Evaluated in closed form rather than by a recursion.  Over k samples
     the transition is G^k = exp(A k T_s)
@@ -141,9 +143,13 @@ def oscillator_response(tau_c: np.ndarray, lambda_c: np.ndarray, t_s: float,
     over the input, y[k] = Re(e^{mu k} P_min(k, L-1)) with
     P_j = b0 beta sum_{m <= j} u[m] e^{-mu m}.  It agrees with the
     state recursion w[n] = G w[n-1] + H u[n], y[n] = C w[n] to about 1e-14
-    of each row's peak.  sigma_c, Omega_c and b0 are formed elementwise by
-    the operations of ``ProcessParams``, and every tau_c and lambda_c
-    must be a positive finite number, as there; otherwise ValueError.
+    of each row's peak.  The tables of exponentials are sized by
+    n_samples, and only the rows of them that the first n_out samples
+    need are formed, so those samples are bit for bit the start of the
+    response over n_samples, whatever n_out.  sigma_c, Omega_c and b0 are
+    formed elementwise by the operations of ``ProcessParams``, and every
+    tau_c and lambda_c must be a positive finite number, as there;
+    otherwise ValueError.
     """
     tau_c = np.asarray(tau_c, dtype=float)
     lambda_c = np.asarray(lambda_c, dtype=float)
@@ -156,6 +162,9 @@ def oscillator_response(tau_c: np.ndarray, lambda_c: np.ndarray, t_s: float,
     n_in = u.shape[-1]
     if not n_in <= n_samples:
         raise ValueError("require input length <= n_samples")
+    n_out = n_samples if n_out is None else n_out
+    if not 0 <= n_out <= n_samples:
+        raise ValueError("require 0 <= n_out <= n_samples")
     h0, h1 = _zoh(s, w, t_s)[1]
     mu = ((s + 1j * w) * t_s)[:, None]
     beta = (b0 * (h0 - 1j * (h1 - s * h0) / w))[:, None]
@@ -163,25 +172,30 @@ def oscillator_response(tau_c: np.ndarray, lambda_c: np.ndarray, t_s: float,
                                axis=-1)
     # e^{mu k} for k = q m + j as the outer product of two short tables of
     # exponentials: about 2 sqrt(n) complex exponentials per row, not n.
+    # Samples [0, n_out) need the first ceil(n_out / m) values of q.
     m = int(np.ceil(np.sqrt(n_samples)))
     steps = np.arange(float(m))
-    powers = (np.exp(mu * m * steps)[:, :, None]
+    rows = -(-n_out // max(m, 1))
+    powers = (np.exp(mu * m * steps[:rows])[:, :, None]
               * np.exp(mu * steps)[:, None, :]).reshape(len(w), -1)
-    y = powers[:, :n_samples]
-    y[:, :n_in] *= partial
+    y = powers[:, :n_out]
+    y[:, :n_in] *= partial[:, :n_out]
     y[:, n_in:] *= partial[:, -1:]
     return y.real
 
 
 def detect_signal_response(f_tilde: np.ndarray, t_s: float, u: np.ndarray,
                            n_samples: int) -> np.ndarray:
-    """``oscillator_response`` of the detection study's signals at
-    frequencies f_tilde (cyc/smp, one per row of u): alpha_tau = 4 about
-    the centre frequency SIGNAL_F_C, and lambda_c = T_s / f_tilde."""
+    """The first n_samples of the ``oscillator_response`` of the detection
+    study's signals at frequencies f_tilde (cyc/smp, one per row of u):
+    alpha_tau = 4 about the centre frequency SIGNAL_F_C, and lambda_c =
+    T_s / f_tilde.  The response runs from PULSE_SAMPLE to the row end,
+    DETECT_N - PULSE_SAMPLE samples, and n_samples at most that; any
+    n_samples gives bit for bit the start of the full-row response."""
     tau, lam = _detect_times(SIGNAL_F_C, np.asarray(f_tilde, dtype=float),
                              t_s)
     return oscillator_response(np.full_like(lam, tau), lam, t_s, u,
-                               n_samples)
+                               DETECT_N - PULSE_SAMPLE, n_samples)
 
 
 def impulse_energy_closed_form(params: ProcessParams) -> float:

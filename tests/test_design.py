@@ -321,6 +321,39 @@ def test_oversampled_designs_are_stable_or_refused(name):
     assert refused == [r for r in _RATIOS if first is not None and r >= first]
 
 
+@pytest.mark.parametrize("spec, halves, refused", [
+    pytest.param(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=3,
+                            k_w_nb=3, k_t=3), 1, False, id="BW1"),
+    pytest.param(DesignSpec(f_s=1000.0, f_wb=0.05, f_nb=0.07, k_w_dc=4,
+                            k_w_nb=2, k_t=1, group_delay=0.0, causal=False),
+                 2, False, id="BW1_NC"),
+    pytest.param(DesignSpec(f_s=16000.0, f_wb=0.003125, f_nb=0.004375,
+                            k_w_dc=3, k_w_nb=3, k_t=3), 1, True,
+                 id="BW1-oversampled")])
+def test_basis_runs_the_step_down_once_per_half(monkeypatch, spec, halves,
+                                                refused):
+    """A basis solved for three (q, K_t) pairs runs unstable_reflection
+    once for each half of its a, which depends on the poles alone: once
+    for a causal basis, twice for a two-sided one.  Each design keeps the
+    verdict: a refused a refuses every pair."""
+    calls = []
+    step_down = design_module.unstable_reflection
+    monkeypatch.setattr(design_module, "unstable_reflection",
+                        lambda a: calls.append(a) or step_down(a))
+    solves = _count_solves(monkeypatch)
+    _clear_design_memos()
+    solve = design_filterbank if spec.causal else noncausal_design
+    for q, k_t in ((0.0, 1), (1.5, 2), (4.0, 3)):
+        pair = dataclasses.replace(spec, group_delay=q, k_t=k_t)
+        if refused:
+            with pytest.raises(NumericalError, match="unstable design"):
+                solve(pair)
+        else:
+            solve(pair)
+    assert len(solves) == 3
+    assert len(calls) == halves
+
+
 # ---------------------------------------------------------------------------
 # Constraint targets and system assembly
 

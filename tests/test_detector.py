@@ -8,11 +8,12 @@ import pytest
 from maxflat import detector
 from maxflat.analyze import frequency_response
 from maxflat.detector import (BLOCK, DETECT_FS, DETECT_N, DETECTOR_TAGS,
-                              FALSE_WINDOW, MEMO_BLOCKS, P_INT, P_SIG,
-                              PULSE_SAMPLE, TRUE_WINDOW, build_detector,
-                              block_statistics, bw0_reference,
-                              detector_metrics, roc_from_statistics,
-                              run_detection_mc, tk_energy_derivatives)
+                              FALSE_WINDOW, MEMO_BLOCKS, MEMO_TRIALS,
+                              P_INT, P_SIG, PULSE_SAMPLE, TRUE_WINDOW,
+                              build_detector, block_statistics,
+                              bw0_reference, detector_metrics,
+                              roc_from_statistics, run_detection_mc,
+                              tk_energy_derivatives)
 from maxflat.procsim import (InputSpec, ProcessParams, discretize_process,
                              generate_waveform, oscillator_response,
                              scenario_params)
@@ -407,9 +408,13 @@ def test_detector_writing_its_input_raises_and_corrupts_nothing(
 
 
 def test_memo_stays_within_its_bound(detectors):
+    """IIR_BW1_NC reads whole rows, so its runs of more than MEMO_TRIALS
+    trials cycle through the memo too."""
     detector._simulate_block.cache_clear()
-    run_detection_mc(detectors["FIR_NUL_NC"], 300, 0)
-    assert detector._simulate_block.cache_info().currsize <= MEMO_BLOCKS
+    run_detection_mc(detectors["IIR_BW1_NC"], 300, 0)
+    info = detector._simulate_block.cache_info()
+    assert info.misses == 10
+    assert info.currsize <= MEMO_BLOCKS
 
 
 def test_signal_kinds_do_not_share_blocks(detectors):
@@ -420,6 +425,85 @@ def test_signal_kinds_do_not_share_blocks(detectors):
     info = detector._simulate_block.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 4, 4)
     assert deterministic.auc != stochastic.auc
+
+
+# ---------------------------------------------------------------------------
+# Runs longer than the memo simulate only what their detector reads
+
+#: Each pipeline's reads: its windows' ends plus one, plus two for the
+#: non-causal TK of FIR_NUL_NC, and whole rows for the two-sided ones.
+READS = {"FIR_NUL_NC": (502, 802), "IIR_BW0": (501, 801),
+         "IIR_BW1": (501, 801), "IIR_BW0_NC": (DETECT_N, DETECT_N),
+         "IIR_BW1_NC": (DETECT_N, DETECT_N)}
+
+
+@pytest.mark.parametrize("deterministic_signal", [True, False])
+@pytest.mark.parametrize("tag", DETECTOR_TAGS)
+def test_long_run_statistics_equal_memoized_full_rows(
+        monkeypatch, detectors, tag, deterministic_signal):
+    """A run of MEMO_TRIALS + BLOCK + 3 trials scores, bit for bit, the
+    statistics that block_statistics scores on the memoized full rows of
+    the same trials; a detector that reads less than whole rows leaves
+    the memo untouched."""
+    det = detectors[tag]
+    trials = MEMO_TRIALS + BLOCK + 3
+    detector._simulate_block.cache_clear()
+    got = _mc_statistics(monkeypatch, det, trials, 8, deterministic_signal)
+    misses = detector._simulate_block.cache_info().misses
+    assert misses == (0 if det.reads != (DETECT_N, DETECT_N) else 10)
+    want = [block_statistics(det, 8, first, min(BLOCK, trials - first),
+                             deterministic_signal)
+            for first in range(0, trials, BLOCK)]
+    assert np.array_equal(got[0], np.concatenate([w[0] for w in want]))
+    assert np.array_equal(got[1], np.concatenate([w[1] for w in want]))
+
+
+@pytest.mark.parametrize("tag", DETECTOR_TAGS)
+def test_reads_is_the_shortest_prefix_the_windows_need(detectors, tag):
+    """Each pipeline's window energies over the first reads samples of a
+    row equal the full row's, bit for bit; one sample fewer changes an
+    energy or raises."""
+    det = detectors[tag]
+    assert det.reads == READS[tag]
+    for kind in (True, False):
+        signal, noise = detector._simulate_block(3, 0, 6, kind)
+        for rows, window, n in zip((signal, noise),
+                                   (TRUE_WINDOW, FALSE_WINDOW), det.reads):
+            full = det(rows, window)
+            assert np.array_equal(det(rows[:, :n], window), full)
+            try:
+                short = det(rows[:, :n - 1], window)
+            except ValueError as exc:
+                assert "does not lie within" in str(exc)
+            else:
+                assert not np.array_equal(short, full)
+
+
+def test_long_run_rows_follow_reads(detectors):
+    """A functools.wraps wrapper, such as the benchmark's tracer, keeps its
+    pipeline's reads, so a long run hands it rows of that length; a bare
+    callable, without reads, gets whole rows."""
+    pipeline = detectors["IIR_BW1"]
+    trials = MEMO_TRIALS + 1
+    for wrap, reads in ((_wraps_wrapper, pipeline.reads),
+                        (_bare_wrapper, (DETECT_N, DETECT_N))):
+        calls = []
+        run_detection_mc(wrap(pipeline, calls), trials, 0)
+        assert calls[-2:] == [((1, reads[0]), TRUE_WINDOW),
+                              ((1, reads[1]), FALSE_WINDOW)]
+        assert {shape[1] for shape, _ in calls[0::2]} == {reads[0]}
+        assert {shape[1] for shape, _ in calls[1::2]} == {reads[1]}
+
+
+@pytest.mark.parametrize("reads", [(TRUE_WINDOW[1], 801), (501, DETECT_N + 1),
+                                   (501,), (501, 801, 900)])
+def test_reads_outside_the_rows_rejected(detectors, reads):
+    pipeline = detectors["IIR_BW1"]
+    bad = functools.wraps(pipeline)(lambda rows, window: pipeline(rows,
+                                                                  window))
+    bad.reads = reads
+    with pytest.raises(ValueError, match="reads"):
+        block_statistics(bad, 0, 0, 2, memo=False)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +587,7 @@ def test_simulated_block_equals_per_trial_generators(
     got = detector._simulate_block(seed, first, count, deterministic_signal)
     want = _per_trial_generator_block(seed, first, count,
                                       deterministic_signal)
-    assert np.array_equal(got, want)
+    assert np.array_equal(np.concatenate(got), want)
 
 
 def test_interference_transfer_is_built_once_read_only():
@@ -538,8 +622,9 @@ def test_window_energy_equals_full_row_energy(detectors, tag,
     and of a partial last block (trials 32-36), and a single 1-D row."""
     det = detectors[tag]
     for first, count in ((36, 1), (2 * BLOCK, 5)):
-        x = detector._simulate_block(2, first, count, deterministic_signal)
-        for rows in (x[:count], x[count:], x[0]):
+        signal, noise = detector._simulate_block(2, first, count,
+                                                 deterministic_signal)
+        for rows in (signal, noise, signal[0]):
             full = det(rows)
             assert full.shape == rows.shape
             for lo, hi in WINDOWS:
@@ -550,7 +635,7 @@ def test_window_energy_equals_full_row_energy(detectors, tag,
 
 @pytest.mark.parametrize("window", [(-1, 5), (5, 4), (0, DETECT_N)])
 def test_window_must_lie_within_the_row(detectors, window):
-    x = detector._simulate_block(0, 0, 1, True)
+    x = detector._simulate_block(0, 0, 1, True)[0]
     for det in detectors.values():
         with pytest.raises(ValueError, match="does not lie within"):
             det(x, window)
@@ -564,7 +649,8 @@ def test_block_statistics_equal_full_row_scoring(detectors, tag,
     one call on all stacked full rows, then each row's window maximum."""
     det = detectors[tag]
     got = block_statistics(det, 5, 3, BLOCK, deterministic_signal)
-    x = detector._simulate_block(5, 3, BLOCK, deterministic_signal)
+    x = np.concatenate(detector._simulate_block(5, 3, BLOCK,
+                                                deterministic_signal))
     e = det(x)
     want_true = e[:BLOCK, TRUE_WINDOW[0]:TRUE_WINDOW[1] + 1].max(axis=-1)
     want_false = e[BLOCK:, FALSE_WINDOW[0]:FALSE_WINDOW[1] + 1].max(axis=-1)

@@ -168,6 +168,29 @@ def test_oscillator_response_equals_gathered_expression(n_in):
 def test_oscillator_response_input_longer_than_output_rejected():
     with pytest.raises(ValueError, match="n_samples"):
         oscillator_response([0.08], [0.02], 0.001, np.ones((1, 5)), 4)
+    for n_out in (-1, 5):
+        with pytest.raises(ValueError, match="n_out <= n_samples"):
+            oscillator_response([0.08], [0.02], 0.001, np.ones((1, 2)), 4,
+                                n_out)
+
+
+@pytest.mark.parametrize("n_in", [1, 51])
+def test_detect_signal_response_prefix_is_the_full_row_start(n_in):
+    """Every prefix of a detection-study signal, from none of its samples
+    to the full row of DETECT_N - PULSE_SAMPLE, is bit for bit the start
+    of the full-row response, for a pulse of one sample and of 51, also
+    for prefixes shorter than the pulse."""
+    t_s = 1.0 / procsim.DETECT_FS
+    rng = np.random.default_rng(4)
+    f_tilde = rng.uniform(0.0, procsim.SIGNAL_F_C, 8)
+    u = rng.normal(0.0, 30.0, (8, n_in))
+    n_row = procsim.DETECT_N - procsim.PULSE_SAMPLE
+    full = procsim.detect_signal_response(f_tilde, t_s, u, n_row)
+    assert full.shape == (8, n_row)
+    for n in range(n_row + 1):
+        assert np.array_equal(
+            procsim.detect_signal_response(f_tilde, t_s, u, n),
+            full[:, :n]), n
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf, -np.inf])

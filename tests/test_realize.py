@@ -277,7 +277,7 @@ def test_run_bank_error_is_at_most_per_output_error(bw1_design):
     pole pass is no less accurate than one recursion per output (seed 0,
     relative to each row's peak: 3.4e-10 against 4.3e-10)."""
     from maxflat.detector import _simulate_block
-    x = _simulate_block(0, 0, 16, True)
+    x = np.concatenate(_simulate_block(0, 0, 16, True))
     d = bw1_design
     bank = run_bank(d, x)
     err_bank = err_each = 0.0
